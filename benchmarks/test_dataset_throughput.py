@@ -22,14 +22,16 @@ from repro.core.features import INPUT_SET_1, INPUT_SET_3
 from repro.core.reference import (
     reference_build_pue_dataset,
     reference_build_wer_dataset,
+    reference_matrices,
 )
 
 pytestmark = pytest.mark.slow
 
 
 def _assert_identical_matrices(columnar, reference, feature_set):
+    """``columnar`` is an ErrorDataset, ``reference`` a list of samples."""
     Xc, yc, gc = columnar.matrices(feature_set)
-    Xr, yr, gr = reference.matrices(feature_set)
+    Xr, yr, gr = reference_matrices(reference, feature_set)
     assert Xc.dtype == Xr.dtype and Xc.shape == Xr.shape
     assert Xc.tobytes() == Xr.tobytes()
     assert yc.tobytes() == yr.tobytes()
@@ -45,12 +47,13 @@ def test_columnar_wer_dataset_matches_reference_exactly(
     for feature_set in (INPUT_SET_1, INPUT_SET_3):
         _assert_identical_matrices(columnar, reference, feature_set)
     # Rank filtering must stay columnar and still match the list filter.
-    rank = reference.ranks()[0]
+    rank = min(s.rank for s in reference)
     _assert_identical_matrices(
-        columnar.filter_rank(rank), reference.filter_rank(rank), INPUT_SET_1
+        columnar.filter_rank(rank), [s for s in reference if s.rank == rank],
+        INPUT_SET_1,
     )
     # The lazily materialized Sample view reproduces the reference samples.
-    assert columnar.samples == reference.samples
+    assert list(columnar.samples) == reference
 
 
 def test_columnar_pue_dataset_matches_reference_exactly(
@@ -59,7 +62,7 @@ def test_columnar_pue_dataset_matches_reference_exactly(
     columnar = build_pue_dataset(full_campaign, campaign_profiles)
     reference = reference_build_pue_dataset(full_campaign, campaign_profiles)
     _assert_identical_matrices(columnar, reference, INPUT_SET_1)
-    assert columnar.samples == reference.samples
+    assert list(columnar.samples) == reference
 
 
 def test_dataset_assembly_at_least_10x_list_scan(
@@ -67,13 +70,15 @@ def test_dataset_assembly_at_least_10x_list_scan(
 ):
     # Warm both paths (store/profile caches, imports).
     build_wer_dataset(full_campaign, campaign_profiles).matrices(INPUT_SET_1)
-    reference_build_wer_dataset(full_campaign, campaign_profiles).matrices(INPUT_SET_1)
+    reference_matrices(
+        reference_build_wer_dataset(full_campaign, campaign_profiles), INPUT_SET_1
+    )
 
     # Min-of-N timing on both sides, as in the campaign benchmark: the
     # floor must hold on noisy shared CI runners.
     scalar_s = min(
-        _timed(lambda: reference_build_wer_dataset(
-            full_campaign, campaign_profiles).matrices(INPUT_SET_1))
+        _timed(lambda: reference_matrices(reference_build_wer_dataset(
+            full_campaign, campaign_profiles), INPUT_SET_1))
         for _ in range(3)
     )
     batch_s = min(

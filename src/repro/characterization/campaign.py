@@ -22,31 +22,28 @@ index (the scalar path *is* a one-point grid), and
 campaign-level determinism.  ``benchmarks/test_campaign_throughput.py``
 pins the speedup floor of the batched sweep over the scalar loop.
 
-Parallel execution
-------------------
-Each workload's sweep is independent, so ``run(parallel=n)`` fans the
-per-workload grid calls across a ``concurrent.futures`` process pool:
-workers receive picklable :class:`WorkloadSweepSpec` grid specs, return
-columnar blocks, and the parent merges blocks in workload order — the
-result is bit-identical to the sequential sweep for any worker count
-(pinned by ``tests/test_campaign_parallel.py``).
-
-:class:`CampaignResult` keeps the columnar store as its canonical record
-after a sweep and materializes the flat ``WerMeasurement`` list lazily;
-hand-built results (tests, tools) may still treat ``wer_measurements``
-as an append-only list, and the columnar view tracks it with the same
-length/identity heuristic as before.
+Sweep unit
+----------
+Each workload's sweep is independent, so a campaign is a map over
+picklable :class:`WorkloadSweepSpec` grid specs, one per workload.
+``run()`` maps them in-process; ``run(parallel=n)`` maps the same specs
+over an ``n``-worker ``concurrent.futures`` process pool.  Either way the
+parent merges the returned columnar blocks in workload order, so the
+result is bit-identical for any worker count (pinned by
+``tests/test_campaign_parallel.py``).  :class:`CampaignResult` holds the
+merged blocks as its one :class:`WerColumnStore` and materializes the
+flat ``WerMeasurement`` records only as a read-only tuple.
 
 Telemetry
 ---------
 When the active :mod:`repro.telemetry` registry is enabled, campaigns
-record a span tree (``campaign.run`` → ``campaign.wer_sweep`` /
-``campaign.ue_sweep`` → ``workload:<name>`` → the experiment/model
-spans) plus row counters.  Parallel workers capture their own registry
-and ship a picklable snapshot home in the sweep outcome; the parent
-merges snapshots in workload order, so the merged report has the same
-per-workload span counts as a sequential run.  The default registry is
-a no-op, and enabling telemetry never changes results
+record a span tree (``campaign.run`` -> ``campaign.wer_sweep`` /
+``campaign.ue_sweep`` -> ``workload:<name>`` -> the experiment/model
+spans) plus row counters.  In-process sweeps record into the active
+registry; pool workers capture their own registry and ship a picklable
+snapshot home in the sweep outcome, which the parent merges in workload
+order, so both paths produce the same span tree.  The default registry
+is a no-op, and enabling telemetry never changes results
 (``tests/test_telemetry_equivalence.py``).
 """
 
@@ -130,117 +127,48 @@ class CampaignConfig:
 class CampaignResult:
     """All measurements of one campaign, with the aggregations the figures use.
 
-    The WER record has two interchangeable representations: the columnar
-    :class:`WerColumnStore` (what a sweep produces, via
-    :meth:`extend_wer_columns`) and the flat ``wer_measurements`` list.
-    Whichever was touched last is canonical — a store-backed result
-    materializes the record list only when ``wer_measurements`` is first
-    read, and a hand-mutated list is re-packed into columns on the next
-    aggregation.
+    The WER record is one columnar :class:`WerColumnStore`: sweeps merge
+    their blocks into it via :meth:`extend_wer_columns`, and
+    ``wer_measurements`` is a read-only tuple of records materialized
+    from it on demand.  Records passed to the constructor are packed into
+    the store once.
     """
 
     def __init__(
         self,
         config: CampaignConfig,
-        wer_measurements: Optional[List[WerMeasurement]] = None,
+        wer_measurements: Optional[Sequence[WerMeasurement]] = None,
         pue_summaries: Optional[List[PueSummary]] = None,
     ) -> None:
         self.config = config
         self.pue_summaries: List[PueSummary] = (
             pue_summaries if pue_summaries is not None else []
         )
-        self._wer_list: Optional[List[WerMeasurement]] = (
-            wer_measurements if wer_measurements is not None else []
-        )
-        # True once a caller holds the list object (passed in, read via the
-        # property, or assigned): block ingestion must then extend that
-        # list in place rather than detach it for the columnar fast path.
-        self._wer_list_shared = wer_measurements is not None
-        self._wer_store: Optional[WerColumnStore] = None
-        self._wer_store_source: Optional[List[WerMeasurement]] = None
+        self._wer_store = WerColumnStore(wer_measurements or [])
+        self._wer_records: Optional[Tuple[WerMeasurement, ...]] = None
 
-    # -- the flat record list --------------------------------------------------
     @property
-    def wer_measurements(self) -> List[WerMeasurement]:
-        """The flat measurement record, materialized from columns on demand."""
-        if self._wer_list is None:
-            self._wer_list = (
-                self._wer_store.to_measurements() if self._wer_store is not None else []
-            )
-            # The store already matches the list it just produced.
-            self._wer_store_source = self._wer_list
-        self._wer_list_shared = True
-        return self._wer_list
-
-    @wer_measurements.setter
-    def wer_measurements(self, measurements: List[WerMeasurement]) -> None:
-        self._wer_list = measurements
-        self._wer_list_shared = True
+    def wer_measurements(self) -> Tuple[WerMeasurement, ...]:
+        """The flat measurement record, materialized from the store (read-only)."""
+        if self._wer_records is None:
+            self._wer_records = tuple(self._wer_store.to_measurements())
+        return self._wer_records
 
     @property
     def num_wer_measurements(self) -> int:
-        """Number of WER records, without materializing the record list."""
-        if self._wer_list is not None:
-            return len(self._wer_list)
-        return len(self._wer_store) if self._wer_store is not None else 0
+        """Number of WER records, without materializing them."""
+        return len(self._wer_store)
 
-    # -- columnar backing store ------------------------------------------------
     def wer_columns(self) -> WerColumnStore:
-        """Columnar view of the WER measurements backing the aggregations.
-
-        When the record list is canonical (hand-built results), the view
-        is built lazily and rebuilt whenever the (append-only) list has
-        grown or been replaced wholesale since the last build, so callers
-        may freely interleave appends and aggregation queries.  Any
-        mutation that preserves both the list object and its length
-        (replacing a record in place, pop followed by append, reordering)
-        is invisible to this heuristic — call
-        :meth:`invalidate_wer_columns` after such edits.
-        """
-        if self._wer_list is None:
-            if self._wer_store is None:
-                self._wer_store = WerColumnStore([])
-            return self._wer_store
-        if (
-            self._wer_store is None
-            or self._wer_store_source is not self._wer_list
-            or len(self._wer_store) != len(self._wer_list)
-        ):
-            self._wer_store = WerColumnStore(self._wer_list)
-            self._wer_store_source = self._wer_list
+        """The columnar WER record backing every aggregation."""
         return self._wer_store
 
     def extend_wer_columns(self, blocks: Sequence[WerColumnStore]) -> None:
-        """Merge columnar measurement blocks into the WER record.
-
-        The fast path concatenates the blocks onto the canonical store
-        without materializing a single ``WerMeasurement``; when a record
-        list a caller may hold already exists (hand-built or previously
-        read results), the blocks are materialized and extended onto
-        that same list instead, so held references keep seeing the data.
-        """
+        """Append columnar measurement blocks to the WER record."""
         blocks = [block for block in blocks if len(block)]
-        if not blocks:
-            return
-        if self._wer_list is not None and (self._wer_list or self._wer_list_shared):
-            for block in blocks:
-                self._wer_list.extend(block.to_measurements())
-            return
-        existing = (
-            [self._wer_store]
-            if self._wer_store is not None and len(self._wer_store)
-            else []
-        )
-        self._wer_store = WerColumnStore.concat(existing + blocks)
-        self._wer_list = None
-        self._wer_list_shared = False
-        self._wer_store_source = None
-
-    def invalidate_wer_columns(self) -> None:
-        """Force a rebuild of the columnar view on the next aggregation."""
-        if self._wer_list is not None:
-            self._wer_store = None
-            self._wer_store_source = None
+        if blocks:
+            self._wer_store = WerColumnStore.concat([self._wer_store, *blocks])
+            self._wer_records = None
 
     # -- WER aggregations ------------------------------------------------------
     def wer_by_workload(self, trefp_s: float, temperature_c: float) -> Dict[str, float]:
@@ -345,10 +273,10 @@ def _grid_pue_summaries(grid: GridColumns) -> List[PueSummary]:
 class WorkloadSweepSpec:
     """Picklable description of one workload's share of a campaign.
 
-    This is the unit the process pool distributes: everything a worker
-    needs to reproduce the sequential sweep for one workload — the
-    server model (cheap to pickle), the experiment seed and the two
-    operating-point grids.
+    This is the unit a campaign maps, in-process or over the process
+    pool: everything needed to sweep one workload — the server model
+    (cheap to pickle), the experiment seed and the two operating-point
+    grids.
     """
 
     workload: str
@@ -358,17 +286,17 @@ class WorkloadSweepSpec:
     wer_repetitions: int
     ue_ops: Tuple[OperatingPoint, ...]
     ue_repetitions: int
-    #: capture telemetry in the worker and ship a snapshot back
+    #: pool workers capture telemetry and ship a snapshot back
     telemetry: bool = False
 
 
 @dataclass
 class WorkloadSweepOutcome:
-    """Columnar blocks one worker sends back: CE rows, UE rows, summaries.
+    """Columnar blocks of one workload's sweep: CE rows, UE rows, summaries.
 
-    ``telemetry`` carries the worker's picklable snapshot when the spec
-    requested capture; the parent merges outcomes in workload order, so
-    the merged span tree matches the sequential sweep's shape.
+    ``telemetry`` carries a pool worker's picklable snapshot when the
+    spec requested capture; the parent merges outcomes in workload order,
+    so the merged span tree matches the in-process one.
     """
 
     workload: str
@@ -378,50 +306,60 @@ class WorkloadSweepOutcome:
     telemetry: Optional[TelemetrySnapshot] = None
 
 
-def _run_workload_sweep(spec: WorkloadSweepSpec) -> WorkloadSweepOutcome:
-    """Process-pool worker: one workload's full sweep, returned columnar.
+def _sweep_workload(spec: WorkloadSweepSpec) -> WorkloadSweepOutcome:
+    """One workload's full sweep, returned columnar.
 
-    Module-level so it pickles; builds a fresh experiment around the
-    spec's server copy.  Workload sweeps consume independent keyed RNG
-    streams, so a fresh experiment reproduces the sequential results
-    bit for bit.  Spans are recorded under the same
-    ``campaign.wer_sweep / campaign.ue_sweep -> workload:<name>`` names
-    the sequential path uses, so merged parallel reports line up with
-    sequential ones.
+    Records spans into the active telemetry registry under
+    ``campaign.wer_sweep`` / ``campaign.ue_sweep`` -> ``workload:<name>``.
+    Workload sweeps consume independent keyed RNG streams, so a fresh
+    experiment around the spec's server reproduces the same blocks in any
+    process and in any workload order.
+    """
+    telemetry = get_telemetry()
+    experiment = CharacterizationExperiment(server=spec.server, seed=spec.seed)
+    profile = profile_workload(spec.workload)
+    wer_block: Optional[WerColumnStore] = None
+    ue_block: Optional[WerColumnStore] = None
+    summaries: List[PueSummary] = []
+    if spec.wer_ops:
+        with telemetry.span("campaign.wer_sweep"):
+            with telemetry.span(f"workload:{spec.workload}"):
+                wer_block = experiment.run_grid_columns(
+                    spec.workload, spec.wer_ops,
+                    repetitions=spec.wer_repetitions, profile=profile,
+                ).wer_block()
+    if spec.ue_ops:
+        with telemetry.span("campaign.ue_sweep"):
+            with telemetry.span(f"workload:{spec.workload}"):
+                grid = experiment.run_grid_columns(
+                    spec.workload, spec.ue_ops,
+                    repetitions=spec.ue_repetitions, profile=profile,
+                )
+                # WER data from the first 70 C repetition also feeds the
+                # dataset.
+                ue_block = grid.wer_block(first_repetition_only=True)
+                summaries = _grid_pue_summaries(grid)
+    return WorkloadSweepOutcome(
+        workload=spec.workload, wer_block=wer_block,
+        ue_block=ue_block, pue_summaries=summaries,
+    )
+
+
+def _run_workload_sweep(spec: WorkloadSweepSpec) -> WorkloadSweepOutcome:
+    """Process-pool entry: :func:`_sweep_workload` under a fresh registry.
+
+    Module-level so it pickles.  The worker's telemetry is captured in
+    its own registry and shipped home as a snapshot in the outcome.
     """
     worker_telemetry = Telemetry(enabled=spec.telemetry)
     previous = set_telemetry(worker_telemetry)
     try:
-        experiment = CharacterizationExperiment(server=spec.server, seed=spec.seed)
-        profile = profile_workload(spec.workload)
-        wer_block: Optional[WerColumnStore] = None
-        ue_block: Optional[WerColumnStore] = None
-        summaries: List[PueSummary] = []
-        if spec.wer_ops:
-            with worker_telemetry.span("campaign.wer_sweep"):
-                with worker_telemetry.span(f"workload:{spec.workload}"):
-                    wer_block = experiment.run_grid_columns(
-                        spec.workload, spec.wer_ops,
-                        repetitions=spec.wer_repetitions, profile=profile,
-                    ).wer_block()
-        if spec.ue_ops:
-            with worker_telemetry.span("campaign.ue_sweep"):
-                with worker_telemetry.span(f"workload:{spec.workload}"):
-                    grid = experiment.run_grid_columns(
-                        spec.workload, spec.ue_ops,
-                        repetitions=spec.ue_repetitions, profile=profile,
-                    )
-                    # WER data from the first 70 C repetition also feeds the
-                    # dataset.
-                    ue_block = grid.wer_block(first_repetition_only=True)
-                    summaries = _grid_pue_summaries(grid)
+        outcome = _sweep_workload(spec)
     finally:
         set_telemetry(previous)
-    return WorkloadSweepOutcome(
-        workload=spec.workload, wer_block=wer_block,
-        ue_block=ue_block, pue_summaries=summaries,
-        telemetry=worker_telemetry.snapshot() if spec.telemetry else None,
-    )
+    if spec.telemetry:
+        outcome.telemetry = worker_telemetry.snapshot()
+    return outcome
 
 
 class CharacterizationCampaign:
@@ -437,79 +375,6 @@ class CharacterizationCampaign:
         self.config = config or CampaignConfig()
         self.experiment = CharacterizationExperiment(self.server, seed=seed)
 
-    # ------------------------------------------------------------------
-    def run_wer_sweep(self, result: CampaignResult) -> None:
-        """The CE study: workloads x TREFP x {50, 60} C (Fig. 7 / Fig. 8).
-
-        Each workload's whole (temperature x TREFP) grid goes through the
-        batched ``run_grid_columns`` engine in one call and lands as one
-        columnar block; rows sit in the same order the scalar nested loop
-        produced them.
-        """
-        ops = self.config.wer_operating_points()
-        if not ops:
-            return
-        telemetry = get_telemetry()
-        workloads = self.config.resolved_workloads()
-        logger.info(
-            "WER sweep starting: %d workloads x %d operating points x %d reps",
-            len(workloads), len(ops), self.config.repetitions,
-        )
-        start = time.perf_counter()
-        blocks = []
-        with telemetry.span("campaign.wer_sweep"):
-            for workload in workloads:
-                logger.debug("WER sweep: workload %s", workload)
-                with telemetry.span(f"workload:{workload}"):
-                    profile = profile_workload(workload)
-                    grid = self.experiment.run_grid_columns(
-                        workload, ops, repetitions=self.config.repetitions,
-                        profile=profile,
-                    )
-                    blocks.append(grid.wer_block())
-        result.extend_wer_columns(blocks)
-        if telemetry.enabled:
-            telemetry.incr("campaign.wer_rows", sum(len(b) for b in blocks))
-        logger.info(
-            "WER sweep finished: %d workloads in %.3fs",
-            len(workloads), time.perf_counter() - start,
-        )
-
-    def run_ue_sweep(self, result: CampaignResult) -> None:
-        """The UE study: workloads x TREFP x 70 C, repeated 10 times (Fig. 9)."""
-        ops = self.config.ue_operating_points()
-        if not ops:
-            return
-        telemetry = get_telemetry()
-        workloads = self.config.resolved_workloads()
-        logger.info(
-            "UE sweep starting: %d workloads x %d operating points x %d reps",
-            len(workloads), len(ops), self.config.ue_repetitions,
-        )
-        start = time.perf_counter()
-        blocks = []
-        with telemetry.span("campaign.ue_sweep"):
-            for workload in workloads:
-                logger.debug("UE sweep: workload %s", workload)
-                with telemetry.span(f"workload:{workload}"):
-                    profile = profile_workload(workload)
-                    grid = self.experiment.run_grid_columns(
-                        workload, ops, repetitions=self.config.ue_repetitions,
-                        profile=profile,
-                    )
-                    # WER data from the first 70 C repetition also feeds the
-                    # dataset.
-                    blocks.append(grid.wer_block(first_repetition_only=True))
-                    result.pue_summaries.extend(_grid_pue_summaries(grid))
-        result.extend_wer_columns(blocks)
-        if telemetry.enabled:
-            telemetry.incr("campaign.ue_rows", sum(len(b) for b in blocks))
-        logger.info(
-            "UE sweep finished: %d workloads in %.3fs",
-            len(workloads), time.perf_counter() - start,
-        )
-
-    # ------------------------------------------------------------------
     def _workload_specs(self, include_ue_study: bool) -> List[WorkloadSweepSpec]:
         wer_ops = tuple(self.config.wer_operating_points())
         ue_ops = tuple(self.config.ue_operating_points()) if include_ue_study else ()
@@ -524,72 +389,58 @@ class CharacterizationCampaign:
             for workload in self.config.resolved_workloads()
         ]
 
-    def _run_parallel(
-        self, result: CampaignResult, include_ue_study: bool, max_workers: int
-    ) -> None:
-        """Fan per-workload sweeps across a process pool, merge in order.
-
-        Outcomes are merged in workload submission order — first every
-        workload's CE block, then every workload's UE block and
-        summaries — so the record is bit-identical to the sequential
-        sweep regardless of worker count or completion order.
-        """
-        if isinstance(max_workers, bool) or not isinstance(max_workers, int):
-            raise CharacterizationError("parallel must be an integer worker count")
-        if max_workers < 1:
-            raise CharacterizationError("parallel must be at least 1 worker")
-        specs = self._workload_specs(include_ue_study)
-        if not specs:
-            return
-        telemetry = get_telemetry()
-        workers = min(max_workers, len(specs))
-        if telemetry.enabled:
-            telemetry.gauge("campaign.parallel_workers", workers)
-        logger.info(
-            "parallel sweep starting: %d workloads over %d workers",
-            len(specs), workers,
-        )
-        start = time.perf_counter()
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_workload_sweep, specs))
-        # Worker snapshots merge in workload (submission) order, mirroring
-        # the deterministic block merge below — the combined span tree is
-        # independent of worker count and completion order.
-        for outcome in outcomes:
-            telemetry.merge_snapshot(outcome.telemetry)
-        wer_blocks = [o.wer_block for o in outcomes if o.wer_block is not None]
-        result.extend_wer_columns(wer_blocks)
-        if telemetry.enabled:
-            telemetry.incr("campaign.wer_rows", sum(len(b) for b in wer_blocks))
-        if include_ue_study:
-            ue_blocks = [o.ue_block for o in outcomes if o.ue_block is not None]
-            result.extend_wer_columns(ue_blocks)
-            if telemetry.enabled:
-                telemetry.incr("campaign.ue_rows", sum(len(b) for b in ue_blocks))
-            for outcome in outcomes:
-                result.pue_summaries.extend(outcome.pue_summaries)
-        logger.info(
-            "parallel sweep finished: %d workloads in %.3fs",
-            len(specs), time.perf_counter() - start,
-        )
-
     def run(
         self, include_ue_study: bool = True, parallel: Optional[int] = None
     ) -> CampaignResult:
         """Run the full campaign and return the collected measurements.
 
-        ``parallel=None`` sweeps in-process; ``parallel=n`` distributes
-        the per-workload sweeps over an ``n``-worker process pool.  Both
+        ``parallel=None`` maps the per-workload sweep specs in-process;
+        ``parallel=n`` maps the same specs over an ``n``-worker process
+        pool.  Outcomes merge in workload order — every workload's CE
+        block, then every workload's UE block and summaries — so both
         paths produce bit-identical results.
         """
+        if parallel is not None:
+            if isinstance(parallel, bool) or not isinstance(parallel, int):
+                raise CharacterizationError("parallel must be an integer worker count")
+            if parallel < 1:
+                raise CharacterizationError("parallel must be at least 1 worker")
+        telemetry = get_telemetry()
         result = CampaignResult(config=self.config)
-        with get_telemetry().span("campaign.run"):
-            if parallel is None:
-                self.run_wer_sweep(result)
-                if include_ue_study:
-                    self.run_ue_sweep(result)
+        specs = self._workload_specs(include_ue_study)
+        workers = min(parallel, len(specs)) if parallel is not None else 0
+        logger.info(
+            "campaign starting: %d workloads, %s",
+            len(specs), f"{workers} workers" if workers else "in-process",
+        )
+        start = time.perf_counter()
+        with telemetry.span("campaign.run"):
+            if workers:
+                if telemetry.enabled:
+                    telemetry.gauge("campaign.parallel_workers", workers)
+                with ProcessPoolExecutor(max_workers=workers) as pool:
+                    outcomes = list(pool.map(_run_workload_sweep, specs))
+                # Worker snapshots merge in workload (submission) order, so
+                # the combined span tree is independent of worker count and
+                # completion order.
+                for outcome in outcomes:
+                    telemetry.merge_snapshot(outcome.telemetry)
             else:
-                self._run_parallel(result, include_ue_study, parallel)
+                outcomes = [_sweep_workload(spec) for spec in specs]
+            wer_blocks = [o.wer_block for o in outcomes if o.wer_block is not None]
+            ue_blocks = [o.ue_block for o in outcomes if o.ue_block is not None]
+            result.extend_wer_columns(wer_blocks)
+            result.extend_wer_columns(ue_blocks)
+            for outcome in outcomes:
+                result.pue_summaries.extend(outcome.pue_summaries)
+            if telemetry.enabled:
+                telemetry.incr("campaign.wer_rows", sum(len(b) for b in wer_blocks))
+                if include_ue_study:
+                    telemetry.incr("campaign.ue_rows", sum(len(b) for b in ue_blocks))
+        logger.info(
+            "campaign finished: %d workloads, %d WER rows in %.3fs",
+            len(specs), result.num_wer_measurements, time.perf_counter() - start,
+        )
         if result.num_wer_measurements == 0:
             raise CharacterizationError("campaign produced no measurements")
         return result

@@ -8,12 +8,12 @@ cycles, ``HDP`` and ``Treuse`` as the features most related to DRAM
 error behaviour — the basis of input sets 1 and 2.
 
 The study is columnar end to end: operating points are dictionary-
-encoded into group codes (consuming :class:`~repro.core.dataset.
-ColumnarDataset` columns directly when the dataset has a columnar
-backing), per-(operating point, workload) target means are two
-``np.bincount`` reductions, and each group's Spearman coefficients for
-*all* features come from one ranked-matrix product instead of one
-scipy call per (feature, group) pair.  A zero-variance feature or
+encoded into group codes straight from the dataset's
+:class:`~repro.core.dataset.ColumnarDataset` columns, per-(operating
+point, workload) target means are two ``np.bincount`` reductions, and
+each group's Spearman coefficients for *all* features come from one
+ranked-matrix product instead of one scipy call per (feature, group)
+pair.  A zero-variance feature or
 constant per-group targets contribute a coefficient of exactly ``0.0``
 (no ranking information), matching :func:`~repro.ml.metrics.
 spearman_correlation`.  The pre-vectorized per-sample implementation
@@ -102,47 +102,22 @@ def _study_columns(
     order (program features are constant per workload by construction, so
     one row per workload code suffices); ``group_codes`` dictionary-encode
     the ``(round(trefp, 6), round(temp, 2))`` operating-point key the
-    per-sample path grouped on.  Columnar-backed datasets contribute their
-    code tables directly; sample-backed datasets are encoded in one pass.
+    per-sample path grouped on.
     """
     columns = dataset.columns()
-    if columns is not None:
-        workloads: Sequence[str] = columns.workloads
-        workload_codes = columns.workload_codes
-        operating = columns.operating_columns
-        targets = columns.targets
-        features_by_workload = columns.features_by_workload
-    else:
-        samples = dataset.samples
-        if not samples:
-            raise DataError("dataset is empty")
-        workloads = []
-        code_of: Dict[str, int] = {}
-        features_by_workload = {}
-        workload_codes = np.empty(len(samples), dtype=np.int64)
-        operating = np.empty((len(samples), 3), dtype=np.float64)
-        targets = np.empty(len(samples), dtype=np.float64)
-        for i, sample in enumerate(samples):
-            code = code_of.get(sample.workload)
-            if code is None:
-                code = code_of[sample.workload] = len(workloads)
-                workloads.append(sample.workload)
-                features_by_workload[sample.workload] = sample.program_features
-            workload_codes[i] = code
-            op = sample.operating_point
-            operating[i] = (op.trefp_s, op.vdd_v, op.temperature_c)
-            targets[i] = sample.target
-
+    if not len(columns):
+        raise DataError("dataset is empty")
     program = np.array(
-        [[float(features_by_workload[w][name]) for name in feature_names]
-         for w in workloads],
+        [[float(columns.features_by_workload[w][name]) for name in feature_names]
+         for w in columns.workloads],
         dtype=np.float64,
     )
+    operating = columns.operating_columns
     op_key = np.column_stack(
         (np.round(operating[:, 0], 6), np.round(operating[:, 2], 2))
     )
     _, group_codes = np.unique(op_key, axis=0, return_inverse=True)
-    return program, workload_codes, group_codes.reshape(-1), targets
+    return program, columns.workload_codes, group_codes.reshape(-1), columns.targets
 
 
 def _grouped_feature_spearman(

@@ -9,16 +9,18 @@ produced it.  Two dataset flavours exist:
 * :func:`build_pue_dataset` — one row per (workload, refresh period) of
   the 70 C study, target = the measured PUE.
 
-Both builders are columnar: the campaign's
-:class:`~repro.characterization.metrics.WerColumnStore` columns stream
-straight into a :class:`ColumnarDataset` (operating-point matrix, target
-vector and dictionary-encoded group/rank codes) and the program-feature
-join is one fancy-indexing pass over a per-workload feature table — no
-per-row :class:`Sample` objects are built unless a caller iterates the
-dataset.  The original per-sample implementation survives in
-``repro.core.reference`` as the independent equivalence reference; the
-columnar path must produce bit-identical ``(X, y, groups)`` matrices
-(pinned by ``tests/test_columnar_dataset.py`` and
+An :class:`ErrorDataset` has one backing, a :class:`ColumnarDataset`
+(operating-point matrix, target vector and dictionary-encoded
+group/rank codes).  Both builders stream the campaign's
+:class:`~repro.characterization.metrics.WerColumnStore` columns straight
+into it, hand-built sample lists are encoded into it once
+(:meth:`ColumnarDataset.from_samples`), and the program-feature join is
+one fancy-indexing pass over a per-workload feature table.  ``Sample``
+objects exist only as a read-only view materialized when a caller
+iterates.  The per-sample builders and the row-by-row matrix assembly
+live in ``repro.core.reference`` as the independent equivalence oracle;
+the columnar path must produce bit-identical ``(X, y, groups)``
+matrices (pinned by ``tests/test_columnar_dataset.py`` and
 ``benchmarks/test_dataset_throughput.py``).
 """
 
@@ -92,6 +94,51 @@ class ColumnarDataset:
         ):
             raise DataError("columnar dataset columns must have one entry per row")
 
+    @classmethod
+    def from_samples(cls, samples: Sequence[Sample]) -> "ColumnarDataset":
+        """Encode a :class:`Sample` sequence into columns in one pass.
+
+        Program features are stored once per workload, so every sample of
+        a workload must carry the same ``program_features``; a conflict
+        raises :class:`DataError` instead of silently keeping the first.
+        """
+        n = len(samples)
+        workloads: List[str] = []
+        workload_index: Dict[str, int] = {}
+        features: Dict[str, Mapping[str, float]] = {}
+        ranks: List[RankLocation] = []
+        rank_index: Dict[RankLocation, int] = {}
+        workload_codes = np.empty(n, dtype=np.int64)
+        rank_codes = np.full(n, -1, dtype=np.int64)
+        operating = np.empty((n, 3), dtype=np.float64)
+        targets = np.empty(n, dtype=np.float64)
+        for i, sample in enumerate(samples):
+            code = workload_index.get(sample.workload)
+            if code is None:
+                code = workload_index[sample.workload] = len(workloads)
+                workloads.append(sample.workload)
+                features[sample.workload] = sample.program_features
+            elif (
+                sample.program_features is not features[sample.workload]
+                and sample.program_features != features[sample.workload]
+            ):
+                raise DataError(
+                    f"samples of workload {sample.workload!r} carry "
+                    "conflicting program features"
+                )
+            workload_codes[i] = code
+            if sample.rank is not None:
+                rank_code = rank_index.get(sample.rank)
+                if rank_code is None:
+                    rank_code = rank_index[sample.rank] = len(ranks)
+                    ranks.append(sample.rank)
+                rank_codes[i] = rank_code
+            op = sample.operating_point
+            operating[i] = (op.trefp_s, op.vdd_v, op.temperature_c)
+            targets[i] = sample.target
+        return cls(workloads, workload_codes, operating, targets, features,
+                   ranks, rank_codes)
+
     def __len__(self) -> int:
         return len(self.targets)
 
@@ -164,65 +211,45 @@ class ColumnarDataset:
 class ErrorDataset:
     """A set of labelled samples with matrix/group accessors.
 
-    Two interchangeable backings: a plain :class:`Sample` list (hand-built
-    datasets, and the reference path for the equivalence pins) or a
-    :class:`ColumnarDataset` (what the campaign builders produce —
-    matrices, rank filters and group reductions run as vector operations
-    and ``Sample`` objects are materialized lazily only if a caller
-    iterates).  Mutating via :meth:`add` drops the columnar backing;
-    appending directly to a materialized ``samples`` list is detected by
-    the same length heuristic ``CampaignResult`` uses.
+    Backed by one :class:`ColumnarDataset`: matrices, rank filters and
+    group reductions run as vector operations.  Campaign builders pass
+    ``columns``; hand-built datasets pass ``samples``, which are encoded
+    into columns once.  ``samples`` is a read-only tuple materialized
+    from the columns on first access.
     """
 
     def __init__(
         self,
-        samples: Optional[List[Sample]] = None,
+        samples: Optional[Sequence[Sample]] = None,
         columns: Optional[ColumnarDataset] = None,
     ) -> None:
         if samples is not None and columns is not None:
             raise DataError("pass either samples or columns, not both")
-        self._columns = columns
-        self._samples: Optional[List[Sample]] = (
-            samples if samples is not None else (None if columns is not None else [])
+        self._columns = (
+            columns if columns is not None else ColumnarDataset.from_samples(samples or ())
         )
+        self._samples: Optional[Tuple[Sample, ...]] = None
 
     # ------------------------------------------------------------------
     @property
-    def samples(self) -> List[Sample]:
+    def samples(self) -> Tuple[Sample, ...]:
         if self._samples is None:
-            self._samples = self._columns.materialize_samples()
+            self._samples = tuple(self._columns.materialize_samples())
         return self._samples
 
-    def _active_columns(self) -> Optional[ColumnarDataset]:
-        """The columnar backing, unless sample-list mutation outdated it."""
-        if self._columns is None:
-            return None
-        if self._samples is not None and len(self._samples) != len(self._columns):
-            return None
+    def columns(self) -> ColumnarDataset:
+        """The columnar backing, for callers that want raw columns."""
         return self._columns
 
-    def columns(self) -> Optional[ColumnarDataset]:
-        """Columnar backing for callers that want raw columns (may be None)."""
-        return self._active_columns()
-
     def __len__(self) -> int:
-        if self._samples is not None:
-            return len(self._samples)
         return len(self._columns)
 
     def __iter__(self) -> Iterator[Sample]:
         return iter(self.samples)
 
-    def add(self, sample: Sample) -> None:
-        self.samples.append(sample)
-        self._columns = None
-
     # ------------------------------------------------------------------
     def workloads(self) -> List[str]:
-        columns = self._active_columns()
-        if columns is not None:
-            return columns.workloads_present()
-        return sorted({sample.workload for sample in self.samples})
+        return self._columns.workloads_present()
 
     def ranks(self) -> List[RankLocation]:
         """Distinct rank locations, sorted.
@@ -232,11 +259,7 @@ class ErrorDataset:
         silently returning ``[]`` used to make per-rank training loops
         vanish without a trace.
         """
-        columns = self._active_columns()
-        if columns is not None:
-            found = columns.ranks_present()
-        else:
-            found = sorted({s.rank for s in self.samples if s.rank is not None})
+        found = self._columns.ranks_present()
         if not found:
             raise DataError(
                 "dataset contains no rank-annotated samples "
@@ -246,40 +269,21 @@ class ErrorDataset:
 
     def filter_rank(self, rank: RankLocation) -> "ErrorDataset":
         """Samples belonging to one DIMM/rank (per-module models)."""
-        columns = self._active_columns()
-        if columns is not None:
-            if rank in columns.ranks:
-                mask = columns.rank_codes == columns.ranks.index(rank)
-            else:
-                mask = np.zeros(len(columns), dtype=bool)
-            if not mask.any():
-                raise DataError(f"no samples for rank {rank.label}")
-            return ErrorDataset(columns=columns.subset(mask))
-        subset = [s for s in self.samples if s.rank == rank]
-        if not subset:
+        columns = self._columns
+        if rank in columns.ranks:
+            mask = columns.rank_codes == columns.ranks.index(rank)
+        else:
+            mask = np.zeros(len(columns), dtype=bool)
+        if not mask.any():
             raise DataError(f"no samples for rank {rank.label}")
-        return ErrorDataset(samples=subset)
+        return ErrorDataset(columns=columns.subset(mask))
 
     def matrices(self, feature_set: FeatureSet) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Return (X, y, groups) where groups are workload names."""
-        columns = self._active_columns()
-        if columns is not None:
-            return columns.matrices(feature_set)
-        if not self.samples:
-            raise DataError("dataset is empty")
-        X = np.stack([sample.input_row(feature_set) for sample in self.samples])
-        y = np.array([sample.target for sample in self.samples], dtype=float)
-        groups = np.array([sample.workload for sample in self.samples])
-        return X, y, groups
+        return self._columns.matrices(feature_set)
 
     def targets_by_workload(self) -> Dict[str, List[float]]:
-        columns = self._active_columns()
-        if columns is not None:
-            return columns.targets_by_workload()
-        result: Dict[str, List[float]] = {}
-        for sample in self.samples:
-            result.setdefault(sample.workload, []).append(sample.target)
-        return result
+        return self._columns.targets_by_workload()
 
 
 def _profiles_for(

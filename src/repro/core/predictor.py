@@ -28,7 +28,6 @@ are pinned against it to 1e-9 relative tolerance by
 
 from __future__ import annotations
 
-import logging
 import time
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
@@ -46,7 +45,6 @@ from repro.profiling.profile import WorkloadProfile
 from repro.profiling.profiler import profile_workload
 from repro.telemetry import get_telemetry
 
-_logger = logging.getLogger("repro.core.predictor")
 
 #: Sequence-of-workloads argument: registry names and/or profiles.
 WorkloadArg = Union[str, WorkloadProfile]
@@ -167,28 +165,6 @@ class PredictorConfig:
     wer_feature_set: str = "set1"
     pue_family: str = "knn"
     pue_feature_set: str = "set2"
-
-
-def _resolve_deprecated_op(
-    operating_point: Optional[OperatingPoint],
-    op: Optional[OperatingPoint],
-    method: str,
-) -> OperatingPoint:
-    """One-release shim: accept the old ``op=`` keyword with a warning."""
-    if op is not None:
-        if operating_point is not None:
-            raise ConfigurationError(
-                f"{method}() got both operating_point= and the deprecated op=;"
-                " pass operating_point only"
-            )
-        _logger.warning(
-            "%s(op=...) is deprecated and will be removed in the next release;"
-            " use %s(operating_point=...)", method, method,
-        )
-        return op
-    if operating_point is None:
-        raise ConfigurationError(f"{method}() requires an operating_point")
-    return operating_point
 
 
 class WorkloadAwarePredictor:
@@ -419,29 +395,17 @@ class WorkloadAwarePredictor:
         )
 
     def predict(
-        self,
-        workload: WorkloadArg,
-        operating_point: Optional[OperatingPoint] = None,
-        *,
-        op: Optional[OperatingPoint] = None,
+        self, workload: WorkloadArg, operating_point: OperatingPoint
     ) -> PredictionResult:
         """Predict WER (per rank) and PUE for one workload at one point.
 
         Thin wrapper over the batch path: a one-row
         :meth:`predict_batch` unwrapped into a :class:`PredictionResult`.
-        The old ``op=`` keyword is accepted for one release and logs a
-        deprecation warning via the ``repro.core.predictor`` logger.
         """
-        point = _resolve_deprecated_op(operating_point, op, "predict")
-        return self.predict_batch([workload], [point]).result(0)
+        return self.predict_batch([workload], [operating_point]).result(0)
 
     def predict_wer(
-        self,
-        workload: WorkloadArg,
-        operating_point: Optional[OperatingPoint] = None,
-        *,
-        op: Optional[OperatingPoint] = None,
+        self, workload: WorkloadArg, operating_point: OperatingPoint
     ) -> float:
         """Memory-wide WER prediction (convenience wrapper)."""
-        point = _resolve_deprecated_op(operating_point, op, "predict_wer")
-        return self.predict(workload, point).memory_wer
+        return self.predict(workload, operating_point).memory_wer

@@ -3,14 +3,16 @@
 :func:`reference_build_wer_dataset` / :func:`reference_build_pue_dataset`
 are the pre-columnar bodies of ``build_wer_dataset`` /
 ``build_pue_dataset``: one :class:`~repro.core.dataset.Sample` per
-measurement, matrices assembled row by row.  They exist — mirroring
-``repro.characterization.reference`` for the grid engine — so the
-equivalence tests and the throughput benchmark check the columnar
-builders against an *independent* implementation rather than against
-themselves: the columnar path must stay bit-identical to these
-functions' ``(X, y, groups)`` output for the same campaign.  Any change
-to the dataset contract must update this reference and the pinning
-suites (``tests/test_columnar_dataset.py``,
+measurement, returned as a plain list, and :func:`reference_matrices`
+assembles ``(X, y, groups)`` from such a list row by row.  They exist —
+mirroring ``repro.characterization.reference`` for the grid engine — so
+the equivalence tests and the throughput benchmark check the columnar
+builders against an *independent* implementation that shares no code
+with :class:`~repro.core.dataset.ColumnarDataset`: the columnar path
+must stay bit-identical to these functions' ``(X, y, groups)`` output
+for the same campaign.  Any change to the dataset contract must update
+this reference and the pinning suites
+(``tests/test_columnar_dataset.py``,
 ``benchmarks/test_dataset_throughput.py``) together.
 
 :func:`reference_run_correlation_study` follows the same convention for
@@ -24,7 +26,7 @@ order differs, so agreement is tolerance- rather than bit-exact).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,7 +35,8 @@ if TYPE_CHECKING:  # runtime import would be circular; see the lazy import below
     from repro.core.predictor import WorkloadAwarePredictor
 
 from repro.characterization.campaign import CampaignResult
-from repro.core.dataset import ErrorDataset, Sample, _profiles_for
+from repro.core.dataset import Sample, _profiles_for
+from repro.core.features import FeatureSet
 from repro.dram.operating import OperatingPoint
 from repro.errors import DataError
 from repro.ml.metrics import spearman_correlation
@@ -43,11 +46,11 @@ from repro.profiling.profile import WorkloadProfile
 def reference_build_wer_dataset(
     campaign: CampaignResult,
     profiles: Optional[Dict[str, WorkloadProfile]] = None,
-) -> ErrorDataset:
+) -> List[Sample]:
     """Join per-rank WER measurements with program features, sample by sample."""
     workloads = sorted({m.workload for m in campaign.wer_measurements})
     resolved = _profiles_for(workloads, profiles)
-    dataset = ErrorDataset()
+    samples: List[Sample] = []
     for measurement in campaign.wer_measurements:
         profile = resolved[measurement.workload]
         op = OperatingPoint(
@@ -55,7 +58,7 @@ def reference_build_wer_dataset(
             vdd_v=measurement.vdd_v,
             temperature_c=measurement.temperature_c,
         )
-        dataset.add(
+        samples.append(
             Sample(
                 workload=measurement.workload,
                 operating_point=op,
@@ -64,26 +67,26 @@ def reference_build_wer_dataset(
                 rank=measurement.rank,
             )
         )
-    if not dataset.samples:
+    if not samples:
         raise DataError("campaign contains no WER measurements")
-    return dataset
+    return samples
 
 
 def reference_build_pue_dataset(
     campaign: CampaignResult,
     profiles: Optional[Dict[str, WorkloadProfile]] = None,
     vdd_v: float = 1.428,
-) -> ErrorDataset:
+) -> List[Sample]:
     """Join the 70 C UE study with program features, sample by sample."""
     workloads = sorted({s.workload for s in campaign.pue_summaries})
     resolved = _profiles_for(workloads, profiles)
-    dataset = ErrorDataset()
+    samples: List[Sample] = []
     for summary in campaign.pue_summaries:
         profile = resolved[summary.workload]
         op = OperatingPoint(
             trefp_s=summary.trefp_s, vdd_v=vdd_v, temperature_c=summary.temperature_c
         )
-        dataset.add(
+        samples.append(
             Sample(
                 workload=summary.workload,
                 operating_point=op,
@@ -92,13 +95,25 @@ def reference_build_pue_dataset(
                 rank=None,
             )
         )
-    if not dataset.samples:
+    if not samples:
         raise DataError("campaign contains no UE observations")
-    return dataset
+    return samples
+
+
+def reference_matrices(
+    samples: Sequence[Sample], feature_set: FeatureSet
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(X, y, groups)`` assembled row by row, one input row per sample."""
+    if not samples:
+        raise DataError("dataset is empty")
+    X = np.stack([sample.input_row(feature_set) for sample in samples])
+    y = np.array([sample.target for sample in samples], dtype=float)
+    groups = np.array([sample.workload for sample in samples])
+    return X, y, groups
 
 
 def reference_grouped_samples(
-    dataset: ErrorDataset, feature_names: Sequence[str]
+    dataset: Iterable[Sample], feature_names: Sequence[str]
 ) -> Dict[Tuple[float, float], Dict[str, Tuple[List[float], List[float]]]]:
     """Group samples by operating point; average targets per workload.
 
@@ -137,8 +152,8 @@ def reference_grouped_spearman(
 
 
 def reference_run_correlation_study(
-    wer_dataset: ErrorDataset,
-    pue_dataset: ErrorDataset,
+    wer_dataset: Iterable[Sample],
+    pue_dataset: Iterable[Sample],
     feature_names: Optional[Sequence[str]] = None,
 ) -> "CorrelationStudy":
     """Per-sample body of ``run_correlation_study`` (one scipy call per pair)."""

@@ -32,8 +32,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.predictor import WorkloadAwarePredictor
 from repro.dram.geometry import RankLocation
 from repro.dram.operating import OperatingPoint
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, WorkloadError
 from repro.telemetry import get_telemetry
+from repro.workloads.registry import ALL_WORKLOADS
 
 #: Cache / coalescing key of one request.
 RequestKey = Tuple[str, float, float, float]
@@ -51,6 +52,10 @@ class PredictRequest:
     def __post_init__(self) -> None:
         if not isinstance(self.workload, str) or not self.workload:
             raise ConfigurationError("request workload must be a registry name")
+        # Rejected here, on the caller's thread: an unknown name reaching a
+        # coalesced batch would fail every other request in it.
+        if self.workload not in ALL_WORKLOADS:
+            raise WorkloadError(f"unknown workload {self.workload!r}")
         # Constructing the operating point validates the parameter ranges.
         self.operating_point()
 

@@ -15,14 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import units
 from repro.characterization.campaign import (
     CampaignConfig,
     CampaignResult,
     CharacterizationCampaign,
 )
 from repro.characterization.experiment import CharacterizationExperiment
-from repro.characterization.metrics import WerColumnStore, WerMeasurement
+from repro.characterization.metrics import WerColumnStore
 from repro.characterization.reference import reference_scalar_run
 from repro.dram.operating import OperatingPoint
 from repro.dram.statistical import StatisticalErrorModel
@@ -296,63 +295,11 @@ class TestColumnarAggregations:
                 self._list_scan_by_rank(small_campaign, trefp, temperature)
             )
 
-    def test_store_rebuilds_after_append(self):
-        result = CampaignResult(config=CampaignConfig())
-        measurement = WerMeasurement(
-            workload="a", trefp_s=1.173, vdd_v=units.MIN_VDD_V,
-            temperature_c=50.0, rank=next(iter(
-                CharacterizationExperiment().server.geometry.iter_ranks()
-            )), wer=1e-6,
-        )
-        result.wer_measurements.append(measurement)
-        assert result.wer_by_workload(1.173, 50.0) == {"a": 1e-6}
-        result.wer_measurements.append(
-            WerMeasurement(
-                workload="a", trefp_s=1.173, vdd_v=units.MIN_VDD_V,
-                temperature_c=50.0, rank=measurement.rank, wer=3e-6,
-            )
-        )
-        # The cached columnar view must pick up the appended measurement.
-        assert result.wer_by_workload(1.173, 50.0) == {"a": pytest.approx(2e-6)}
-
     def test_store_group_means_preserve_record_order(self):
         store = WerColumnStore([])
         assert len(store) == 0
         with pytest.raises(CharacterizationError):
             store.mean_wer_by_workload(1.173, 50.0)
-
-    def test_sweep_extends_previously_read_measurement_list_in_place(self):
-        # Regression: a caller that reads wer_measurements before the sweep
-        # holds the canonical list — block ingestion must extend that list
-        # in place, not detach it for the columnar fast path.
-        config = CampaignConfig(
-            workloads=("backprop",), trefp_values_s=(2.283,), temperatures_c=(50.0,)
-        )
-        campaign = CharacterizationCampaign(config=config, seed=3)
-        result = CampaignResult(config=config)
-        held = result.wer_measurements
-        assert held == []
-        campaign.run_wer_sweep(result)
-        assert len(held) == 8
-        assert held is result.wer_measurements
-        # And the columnar view serves the same rows.
-        assert len(result.wer_columns()) == 8
-        rank = next(CharacterizationExperiment().server.geometry.iter_ranks())
-        def measurement(wer):
-            return WerMeasurement(
-                workload="a", trefp_s=1.173, vdd_v=units.MIN_VDD_V,
-                temperature_c=50.0, rank=rank, wer=wer,
-            )
-        result = CampaignResult(config=CampaignConfig())
-        result.wer_measurements.append(measurement(1e-6))
-        assert result.wer_by_workload(1.173, 50.0) == {"a": 1e-6}
-        # Wholesale replacement with an equal-length list is detected ...
-        result.wer_measurements = [measurement(5e-6)]
-        assert result.wer_by_workload(1.173, 50.0) == {"a": 5e-6}
-        # ... while in-place record replacement needs explicit invalidation.
-        result.wer_measurements[0] = measurement(9e-6)
-        result.invalidate_wer_columns()
-        assert result.wer_by_workload(1.173, 50.0) == {"a": 9e-6}
 
 
 class TestEmptyPointContract:

@@ -1,12 +1,13 @@
-"""Workload-parallel campaign execution: bit-identity with the sequential sweep.
+"""Workload-parallel campaign execution: bit-identity with the in-process map.
 
-``CharacterizationCampaign.run(parallel=n)`` fans the per-workload grid
-sweeps across a process pool and merges the returned columnar blocks in
-workload order.  Because every workload consumes independent keyed RNG
-streams, the merged record must be *bit-identical* to the sequential
-sweep for any worker count — including ``parallel=1``, which still goes
-through the pool machinery (picklable specs, worker-side experiments,
-block merge) at trivial width.
+A campaign is a map over per-workload :class:`WorkloadSweepSpec` specs.
+``CharacterizationCampaign.run()`` maps them in-process and
+``run(parallel=n)`` maps the same specs over a process pool, merging the
+returned columnar blocks in workload order.  Because every workload
+consumes independent keyed RNG streams, the merged record must be
+*bit-identical* for any worker count — including ``parallel=1``, which
+still goes through the pool machinery (picklable specs, worker-side
+experiments and telemetry, block merge) at trivial width.
 """
 
 import pytest

@@ -214,18 +214,23 @@ class TestCampaign:
         result = CharacterizationCampaign(config=config).run(include_ue_study=False)
         assert result.pue_summaries == []
         assert len(result.wer_measurements) == 8
+        # The record is a read-only view of the columnar store: an append
+        # raises instead of being silently lost.
+        with pytest.raises(AttributeError):
+            result.wer_measurements.append(result.wer_measurements[0])
+        assert result.num_wer_measurements == 8
 
 
 class TestSpreadAggregations:
     @staticmethod
     def _result(workload_wers):
-        result = CampaignResult(config=CampaignConfig())
-        for workload, wer in workload_wers:
-            result.wer_measurements.append(WerMeasurement(
+        return CampaignResult(config=CampaignConfig(), wer_measurements=[
+            WerMeasurement(
                 workload=workload, trefp_s=0.618, vdd_v=units.MIN_VDD_V,
                 temperature_c=50.0, rank=RankLocation(0, 0), wer=wer,
-            ))
-        return result
+            )
+            for workload, wer in workload_wers
+        ])
 
     def test_workload_spread_ratio(self):
         result = self._result([("a", 1e-6), ("b", 8e-6), ("c", 2e-6)])

@@ -1,17 +1,21 @@
 """Columnar dataset builders: equivalence with the per-sample reference.
 
 ``build_wer_dataset`` / ``build_pue_dataset`` stream a campaign's
-columnar store straight into a :class:`ColumnarDataset`; the pre-columnar
-per-``Sample`` implementations live on in ``repro.core.reference`` as the
+columnar store straight into a :class:`ColumnarDataset`, and
+``ErrorDataset(samples=...)`` encodes a sample list into one; the
+pre-columnar per-``Sample`` builders and the row-by-row matrix assembly
+(``reference_matrices``) live on in ``repro.core.reference`` as the
 independent reference.  Every matrix comparison in this file is exact
 (``tobytes()`` on floats) — that is the columnar-vs-per-sample API
 contract, mirroring the grid engine's scalar-vs-batch contract.
 
 Also pinned here: the dataset error paths (missing profiles list every
 absent workload, empty campaigns raise for both builders, rank-less
-datasets raise from ``ranks()``) and mutation semantics of the lazily
-materialized sample view.
+datasets raise from ``ranks()``), the read-only sample view, and the
+rejection of conflicting per-workload program features.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,13 +28,15 @@ from repro.core.features import INPUT_SET_1, INPUT_SET_2, INPUT_SET_3
 from repro.core.reference import (
     reference_build_pue_dataset,
     reference_build_wer_dataset,
+    reference_matrices,
 )
 from repro.errors import DataError
 
 
 def _assert_identical_matrices(columnar, reference, feature_set):
+    """``columnar`` is an ErrorDataset, ``reference`` a list of samples."""
     Xc, yc, gc = columnar.matrices(feature_set)
-    Xr, yr, gr = reference.matrices(feature_set)
+    Xr, yr, gr = reference_matrices(reference, feature_set)
     assert Xc.dtype == Xr.dtype and Xc.shape == Xr.shape
     assert Xc.tobytes() == Xr.tobytes()
     assert yc.tobytes() == yr.tobytes()
@@ -55,28 +61,36 @@ class TestColumnarEquivalence:
                                                   small_profiles):
         columnar = build_wer_dataset(small_campaign, small_profiles)
         reference = reference_build_wer_dataset(small_campaign, small_profiles)
-        assert columnar.samples == reference.samples
+        assert list(columnar.samples) == reference
         pue = build_pue_dataset(small_campaign, small_profiles)
-        assert pue.samples == reference_build_pue_dataset(
+        assert list(pue.samples) == reference_build_pue_dataset(
             small_campaign, small_profiles
-        ).samples
+        )
+        # The sample view is read-only: an append raises instead of
+        # silently diverging from the columns.
+        with pytest.raises(AttributeError):
+            columnar.samples.append(reference[0])
+        assert len(columnar) == len(reference)
 
     def test_group_accessors_match(self, small_campaign, small_profiles):
         columnar = build_wer_dataset(small_campaign, small_profiles)
         reference = reference_build_wer_dataset(small_campaign, small_profiles)
-        assert columnar.workloads() == reference.workloads()
-        assert columnar.ranks() == reference.ranks()
-        assert columnar.targets_by_workload() == reference.targets_by_workload()
+        assert columnar.workloads() == sorted({s.workload for s in reference})
+        assert columnar.ranks() == sorted({s.rank for s in reference})
+        by_workload = {}
+        for sample in reference:
+            by_workload.setdefault(sample.workload, []).append(sample.target)
+        assert columnar.targets_by_workload() == by_workload
 
     def test_filter_rank_stays_columnar_and_matches(self, small_campaign,
                                                     small_profiles):
         columnar = build_wer_dataset(small_campaign, small_profiles)
         reference = reference_build_wer_dataset(small_campaign, small_profiles)
-        for rank in reference.ranks()[:3]:
+        for rank in sorted({s.rank for s in reference})[:3]:
             filtered = columnar.filter_rank(rank)
-            assert filtered.columns() is not None
+            assert len(filtered.columns()) == len(filtered)
             _assert_identical_matrices(
-                filtered, reference.filter_rank(rank), INPUT_SET_1
+                filtered, [s for s in reference if s.rank == rank], INPUT_SET_1
             )
 
     @given(seed=st.integers(min_value=0, max_value=2 ** 16),
@@ -96,7 +110,11 @@ class TestColumnarEquivalence:
         columnar = build_wer_dataset(campaign, small_profiles)
         reference = reference_build_wer_dataset(campaign, small_profiles)
         _assert_identical_matrices(columnar, reference, INPUT_SET_1)
-        assert columnar.samples == reference.samples
+        assert list(columnar.samples) == reference
+        # Hand-built datasets are encoded into the same columns.
+        from_samples = ErrorDataset(samples=reference)
+        _assert_identical_matrices(from_samples, reference, INPUT_SET_1)
+        assert list(from_samples.samples) == reference
 
 
 class TestDatasetErrorPaths:
@@ -142,28 +160,22 @@ class TestDatasetErrorPaths:
 
 
 class TestMutationSemantics:
-    def test_add_drops_columnar_backing(self, small_campaign, small_profiles):
-        dataset = build_wer_dataset(small_campaign, small_profiles)
-        assert dataset.columns() is not None
-        sample = dataset.samples[0]
-        dataset.add(sample)
-        assert dataset.columns() is None
-        assert len(dataset) == len(small_campaign.wer_measurements) + 1
-        # The per-sample fallback serves matrices after mutation.
-        X, y, groups = dataset.matrices(INPUT_SET_1)
-        assert X.shape[0] == len(dataset)
-
-    def test_direct_append_to_samples_detected_by_length(
-        self, small_campaign, small_profiles
-    ):
-        dataset = build_wer_dataset(small_campaign, small_profiles)
-        dataset.samples.append(dataset.samples[0])
-        assert dataset.columns() is None
-        assert dataset.matrices(INPUT_SET_1)[0].shape[0] == len(dataset)
-
     def test_samples_and_columns_are_mutually_exclusive(
         self, small_campaign, small_profiles
     ):
         columnar = build_wer_dataset(small_campaign, small_profiles)
         with pytest.raises(DataError):
             ErrorDataset(samples=[], columns=columnar.columns())
+
+    def test_conflicting_program_features_raise(self, small_campaign,
+                                                small_profiles):
+        samples = reference_build_wer_dataset(small_campaign, small_profiles)[:2]
+        assert samples[0].workload == samples[1].workload
+        altered = dict(samples[1].program_features)
+        altered["ipc"] = altered["ipc"] + 1.0
+        conflicting = replace(samples[1], program_features=altered)
+        with pytest.raises(DataError, match="conflicting program features"):
+            ErrorDataset(samples=[samples[0], conflicting])
+        # Equal features in distinct dict objects are not a conflict.
+        equal = replace(samples[1], program_features=dict(samples[1].program_features))
+        assert len(ErrorDataset(samples=[samples[0], equal])) == 2

@@ -19,7 +19,6 @@ Three contracts are pinned here:
 from __future__ import annotations
 
 import json
-import logging
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -28,7 +27,13 @@ import pytest
 from repro.core import WorkloadAwarePredictor
 from repro.core.reference import reference_predict_grid
 from repro.dram.operating import OperatingPoint
-from repro.errors import ConfigurationError, NotFittedError, RegistryError
+from repro.errors import (
+    ConfigurationError,
+    DataError,
+    NotFittedError,
+    RegistryError,
+    WorkloadError,
+)
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.knn import KNeighborsRegressor
 from repro.ml.pipeline import Pipeline
@@ -287,17 +292,6 @@ def test_predict_grid_validates_axes(predictor):
         predictor.predict_grid(WORKLOADS, (-1.0,), TEMPERATURES)
 
 
-def test_deprecated_op_keyword_warns_once_per_call(predictor, caplog):
-    with caplog.at_level(logging.WARNING, logger="repro.core.predictor"):
-        via_shim = predictor.predict("memcached", op=OP)
-    assert "deprecated" in caplog.text
-    assert via_shim.wer_by_rank == predictor.predict("memcached", OP).wer_by_rank
-    with pytest.raises(ConfigurationError, match="both"):
-        predictor.predict("memcached", OP, op=OP)
-    with pytest.raises(ConfigurationError, match="requires an operating_point"):
-        predictor.predict("memcached")
-
-
 # ---------------------------------------------------------------------------
 # The serving facade.
 # ---------------------------------------------------------------------------
@@ -384,19 +378,38 @@ def test_service_close_rejects_new_work(predictor):
         service.submit(PredictRequest.at("memcached", OP))
 
 
-def test_service_propagates_model_errors(predictor):
+def test_service_propagates_model_errors(predictor, monkeypatch):
+    def failing_predict_batch(workloads, operating_points):
+        raise DataError("model failure")
+
+    monkeypatch.setattr(predictor, "predict_batch", failing_predict_batch)
     with PredictionService(predictor, batch_window_s=0.0) as service:
-        future = service.submit(PredictRequest(
-            workload="no-such-workload", trefp_s=OP.trefp_s,
-            vdd_v=OP.vdd_v, temperature_c=OP.temperature_c,
-        ))
-        with pytest.raises(Exception):
+        future = service.submit(PredictRequest.at("memcached", OP))
+        with pytest.raises(DataError, match="model failure"):
             future.result(timeout=10.0)
+
+
+def test_unknown_workload_fails_only_its_own_request(predictor):
+    # Regression: an unknown name used to reach the coalesced batch and
+    # fail every waiter in it, including unrelated valid requests.
+    direct = predictor.predict_batch(["bfs"], [OP])
+    with PredictionService(predictor, batch_window_s=0.05) as service:
+        valid = service.submit(PredictRequest.at("bfs", OP))
+        with pytest.raises(WorkloadError):
+            service.submit(PredictRequest.at("no-such-workload", OP))
+        response = valid.result(timeout=10.0)
+        stats = service.stats()
+    assert np.array_equal(np.array(response.wer), direct.wer[:, 0])
+    assert stats.requests == 1 and stats.cache_misses == 1
+    assert stats.predictions == 1
 
 
 def test_request_validation():
     with pytest.raises(ConfigurationError):
         PredictRequest(workload="", trefp_s=2.283, vdd_v=1.428, temperature_c=50.0)
+    with pytest.raises(WorkloadError):
+        PredictRequest(workload="no-such-workload", trefp_s=2.283, vdd_v=1.428,
+                       temperature_c=50.0)
     with pytest.raises(ConfigurationError):
         PredictRequest(workload="memcached", trefp_s=-1.0, vdd_v=1.428,
                        temperature_c=50.0)

@@ -299,5 +299,5 @@ class TestLoggingHierarchy:
                 include_ue_study=False
             )
         messages = [record.message for record in caplog.records]
-        assert any("WER sweep starting" in message for message in messages)
-        assert any("WER sweep finished" in message for message in messages)
+        assert any("campaign starting" in message for message in messages)
+        assert any("campaign finished" in message for message in messages)
