@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro import units
 from repro.dram.geometry import CellLocation, DramGeometry
 from repro.errors import ConfigurationError
@@ -52,6 +54,16 @@ class AddressMapper:
 
         rank = self.geometry.rank_from_index(rank_index)
         return CellLocation(rank.dimm, rank.rank, bank, row, column)
+
+    def rank_indices(self, byte_addresses: np.ndarray) -> np.ndarray:
+        """Flat rank index (see :meth:`DramGeometry.rank_index`) of each address.
+
+        The columnar form of ``map_address(a).rank_location``; addresses
+        must be non-negative.
+        """
+        words = (np.asarray(byte_addresses, dtype=np.int64) // units.WORD_BYTES) % \
+            self.geometry.total_words
+        return (words // self.words_per_interleave) % self.geometry.num_ranks
 
     def map_word_index(self, word_index: int) -> CellLocation:
         """Translate a flat word index (address / 8) into coordinates."""

@@ -1,27 +1,18 @@
-"""Memory-hierarchy substrate: caches, memory controllers, trace simulation."""
+"""Memory-hierarchy substrate: access columns, caches, trace simulation."""
 
-from repro.memsys.access import AccessType, MemoryAccess
-from repro.memsys.cache import (
-    CacheConfig,
-    CacheStats,
-    SetAssociativeCache,
-    xgene2_l1_config,
-    xgene2_l2_config,
-)
+from repro.memsys.access import AccessColumns, AccessType, MemoryAccess, as_access_columns
+from repro.memsys.cache import CacheConfig, lru_pass, xgene2_l1_config, xgene2_l2_config
 from repro.memsys.hierarchy import HierarchyStats, MemoryHierarchy
-from repro.memsys.mcu import MemoryChannelSystem, MemoryControllerUnit, McuStats
 
 __all__ = [
+    "AccessColumns",
     "AccessType",
     "MemoryAccess",
+    "as_access_columns",
     "CacheConfig",
-    "CacheStats",
-    "SetAssociativeCache",
+    "lru_pass",
     "xgene2_l1_config",
     "xgene2_l2_config",
     "HierarchyStats",
     "MemoryHierarchy",
-    "MemoryChannelSystem",
-    "MemoryControllerUnit",
-    "McuStats",
 ]

@@ -1,38 +1,20 @@
-"""Set-associative cache model with LRU replacement.
+"""Set-associative cache geometry and the columnar LRU kernel.
 
 Used to derive the cache-related program features (L1/L2 accesses and
 misses per cycle) and to decide which accesses actually reach DRAM.
+:func:`lru_pass` simulates one true-LRU cache level over a whole stream
+of (set, tag) rows at once and reports which rows miss and which misses
+evict a dirty line.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict
+from typing import List, Optional, Set, Tuple
+
+import numpy as np
 
 from repro.errors import ConfigurationError
-
-
-@dataclass
-class CacheStats:
-    """Hit/miss counters of one cache level."""
-
-    accesses: int = 0
-    hits: int = 0
-    misses: int = 0
-    writebacks: int = 0
-
-    @property
-    def miss_rate(self) -> float:
-        if self.accesses == 0:
-            return 0.0
-        return self.misses / self.accesses
-
-    @property
-    def hit_rate(self) -> float:
-        if self.accesses == 0:
-            return 0.0
-        return self.hits / self.accesses
 
 
 @dataclass
@@ -57,58 +39,73 @@ class CacheConfig:
         return self.size_bytes // (self.associativity * self.line_bytes)
 
 
-class SetAssociativeCache:
-    """A single cache level with true-LRU replacement.
+def lru_pass(
+    sets: np.ndarray,
+    tags: np.ndarray,
+    associativity: int,
+    writes: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Run a stream of accesses through cold true-LRU sets.
 
-    ``access`` returns True on a hit.  Dirty evictions are counted as
-    writebacks (they become DRAM write traffic in the hierarchy model).
+    ``sets`` holds small non-negative set indices and ``tags`` the line
+    tags, one row per access in program order.  Returns ``(miss,
+    dirty_victim)`` boolean masks: ``miss[i]`` when row ``i`` misses,
+    ``dirty_victim[i]`` when that miss evicts a line written since it was
+    filled.  Without ``writes`` no line is ever dirty (a write-through
+    cache), and the pass runs a leaner loop that skips dirty tracking.
     """
+    if associativity <= 0:
+        raise ConfigurationError("associativity must be positive")
+    n = int(np.asarray(sets).size)
+    miss = np.zeros(n, dtype=np.bool_)
+    dirty_victim = np.zeros(n, dtype=np.bool_)
+    if n == 0:
+        return miss, dirty_victim
+    set_list = np.asarray(sets, dtype=np.int64).tolist()
+    tag_list = np.asarray(tags, dtype=np.int64).tolist()
+    # Each set is a list of tags from least to most recently used.
+    ways: List[List[int]] = [[] for _ in range(max(set_list) + 1)]
+    miss_rows: List[int] = []
+    if writes is None:
+        for row, (s, tag) in enumerate(zip(set_list, tag_list)):
+            lru = ways[s]
+            if tag in lru:
+                if lru[-1] != tag:
+                    lru.remove(tag)
+                    lru.append(tag)
+                continue
+            miss_rows.append(row)
+            if len(lru) == associativity:
+                del lru[0]
+            lru.append(tag)
+        miss[miss_rows] = True
+        return miss, dirty_victim
 
-    def __init__(self, config: CacheConfig, name: str = "cache") -> None:
-        self.config = config
-        self.name = name
-        self.stats = CacheStats()
-        # One LRU-ordered dict per set: line_tag -> dirty flag.
-        self._sets: Dict[int, OrderedDict] = {}
-
-    def _locate(self, address: int):
-        line = address // self.config.line_bytes
-        set_index = line % self.config.num_sets
-        tag = line // self.config.num_sets
-        return set_index, tag
-
-    def access(self, address: int, is_write: bool = False) -> bool:
-        """Perform one access; returns True on hit, False on miss."""
-        if address < 0:
-            raise ConfigurationError("address must be non-negative")
-        set_index, tag = self._locate(address)
-        cache_set = self._sets.setdefault(set_index, OrderedDict())
-        self.stats.accesses += 1
-
-        if tag in cache_set:
-            self.stats.hits += 1
-            cache_set.move_to_end(tag)
-            if is_write and self.config.write_back:
-                cache_set[tag] = True
-            return True
-
-        self.stats.misses += 1
-        if len(cache_set) >= self.config.associativity:
-            _victim_tag, victim_dirty = cache_set.popitem(last=False)
-            if victim_dirty:
-                self.stats.writebacks += 1
-        cache_set[tag] = bool(is_write and self.config.write_back)
-        return False
-
-    def reset_stats(self) -> None:
-        self.stats = CacheStats()
-
-    def flush(self) -> int:
-        """Drop every line; returns the number of dirty lines written back."""
-        dirty = sum(1 for s in self._sets.values() for d in s.values() if d)
-        self.stats.writebacks += dirty
-        self._sets.clear()
-        return dirty
+    write_list = np.asarray(writes, dtype=np.bool_).tolist()
+    dirty: List[Set[int]] = [set() for _ in ways]
+    victim_rows: List[int] = []
+    for row, (s, tag, write) in enumerate(zip(set_list, tag_list, write_list)):
+        lru = ways[s]
+        if tag in lru:
+            if lru[-1] != tag:
+                lru.remove(tag)
+                lru.append(tag)
+            if write:
+                dirty[s].add(tag)
+            continue
+        miss_rows.append(row)
+        if len(lru) == associativity:
+            victim = lru.pop(0)
+            dirty_lines = dirty[s]
+            if victim in dirty_lines:
+                dirty_lines.remove(victim)
+                victim_rows.append(row)
+        lru.append(tag)
+        if write:
+            dirty[s].add(tag)
+    miss[miss_rows] = True
+    dirty_victim[victim_rows] = True
+    return miss, dirty_victim
 
 
 def xgene2_l1_config() -> CacheConfig:

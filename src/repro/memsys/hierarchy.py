@@ -1,20 +1,40 @@
-"""Cache hierarchy + memory channel simulation of an access trace."""
+"""Cache hierarchy + memory channel simulation of an access trace.
+
+The simulation is columnar.  Each level is one :func:`lru_pass` over the
+rows that reach it:
+
+* **L1** (private per thread): an access to the line its thread's L1
+  touched last is a guaranteed MRU hit that leaves the LRU order
+  unchanged, so only the heads of such runs enter the LRU kernel.
+  Threads become disjoint groups of sets of one pass.
+* **L2** (shared): one pass over the L1-miss rows, tracking dirty lines
+  so that evictions of written lines become DRAM writes.
+* **MCUs/ranks**: every DRAM command is routed through one
+  ``np.bincount`` over the :class:`AddressMapper` rank index.
+
+A dirty eviction's DRAM write is accounted to the rank of the *missing*
+address, not the victim's, matching the profiles the rest of the
+pipeline was calibrated on.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional
+from typing import Dict, Optional
 
+import numpy as np
+
+from repro import units
+from repro.dram.address_map import AddressMapper
 from repro.dram.geometry import DramGeometry, RankLocation
 from repro.errors import ConfigurationError
-from repro.memsys.access import MemoryAccess
+from repro.memsys.access import Trace, as_access_columns
 from repro.memsys.cache import (
     CacheConfig,
-    SetAssociativeCache,
+    lru_pass,
     xgene2_l1_config,
     xgene2_l2_config,
 )
-from repro.memsys.mcu import MemoryChannelSystem
 
 
 @dataclass
@@ -53,12 +73,30 @@ class HierarchyStats:
         return self.dram_accesses / self.total_accesses if self.total_accesses else 0.0
 
 
+def _run_heads(lines: np.ndarray, threads: np.ndarray) -> np.ndarray:
+    """Rows whose line differs from the previous line of the same thread."""
+    head = np.ones(lines.size, dtype=np.bool_)
+    if lines.size < 2:
+        return head
+    if not threads.any():
+        head[1:] = lines[1:] != lines[:-1]
+        return head
+    order = np.argsort(threads, kind="stable")
+    ordered_lines = lines[order]
+    ordered_threads = threads[order]
+    head[order[1:]] = (ordered_lines[1:] != ordered_lines[:-1]) | (
+        ordered_threads[1:] != ordered_threads[:-1]
+    )
+    return head
+
+
 class MemoryHierarchy:
     """Two-level cache hierarchy in front of the MCUs.
 
     Every workload access is filtered through a private L1 (per thread)
     and a shared L2; L2 misses and dirty writebacks become DRAM commands
-    routed through :class:`MemoryChannelSystem`.
+    routed to the MCU that owns the target DIMM.  Each :meth:`simulate`
+    call starts from cold caches and zeroed counters.
     """
 
     def __init__(
@@ -71,49 +109,72 @@ class MemoryHierarchy:
         if num_threads <= 0:
             raise ConfigurationError("num_threads must be positive")
         self.geometry = geometry or DramGeometry()
+        if self.geometry.num_dimms % units.NUM_MCUS != 0:
+            raise ConfigurationError("num_dimms must be divisible by the MCU count")
         self.num_threads = num_threads
-        self._l1_config = l1_config or xgene2_l1_config()
-        self._l2_config = l2_config or xgene2_l2_config()
-        self.l1_caches = [
-            SetAssociativeCache(self._l1_config, name=f"L1-{t}") for t in range(num_threads)
-        ]
-        self.l2_cache = SetAssociativeCache(self._l2_config, name="L2")
-        self.channels = MemoryChannelSystem(self.geometry)
+        self.l1_config = l1_config or xgene2_l1_config()
+        self.l2_config = l2_config or xgene2_l2_config()
+        self.mapper = AddressMapper(self.geometry)
 
-    def simulate(self, trace: Iterable[MemoryAccess]) -> HierarchyStats:
+    def simulate(self, trace: Trace) -> HierarchyStats:
         """Run the whole trace through the hierarchy and collect statistics."""
-        stats = HierarchyStats()
-        for access in trace:
-            stats.total_accesses += 1
-            if access.is_write:
-                stats.write_accesses += 1
-            else:
-                stats.read_accesses += 1
+        columns = as_access_columns(trace)
+        address = columns.address
+        is_write = columns.is_write
+        total = len(columns)
+        writes = int(np.count_nonzero(is_write))
 
-            l1 = self.l1_caches[access.thread_id % self.num_threads]
-            stats.l1_accesses += 1
-            if l1.access(access.address, access.is_write):
-                continue
-            stats.l1_misses += 1
+        # L1: per-thread sets, run heads only.
+        l1 = self.l1_config
+        lines = address // l1.line_bytes
+        threads = columns.thread_id % self.num_threads
+        heads = np.flatnonzero(_run_heads(lines, threads))
+        head_lines = lines[heads]
+        l1_sets = threads[heads] * l1.num_sets + head_lines % l1.num_sets
+        l1_miss, _ = lru_pass(l1_sets, head_lines // l1.num_sets, l1.associativity)
+        rows = heads[l1_miss]
 
-            stats.l2_accesses += 1
-            writebacks_before = self.l2_cache.stats.writebacks
-            if self.l2_cache.access(access.address, access.is_write):
-                continue
-            stats.l2_misses += 1
+        # L2: shared, dirty-tracking when write-back.
+        l2 = self.l2_config
+        lines = address[rows] // l2.line_bytes
+        row_writes = is_write[rows]
+        l2_miss, dirty_victim = lru_pass(
+            lines % l2.num_sets, lines // l2.num_sets, l2.associativity,
+            writes=row_writes if l2.write_back else None,
+        )
+        read_rows = rows[l2_miss]
+        dram_write = dirty_victim if l2.write_back else l2_miss & row_writes
+        write_rows = rows[dram_write]
 
-            # L2 miss: fetch the line from DRAM (a read command), and account
-            # a write command for the dirty line this miss may have evicted.
-            self.channels.access(access.address, is_write=False)
-            stats.dram_reads += 1
-            new_writebacks = self.l2_cache.stats.writebacks - writebacks_before
-            if new_writebacks > 0 or (access.is_write and not self._l2_config.write_back):
-                self.channels.access(access.address, is_write=True)
-                stats.dram_writes += 1
-                stats.writebacks += new_writebacks
-
-        for index, mcu_stats in self.channels.per_mcu_commands().items():
-            stats.per_mcu_reads[index] = mcu_stats.read_commands
-            stats.per_mcu_writes[index] = mcu_stats.write_commands
-        stats.per_rank_accesses = dict(self.channels.rank_accesses)
+        stats = HierarchyStats(
+            total_accesses=total,
+            read_accesses=total - writes,
+            write_accesses=writes,
+            l1_accesses=total,
+            l1_misses=int(rows.size),
+            l2_accesses=int(rows.size),
+            l2_misses=int(read_rows.size),
+            dram_reads=int(read_rows.size),
+            dram_writes=int(write_rows.size),
+            writebacks=int(np.count_nonzero(dirty_victim)),
+        )
+        self._route(stats, address[read_rows], address[write_rows])
         return stats
+
+    def _route(self, stats: HierarchyStats, read_addresses: np.ndarray,
+               write_addresses: np.ndarray) -> None:
+        """Per-MCU and per-rank DRAM command counts, in one bincount."""
+        num_ranks = self.geometry.num_ranks
+        ranks = np.concatenate([
+            self.mapper.rank_indices(read_addresses),
+            self.mapper.rank_indices(write_addresses) + num_ranks,
+        ])
+        counts = np.bincount(ranks, minlength=2 * num_ranks).reshape(2, num_ranks)
+        reads, writes = counts[0].tolist(), counts[1].tolist()
+        stats.per_mcu_reads = {mcu: 0 for mcu in range(units.NUM_MCUS)}
+        stats.per_mcu_writes = {mcu: 0 for mcu in range(units.NUM_MCUS)}
+        for index, rank in enumerate(self.geometry.iter_ranks()):
+            mcu = rank.dimm % units.NUM_MCUS
+            stats.per_mcu_reads[mcu] += reads[index]
+            stats.per_mcu_writes[mcu] += writes[index]
+            stats.per_rank_accesses[rank] = reads[index] + writes[index]

@@ -4,6 +4,12 @@ This is the software equivalent of the paper's profiling phase (Fig. 3):
 DynamoRIO supplies the access trace and perf supplies the hardware
 counters; here both come from the instrumented workload execution and a
 cache-hierarchy simulation.
+
+The trace stays columnar from recording through feature assembly (see
+:class:`~repro.memsys.access.AccessColumns`).  With telemetry enabled,
+every profile records a ``profile`` span whose children
+``profile.trace``, ``profile.cache_sim`` and ``profile.features`` split
+its time between the three phases.
 """
 
 from __future__ import annotations
@@ -25,7 +31,8 @@ from repro.profiling.counters import (
 )
 from repro.profiling.entropy import DataEntropyEstimator
 from repro.profiling.profile import WorkloadProfile
-from repro.profiling.reuse import ReuseTimeEstimator, reuse_statistics
+from repro.profiling.reuse import ReuseStatistics, ReuseTimeEstimator, reuse_statistics
+from repro.telemetry import get_telemetry
 from repro.workloads.base import TraceRecorder, Workload
 
 
@@ -84,10 +91,18 @@ class WorkloadProfiler:
     # ------------------------------------------------------------------
     def profile(self, workload: Workload) -> WorkloadProfile:
         """Produce the full 249-feature profile of a workload."""
-        recorder = workload.record_trace()
-        hierarchy = self._build_hierarchy(workload.threads)
-        stats = hierarchy.simulate(recorder.accesses)
-        return self._assemble_profile(workload, recorder, stats)
+        telemetry = get_telemetry()
+        with telemetry.span("profile"):
+            with telemetry.span("profile.trace"):
+                recorder = workload.record_trace()
+                columns = recorder.columns
+            with telemetry.span("profile.cache_sim"):
+                stats = self._build_hierarchy(workload.threads).simulate(columns)
+            with telemetry.span("profile.features"):
+                return self._assemble_profile(
+                    workload, recorder, stats,
+                    reuse_statistics(columns), self._entropy_estimator.estimate(columns),
+                )
 
     # ------------------------------------------------------------------
     def _build_hierarchy(self, threads: int) -> MemoryHierarchy:
@@ -115,17 +130,20 @@ class WorkloadProfiler:
         return wall_cycles, core_cycles, stall_cycles
 
     def _assemble_profile(
-        self, workload: Workload, recorder: TraceRecorder, stats: HierarchyStats
+        self,
+        workload: Workload,
+        recorder: TraceRecorder,
+        stats: HierarchyStats,
+        reuse_stats: ReuseStatistics,
+        hdp: float,
     ) -> WorkloadProfile:
         threads = workload.threads
         instructions = recorder.instruction_count
         wall_cycles, core_cycles, stall_cycles = self._cycles(recorder, stats, threads)
         cpi_wall = wall_cycles / instructions
-        reuse_stats = reuse_statistics(recorder.accesses)
 
         footprint_scale = workload.nominal_footprint_bytes / max(recorder.allocated_bytes, 1)
         treuse = self._reuse_estimator.estimate(reuse_stats, cpi_wall, footprint_scale)
-        hdp = self._entropy_estimator.estimate(recorder.accesses)
 
         features: Dict[str, float] = {
             "treuse": treuse,

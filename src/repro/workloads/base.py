@@ -8,6 +8,14 @@ computations produce a real access trace with real data values, from
 which the profiler derives the program-inherent features
 (Section III.D).
 
+The trace is columnar from the start.  :class:`TraceRecorder` appends
+each access to five ``array.array`` buffers — address (``q``), is_write
+(``b``), the loaded/stored float (``d``), instruction index (``q``) and
+thread (``q``) — and :attr:`TraceRecorder.columns` turns them into one
+frozen :class:`~repro.memsys.access.AccessColumns` of numpy arrays.  The
+64-bit word that sits in DRAM is the float column viewed as ``uint64``
+(the columnar form of :func:`float_to_word`).
+
 Footprints are miniature (tens of kilobytes instead of the paper's 8 GB)
 so that traces stay tractable; the profiler scales footprint-dependent
 quantities (reuse time, footprint words) up to the workload's
@@ -19,14 +27,15 @@ from __future__ import annotations
 
 import struct
 from abc import ABC, abstractmethod
+from array import array
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
 from repro import units
 from repro.errors import WorkloadError
-from repro.memsys.access import AccessType, MemoryAccess
+from repro.memsys.access import AccessColumns
 
 
 def float_to_word(value: float) -> int:
@@ -45,40 +54,39 @@ class InstrumentedArray:
                  name: str = "") -> None:
         if length <= 0:
             raise WorkloadError("array length must be positive")
-        self._recorder = recorder
+        self._record = recorder.record_access
         self.base_address = base_address
         self.length = length
         self.name = name
-        self._data = np.zeros(length, dtype=float)
+        self._data = array("d", bytes(length * units.WORD_BYTES))
 
     def __len__(self) -> int:
         return self.length
 
-    def _address(self, index: int) -> int:
-        if not 0 <= index < self.length:
-            raise WorkloadError(
-                f"index {index} out of bounds for array {self.name!r} of length {self.length}"
-            )
-        return self.base_address + index * units.WORD_BYTES
+    def _out_of_bounds(self, index: int) -> WorkloadError:
+        return WorkloadError(
+            f"index {index} out of bounds for array {self.name!r} of length {self.length}"
+        )
 
     def read(self, index: int, thread_id: int = 0) -> float:
         """Load one element, recording the access."""
-        address = self._address(index)
-        value = float(self._data[index])
-        self._recorder.record_access(address, AccessType.READ, float_to_word(value), thread_id)
+        if not 0 <= index < self.length:
+            raise self._out_of_bounds(index)
+        value = self._data[index]
+        self._record(self.base_address + index * units.WORD_BYTES, False, value, thread_id)
         return value
 
     def write(self, index: int, value: float, thread_id: int = 0) -> None:
         """Store one element, recording the access and the written data."""
-        address = self._address(index)
-        self._data[index] = float(value)
-        self._recorder.record_access(
-            address, AccessType.WRITE, float_to_word(float(value)), thread_id
-        )
+        if not 0 <= index < self.length:
+            raise self._out_of_bounds(index)
+        stored = float(value)
+        self._data[index] = stored
+        self._record(self.base_address + index * units.WORD_BYTES, True, stored, thread_id)
 
     def raw(self) -> np.ndarray:
         """Un-instrumented view of the data (for result verification only)."""
-        return self._data
+        return np.frombuffer(self._data, dtype=np.float64)
 
 
 class TraceRecorder:
@@ -88,15 +96,20 @@ class TraceRecorder:
     HEAP_BASE = 0x1000_0000
 
     def __init__(self) -> None:
-        self.accesses: List[MemoryAccess] = []
         self.instruction_count = 0
         self.allocated_bytes = 0
         self._next_address = self.HEAP_BASE
+        self._addresses = array("q")
+        self._writes = array("b")
+        self._values = array("d")
+        self._instructions = array("q")
+        self._threads = array("q")
+        self._columns: Optional[AccessColumns] = None
 
     # -- allocation ---------------------------------------------------------
     def alloc(self, num_words: int, name: str = "") -> InstrumentedArray:
         """Allocate an instrumented array of ``num_words`` 64-bit words."""
-        array = InstrumentedArray(self, self._next_address, num_words, name=name)
+        allocation = InstrumentedArray(self, self._next_address, num_words, name=name)
         size = num_words * units.WORD_BYTES
         self._next_address += size
         # Keep allocations page-aligned like a real allocator would.
@@ -104,21 +117,18 @@ class TraceRecorder:
         if remainder:
             self._next_address += 4096 - remainder
         self.allocated_bytes += size
-        return array
+        return allocation
 
     # -- event recording ------------------------------------------------------
-    def record_access(self, address: int, access_type: AccessType, value: int,
+    def record_access(self, address: int, is_write: bool, value: float,
                       thread_id: int = 0) -> None:
+        """Append one access; ``value`` is the float loaded or stored."""
         self.instruction_count += 1
-        self.accesses.append(
-            MemoryAccess(
-                address=address,
-                access_type=access_type,
-                instruction_index=self.instruction_count,
-                value=value,
-                thread_id=thread_id,
-            )
-        )
+        self._addresses.append(address)
+        self._writes.append(is_write)
+        self._values.append(value)
+        self._instructions.append(self.instruction_count)
+        self._threads.append(thread_id)
 
     def compute(self, instructions: int = 1) -> None:
         """Account non-memory (ALU/branch) instructions."""
@@ -128,8 +138,21 @@ class TraceRecorder:
 
     # -- summary ------------------------------------------------------------
     @property
+    def columns(self) -> AccessColumns:
+        """The trace recorded so far as frozen numpy columns (built once)."""
+        if self._columns is None or len(self._columns) != len(self._addresses):
+            self._columns = AccessColumns(
+                address=np.array(self._addresses, dtype=np.int64),
+                is_write=np.array(self._writes, dtype=np.bool_),
+                value=np.array(self._values, dtype=np.float64).view(np.uint64),
+                instruction_index=np.array(self._instructions, dtype=np.int64),
+                thread_id=np.array(self._threads, dtype=np.int64),
+            )
+        return self._columns
+
+    @property
     def num_accesses(self) -> int:
-        return len(self.accesses)
+        return len(self._addresses)
 
     @property
     def memory_instruction_fraction(self) -> float:

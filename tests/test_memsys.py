@@ -1,13 +1,21 @@
-"""Tests for the cache, MCU and memory-hierarchy models."""
+"""Tests for access columns, the LRU kernel and the memory-hierarchy model.
 
+``SetAssociativeCache`` and ``MemoryChannelSystem`` are the per-access
+oracles in ``tests/oracles``; their unit tests live here next to the
+columnar kernel they pin.
+"""
+
+import numpy as np
 import pytest
 
-from repro.dram.geometry import DramGeometry
+from repro.dram.address_map import AddressMapper
+from repro.dram.geometry import DramGeometry, small_geometry
 from repro.errors import ConfigurationError
-from repro.memsys.access import AccessType, MemoryAccess
-from repro.memsys.cache import CacheConfig, SetAssociativeCache, xgene2_l1_config
+from repro.memsys.access import AccessColumns, AccessType, MemoryAccess
+from repro.memsys.cache import CacheConfig, lru_pass, xgene2_l1_config
 from repro.memsys.hierarchy import MemoryHierarchy
-from repro.memsys.mcu import MemoryChannelSystem
+
+from tests.oracles.memsys import MemoryChannelSystem, SetAssociativeCache
 
 
 def make_access(address, write=False, index=0, thread=0):
@@ -31,6 +39,75 @@ class TestMemoryAccess:
     def test_read_write_flags(self):
         assert make_access(0, write=True).is_write
         assert make_access(0, write=False).is_read
+
+
+class TestAccessColumns:
+    def test_from_accesses_round_trips_every_field(self):
+        trace = [make_access(64, write=True, index=3, thread=2), make_access(9, index=7)]
+        columns = AccessColumns.from_accesses(trace)
+        assert len(columns) == 2
+        assert columns.address.tolist() == [64, 9]
+        assert columns.is_write.tolist() == [True, False]
+        assert columns.instruction_index.tolist() == [3, 7]
+        assert columns.thread_id.tolist() == [2, 0]
+        assert columns.word_address.tolist() == [64, 8]
+
+    def test_columns_are_read_only(self):
+        columns = AccessColumns.from_accesses([make_access(0)])
+        with pytest.raises(ValueError):
+            columns.address[0] = 8
+
+    def test_negative_thread_rejected_once_per_column(self):
+        ints = np.zeros(2, dtype=np.int64)
+        with pytest.raises(ConfigurationError):
+            AccessColumns(
+                address=ints, is_write=np.zeros(2, dtype=bool),
+                value=np.zeros(2, dtype=np.uint64), instruction_index=ints,
+                thread_id=np.array([0, -1], dtype=np.int64),
+            )
+
+    def test_mismatched_lengths_and_dtypes_rejected(self):
+        ints = np.zeros(2, dtype=np.int64)
+        with pytest.raises(ConfigurationError):
+            AccessColumns(address=ints, is_write=np.zeros(2, dtype=bool),
+                          value=np.zeros(2, dtype=np.uint64), instruction_index=ints,
+                          thread_id=np.zeros(3, dtype=np.int64))
+        with pytest.raises(ConfigurationError):
+            AccessColumns(address=ints.astype(float), is_write=np.zeros(2, dtype=bool),
+                          value=np.zeros(2, dtype=np.uint64), instruction_index=ints,
+                          thread_id=ints)
+
+
+class TestLruPass:
+    def test_lru_eviction_and_dirty_victims(self):
+        # One 2-way set: lines 0, 1, touch 0, then 2 evicts 1 (clean), then 1
+        # evicts 0 (dirty from the first write).
+        tags = np.array([0, 1, 0, 2, 1])
+        writes = np.array([True, False, False, False, False])
+        miss, dirty = lru_pass(np.zeros(5, dtype=np.int64), tags, 2, writes=writes)
+        assert miss.tolist() == [True, True, False, True, True]
+        assert dirty.tolist() == [False, False, False, False, True]
+
+    def test_sets_are_independent(self):
+        miss, dirty = lru_pass(np.array([0, 1, 0, 1]), np.array([5, 5, 5, 6]), 1)
+        assert miss.tolist() == [True, True, False, True]
+        assert not dirty.any()
+
+    def test_empty_stream(self):
+        miss, dirty = lru_pass(np.array([], dtype=np.int64), np.array([], dtype=np.int64), 4)
+        assert miss.size == dirty.size == 0
+
+
+class TestAddressMapperColumns:
+    @pytest.mark.parametrize("geometry", [DramGeometry(), small_geometry()])
+    def test_rank_indices_match_scalar_mapping(self, geometry):
+        mapper = AddressMapper(geometry)
+        rng = np.random.default_rng(3)
+        addresses = rng.integers(0, 4 * geometry.total_bytes, size=500)
+        expected = [
+            geometry.rank_index(mapper.map_address(int(a)).rank_location) for a in addresses
+        ]
+        assert mapper.rank_indices(addresses).tolist() == expected
 
 
 class TestSetAssociativeCache:

@@ -1,9 +1,10 @@
 """Tests for the workload suite and the instrumentation layer."""
 
+import numpy as np
 import pytest
 
 from repro import units
-from repro.errors import WorkloadError
+from repro.errors import ConfigurationError, WorkloadError
 from repro.workloads.base import TraceRecorder, float_to_word
 from repro.workloads.caching import MemcachedWorkload
 from repro.workloads.compute import BackpropWorkload, KmeansWorkload, NeedlemanWunschWorkload
@@ -33,15 +34,42 @@ class TestTraceRecorder:
         array.write(0, 1.5)
         assert array.read(0) == pytest.approx(1.5)
         assert recorder.num_accesses == 2
-        assert recorder.accesses[0].is_write
-        assert recorder.accesses[1].is_read
-        assert recorder.accesses[0].instruction_index < recorder.accesses[1].instruction_index
+        columns = recorder.columns
+        assert columns.is_write.tolist() == [True, False]
+        assert columns.address.tolist() == [array.base_address] * 2
+        assert columns.instruction_index[0] < columns.instruction_index[1]
 
     def test_written_value_is_raw_float_bits(self):
         recorder = TraceRecorder()
         array = recorder.alloc(1)
         array.write(0, 2.0)
-        assert recorder.accesses[0].value == float_to_word(2.0)
+        assert int(recorder.columns.value[0]) == float_to_word(2.0)
+
+    def test_value_column_is_float_to_word_of_every_access(self):
+        recorder = TraceRecorder()
+        array = recorder.alloc(3)
+        values = [0.0, -1.5, float("inf")]
+        for index, value in enumerate(values):
+            array.write(index, value)
+        array.read(1)
+        expected = [float_to_word(v) for v in values + [-1.5]]
+        assert recorder.columns.value.tolist() == expected
+
+    def test_columns_follow_later_accesses(self):
+        recorder = TraceRecorder()
+        array = recorder.alloc(2)
+        array.write(0, 1.0)
+        first = recorder.columns
+        assert recorder.columns is first
+        array.read(0, thread_id=3)
+        assert len(recorder.columns) == 2
+        assert recorder.columns.thread_id.tolist() == [0, 3]
+
+    def test_negative_thread_rejected_when_columns_are_built(self):
+        recorder = TraceRecorder()
+        recorder.alloc(1).read(0, thread_id=-1)
+        with pytest.raises(ConfigurationError):
+            recorder.columns
 
     def test_compute_advances_instruction_counter_only(self):
         recorder = TraceRecorder()
@@ -115,16 +143,17 @@ class TestKernels:
         a = KmeansWorkload(threads=1, seed=5).record_trace()
         b = KmeansWorkload(threads=1, seed=5).record_trace()
         assert a.num_accesses == b.num_accesses
-        assert [x.address for x in a.accesses[:200]] == [x.address for x in b.accesses[:200]]
+        assert np.array_equal(a.columns.address, b.columns.address)
+        assert np.array_equal(a.columns.value, b.columns.value)
 
     def test_different_seeds_change_the_data(self):
         a = KmeansWorkload(threads=1, seed=5).record_trace()
         b = KmeansWorkload(threads=1, seed=6).record_trace()
-        assert [x.value for x in a.accesses[:50]] != [x.value for x in b.accesses[:50]]
+        assert a.columns.value[:50].tolist() != b.columns.value[:50].tolist()
 
     def test_parallel_variant_tags_multiple_threads(self):
         recorder = BackpropWorkload(threads=8).record_trace()
-        assert {a.thread_id for a in recorder.accesses} == set(range(8))
+        assert set(recorder.columns.thread_id.tolist()) == set(range(8))
 
     def test_nw_computes_a_dp_matrix(self):
         workload = NeedlemanWunschWorkload(threads=1, length=20)
@@ -137,8 +166,8 @@ class TestKernels:
 
     def test_memcached_mixes_reads_and_writes(self):
         recorder = MemcachedWorkload(threads=8, requests=500).record_trace()
-        reads = sum(1 for a in recorder.accesses if a.is_read)
-        writes = sum(1 for a in recorder.accesses if a.is_write)
+        writes = int(recorder.columns.is_write.sum())
+        reads = recorder.num_accesses - writes
         assert reads > writes > 0
 
     def test_lulesh_variants_differ_in_instruction_count(self):
@@ -154,8 +183,9 @@ class TestKernels:
     def test_data_pattern_variants(self):
         random_trace = random_data_pattern(words=256, sweeps=1).record_trace()
         solid_trace = solid_data_pattern(words=256, sweeps=1).record_trace()
-        random_values = {a.value for a in random_trace.accesses if a.is_write}
-        solid_values = {a.value for a in solid_trace.accesses if a.is_write}
+        random_columns, solid_columns = random_trace.columns, solid_trace.columns
+        random_values = set(random_columns.value[random_columns.is_write].tolist())
+        solid_values = set(solid_columns.value[solid_columns.is_write].tolist())
         assert len(random_values) > 100
         assert solid_values == {float_to_word(0.0)}
 
