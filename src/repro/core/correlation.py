@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 from repro.core.dataset import ErrorDataset
 from repro.errors import DataError
@@ -145,6 +144,9 @@ def _grouped_feature_spearman(
     np.divide(sums, counts, out=mean_targets, where=counts > 0)
     present = counts.reshape(n_groups, n_workloads) > 0
     mean_targets = mean_targets.reshape(n_groups, n_workloads)
+
+    # Imported here so that ``import repro`` does not pay for scipy.stats.
+    from scipy import stats
 
     coefficients = []
     for group in range(n_groups):

@@ -13,7 +13,7 @@ import math
 from typing import Optional, Union
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr
 
 from repro.dram.calibration import DEFAULT_CALIBRATION, RetentionCalibration
 from repro.errors import ConfigurationError
@@ -77,7 +77,7 @@ def bit_failure_probability(
     """
     cal = calibration or DEFAULT_CALIBRATION.retention
     z = _failure_z_score(effective_refresh_s, temperature_c, vdd_v, cal)
-    return float(stats.norm.cdf(z))
+    return float(ndtr(z))
 
 
 def bit_failure_probability_grid(
@@ -109,7 +109,7 @@ def bit_failure_probability_grid(
         z[index] = _failure_z_score(
             float(refresh[index]), float(temps[index]), float(vdds[index]), cal
         )
-    return np.asarray(stats.norm.cdf(z), dtype=float)
+    return np.asarray(ndtr(z), dtype=float)
 
 
 def sample_retention_times(

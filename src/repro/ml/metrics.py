@@ -3,6 +3,10 @@
 The paper reports the *mean percentage error* (MPE) of WER / PUE
 estimates; this module provides it together with standard regression
 metrics and the Spearman rank correlation used for feature selection.
+
+``scipy.stats`` is imported inside the two correlation helpers: it takes
+about a second to import, and nothing else that ``import repro`` loads
+needs it.
 """
 
 from __future__ import annotations
@@ -10,7 +14,6 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import DataError
 from repro.ml.base import ArrayLike
@@ -100,6 +103,8 @@ def spearman_correlation(x: ArrayLike, y: ArrayLike) -> float:
     a, b = _validate_pair(x, y)
     if np.all(a == a[0]) or np.all(b == b[0]):
         return 0.0
+    from scipy import stats
+
     rs, _pvalue = stats.spearmanr(a, b)
     if np.isnan(rs):
         return 0.0
@@ -111,6 +116,8 @@ def pearson_correlation(x: ArrayLike, y: ArrayLike) -> float:
     a, b = _validate_pair(x, y)
     if np.all(a == a[0]) or np.all(b == b[0]):
         return 0.0
+    from scipy import stats
+
     r, _pvalue = stats.pearsonr(a, b)
     if np.isnan(r):
         return 0.0

@@ -1,14 +1,22 @@
 """Tests for the retention physics, variation profile and statistical model."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro import units
 from repro.dram.geometry import DramGeometry, RankLocation
 from repro.dram.operating import OperatingPoint
+from repro.dram.calibration import DEFAULT_CALIBRATION
 from repro.dram.retention import (
+    _failure_z_score,
     bit_failure_probability,
+    bit_failure_probability_grid,
     median_retention_s,
     retention_halving_temperature,
     sample_retention_times,
@@ -62,6 +70,28 @@ class TestRetentionPhysics:
     def test_invalid_refresh_interval_rejected(self):
         with pytest.raises(ConfigurationError):
             bit_failure_probability(0.0, 50.0)
+
+    def test_failure_probability_is_the_normal_cdf_bit_for_bit(self):
+        from scipy import stats
+
+        cal = DEFAULT_CALIBRATION.retention
+        refresh = np.geomspace(0.05, 60.0, 40)
+        temperatures = np.linspace(30.0, 90.0, 7)
+        grid = bit_failure_probability_grid(refresh[None, :], temperatures[:, None], 1.428)
+        z = np.array([[_failure_z_score(r, t, 1.428, cal) for r in refresh]
+                      for t in temperatures])
+        assert np.array_equal(grid, stats.norm.cdf(z))
+        assert bit_failure_probability(2.283, 60.0) == \
+            float(stats.norm.cdf(_failure_z_score(2.283, 60.0, 1.5, cal)))
+
+    def test_import_repro_does_not_load_scipy_stats(self):
+        code = "import sys, repro; print('scipy.stats' in sys.modules)"
+        source_root = str(Path(repro.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": source_root},
+        )
+        assert result.stdout.strip() == "False"
 
 
 class TestVariationProfile:
