@@ -18,6 +18,7 @@ indices gives every reuse distance at once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
 import numpy as np
 
 from repro import units
@@ -53,8 +54,9 @@ def reuse_statistics(trace: Trace) -> ReuseStatistics:
     total = len(columns)
     if total == 0:
         raise DataError("cannot compute reuse statistics of an empty trace")
-    order = np.argsort(columns.word_address, kind="stable")
-    words = columns.word_address[order]
+    words = columns.word_address
+    order = np.argsort(words, kind="stable")
+    words = words[order]
     instructions = columns.instruction_index[order]
     repeat = words[1:] == words[:-1]
     reused = int(np.count_nonzero(repeat))
