@@ -12,7 +12,11 @@ dataset benchmarks pin their batch engines:
   rows) is at least 5x faster than the oracle estimator and produces
   *bit-identical* out-of-fold predictions;
 * batched forest prediction over the flattened ensemble is at least 5x
-  faster than the per-tree/per-row node walk, also bit-identical.
+  faster than the per-tree/per-row node walk, also bit-identical;
+* fitting the campaign's set1 forest (154 rows x 7 inputs, 30 trees)
+  with the lockstep grower is at least 2x faster than the recursive
+  one-tree-at-a-time builder in ``tests/oracles/ml.py``, with
+  bit-identical flat node arrays.
 """
 
 import time
@@ -28,6 +32,8 @@ from repro.ml.reference import (
     ReferenceKNeighborsRegressor,
     reference_forest_predict,
 )
+
+from tests.oracles.ml import fit_forest_oracle
 
 pytestmark = pytest.mark.slow
 
@@ -98,6 +104,39 @@ def test_forest_predict_at_least_5x_node_walk(bench_report):
         units_label="rows", work_items=Xq.shape[0],
     )
     assert speedup >= 5.0
+
+
+def test_forest_fit_at_least_2x_oracle(bench_report):
+    # One leave-one-workload-out training fold of the set1 WER model:
+    # 154 rows, 7 inputs of which the operating parameters take only a
+    # few distinct values, and the RDF configuration of repro.core.model.
+    rng = np.random.default_rng(2019)
+    n_rows = 154
+    X = rng.normal(size=(n_rows, INPUT_SET_1.num_inputs))
+    X[:, -3:] = rng.integers(0, 4, size=(n_rows, 3))
+    y = X[:, 0] - 0.5 * X[:, -1] + rng.normal(scale=0.3, size=n_rows)
+    forest = RandomForestRegressor(
+        n_estimators=30, max_depth=10, min_samples_leaf=3, max_features=0.8,
+        random_state=2019,
+    )
+
+    forest.fit(X, y)
+    oracle = fit_forest_oracle(forest, X, y)
+    for got, want in zip(
+        (forest._roots_, forest._feature_, forest._threshold_,
+         forest._left_, forest._right_, forest._value_),
+        (oracle.roots, oracle.feature, oracle.threshold,
+         oracle.left, oracle.right, oracle.value),
+    ):
+        assert np.array_equal(got, want)
+
+    scalar_s = min(_timed(lambda: fit_forest_oracle(forest, X, y)) for _ in range(3))
+    batch_s = min(_timed(lambda: forest.fit(X, y)) for _ in range(5))
+    speedup = bench_report.record(
+        "ml_forest_fit", floor=2.0, scalar_s=scalar_s, batch_s=batch_s,
+        units_label="nodes", work_items=forest._feature_.shape[0],
+    )
+    assert speedup >= 2.0
 
 
 def _timed(fn) -> float:

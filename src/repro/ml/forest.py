@@ -1,22 +1,30 @@
 """Random Decision Forest regression (RDF in the paper).
 
-``fit`` still grows one CART tree per bootstrap resample, but the fitted
-ensemble is additionally stored as one set of concatenated flat-tree
-columns (per-tree node arrays from :mod:`repro.ml.tree` with child
-indices shifted by each tree's node offset), so ``predict`` traverses
-every (tree, row) pair level-synchronously in a single numpy state
-vector instead of looping trees in Python.
+``fit`` draws every tree's seed and bootstrap resample up front, then
+grows all trees together with :func:`repro.ml.tree.grow_trees` (one
+depth-first node per tree per step, all candidate splits scored in one
+numpy pass).  The fitted ensemble is stored as one set of concatenated
+flat-tree columns (per-tree node arrays with child indices shifted by
+each tree's node offset), so ``predict`` traverses every (tree, row)
+pair level-synchronously in a single numpy state vector instead of
+looping trees in Python.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.ml.base import ArrayLike, Regressor, as_2d_array, validate_fit_args
-from repro.ml.tree import DecisionTreeRegressor, flat_tree_predict
+from repro.ml.tree import (
+    DecisionTreeRegressor,
+    MaxFeatures,
+    check_tree_params,
+    flat_tree_predict,
+    grow_trees,
+)
 
 
 class RandomForestRegressor(Regressor):
@@ -34,12 +42,13 @@ class RandomForestRegressor(Regressor):
         max_depth: Optional[int] = None,
         min_samples_split: int = 2,
         min_samples_leaf: int = 1,
-        max_features: Union[str, int, float, None] = "sqrt",
+        max_features: MaxFeatures = "sqrt",
         bootstrap: bool = True,
         random_state: Optional[int] = None,
     ) -> None:
         if n_estimators < 1:
             raise ConfigurationError("n_estimators must be >= 1")
+        check_tree_params(max_depth, min_samples_split, min_samples_leaf, max_features)
         self.n_estimators = n_estimators
         self.max_depth = max_depth
         self.min_samples_split = min_samples_split
@@ -51,24 +60,30 @@ class RandomForestRegressor(Regressor):
     def fit(self, X: ArrayLike, y: ArrayLike) -> "RandomForestRegressor":
         X_arr, y_arr = validate_fit_args(X, y)
         rng = np.random.default_rng(self.random_state)
-        n_samples = X_arr.shape[0]
+        n_samples, n_features = X_arr.shape
+        self.n_features_ = n_features
         self.estimators_ = []
-        self.n_features_ = X_arr.shape[1]
-
+        samples = []
         for _ in range(self.n_estimators):
-            tree = DecisionTreeRegressor(
+            self.estimators_.append(DecisionTreeRegressor(
                 max_depth=self.max_depth,
                 min_samples_split=self.min_samples_split,
                 min_samples_leaf=self.min_samples_leaf,
                 max_features=self.max_features,
                 random_state=int(rng.integers(0, 2 ** 31 - 1)),
-            )
+            ))
             if self.bootstrap:
-                indices = rng.integers(0, n_samples, size=n_samples)
+                samples.append(rng.integers(0, n_samples, size=n_samples))
             else:
-                indices = np.arange(n_samples)
-            tree.fit(X_arr[indices], y_arr[indices])
-            self.estimators_.append(tree)
+                samples.append(np.arange(n_samples))
+        flat_trees = grow_trees(
+            X_arr, y_arr, np.stack(samples),
+            [np.random.default_rng(tree.random_state) for tree in self.estimators_],
+            self.max_depth, self.min_samples_split, self.min_samples_leaf,
+            self.max_features,
+        )
+        for tree, flat in zip(self.estimators_, flat_trees):
+            tree._set_flat(flat, n_features)
         self._flatten_ensemble()
         return self
 
@@ -90,8 +105,7 @@ class RandomForestRegressor(Regressor):
     def predict(self, X: ArrayLike) -> np.ndarray:
         # Prediction needs only the concatenated flat arrays, so a forest
         # restored from the serving model registry (which persists the
-        # flat ensemble but not the per-tree _Node structures) predicts
-        # identically.
+        # flat ensemble but not ``estimators_``) predicts identically.
         self._check_fitted("_roots_")
         X_arr = as_2d_array(X, allow_empty=True)
         n_rows = X_arr.shape[0]

@@ -11,9 +11,10 @@ against themselves.
 
 Contracts pinned by the suites:
 
-* tree and forest predictions are **bit-identical** to walking the
-  fitted ``_Node`` structures row by row (same float comparisons, same
-  stored leaf means, same ``mean(axis=0)`` ensemble reduction);
+* tree and forest predictions are **bit-identical** to walking each
+  fitted tree's flat node arrays one row and one node at a time (same
+  float comparisons, same stored leaf means, same ``mean(axis=0)``
+  ensemble reduction);
 * ``kneighbors`` / KNN predictions are **bit-identical** to a full
   per-row stable ``(distance, training index)`` sort over the same
   distance matrix (the oracle shares the distance kernel on purpose —
@@ -34,18 +35,21 @@ from repro.ml.base import ArrayLike, as_2d_array
 from repro.ml.distances import pairwise_distances
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.knn import KNeighborsRegressor, _neighbor_weights
-from repro.ml.tree import DecisionTreeRegressor, _Node
+from repro.ml.tree import DecisionTreeRegressor
 
 
 def reference_tree_predict(tree: DecisionTreeRegressor, X: ArrayLike) -> np.ndarray:
-    """Walk the fitted node structure one query row at a time."""
+    """Walk the fitted node arrays one query row and one node at a time."""
     X_arr = as_2d_array(X, allow_empty=True)
 
     def predict_one(x: np.ndarray) -> float:
-        node: _Node = tree.root_
-        while not node.is_leaf:
-            node = node.left if x[node.feature] <= node.threshold else node.right
-        return node.prediction
+        node = 0
+        while tree.feature_[node] >= 0:
+            if x[tree.feature_[node]] <= tree.threshold_[node]:
+                node = tree.children_left_[node]
+            else:
+                node = tree.children_right_[node]
+        return tree.value_[node]
 
     return np.array([predict_one(row) for row in X_arr])
 

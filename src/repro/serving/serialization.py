@@ -10,12 +10,12 @@ mapping (stored in one ``.npz`` by the registry);
 :func:`restore_estimator` rebuilds the estimator from the pair.
 
 The persisted state is deliberately the *prediction* state, not the
-training state: a restored tree/forest carries the flat node arrays but
-not the linked ``_Node`` structure, a restored SVR carries support
-coefficients but no optimizer state.  Restored estimators therefore
-predict — bit-identically — but do not expose training-only
-introspection (``DecisionTreeRegressor.depth()``,
-``RandomForestRegressor.estimators_``).
+training state: a restored tree carries its flat node arrays (which is
+all a fitted tree is, so ``depth()`` and ``node_count()`` work too), a
+restored forest only the concatenated ensemble arrays, and a restored
+SVR support coefficients but no optimizer state.  Restored estimators
+therefore predict — bit-identically — but do not expose training-only
+introspection such as ``RandomForestRegressor.estimators_``.
 """
 
 from __future__ import annotations
