@@ -40,7 +40,7 @@ def main() -> None:
 
     print("\n== 3. Training the workload-aware model (KNN, input set 1) ==")
     predictor = WorkloadAwarePredictor().fit(campaign)
-    print(f"  trained per-rank WER models: {len(predictor._wer_models)}")
+    print(f"  ranks predicted by the WER model: {len(predictor.ranks)}")
 
     print("\n== 4. Predictions ==")
     # 1.45 s at 70 C: the operating point where PUE starts to vary across

@@ -9,6 +9,10 @@ produced it.  Two dataset flavours exist:
 * :func:`build_pue_dataset` — one row per (workload, refresh period) of
   the 70 C study, target = the measured PUE.
 
+:meth:`ErrorDataset.rank_matrices` views a WER dataset with the ranks as
+target columns — one row per (workload, operating point), one column
+per rank — which is what the WER model fits.
+
 An :class:`ErrorDataset` has one backing, a :class:`ColumnarDataset`
 (operating-point matrix, target vector and dictionary-encoded
 group/rank codes).  Both builders stream the campaign's
@@ -281,6 +285,35 @@ class ErrorDataset:
     def matrices(self, feature_set: FeatureSet) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Return (X, y, groups) where groups are workload names."""
         return self._columns.matrices(feature_set)
+
+    def rank_matrices(
+        self,
+        feature_set: FeatureSet,
+        ranks: Optional[Sequence[RankLocation]] = None,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(X, Y, groups)`` with the ranks as target columns.
+
+        ``Y`` has shape ``(n, R)``, one column per rank of ``ranks``
+        (default: :meth:`ranks`, sorted); ``X`` and ``groups`` are the
+        rows every rank shares.  Raises :class:`DataError` when the
+        ranks' rows are not aligned by (workload, operating point).
+        """
+        rank_list = list(ranks) if ranks is not None else self.ranks()
+        if not rank_list:
+            raise DataError("rank_matrices() requires at least one rank")
+        per_rank = [self.filter_rank(rank).columns() for rank in rank_list]
+        first = per_rank[0]
+        for rank, rows in zip(rank_list[1:], per_rank[1:]):
+            if not (
+                np.array_equal(rows.workload_codes, first.workload_codes)
+                and np.array_equal(rows.operating_columns, first.operating_columns)
+            ):
+                raise DataError(
+                    f"rank {rank.label}'s rows are not aligned with rank "
+                    f"{rank_list[0].label}'s by (workload, operating point)"
+                )
+        X, _y, groups = first.matrices(feature_set)
+        return X, np.column_stack([rows.targets for rows in per_rank]), groups
 
     def targets_by_workload(self) -> Dict[str, List[float]]:
         return self._columns.targets_by_workload()

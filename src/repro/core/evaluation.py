@@ -69,6 +69,13 @@ def leave_one_workload_out_predictions(
 ) -> np.ndarray:
     """Out-of-fold predictions where the folds are workloads (Fig. 3)."""
     X, y, groups = dataset.matrices(model.feature_set)
+    return _lowo_predictions(model, X, y, groups)
+
+
+def _lowo_predictions(
+    model: DramErrorModel, X: np.ndarray, y: np.ndarray, groups: np.ndarray
+) -> np.ndarray:
+    """Leave-one-workload-out predictions for ``y`` of shape (n,) or (n, R)."""
     predictions = np.empty_like(y)
     splitter = LeaveOneGroupOut()
     for train_idx, test_idx in splitter.split(X, groups):
@@ -95,20 +102,25 @@ class AccuracyEvaluator:
         feature_set: str,
         ranks: Optional[Sequence[RankLocation]] = None,
     ) -> WerAccuracyReport:
-        """Per-rank WER models, evaluated with leave-one-workload-out CV."""
+        """Per-rank WER models, evaluated with leave-one-workload-out CV.
+
+        The ranks are the target columns of one multi-output model, so one
+        leave-one-workload-out pass scores every rank; each column is
+        bit-identical to a model fitted on that rank alone.
+        """
         report = WerAccuracyReport(family=family, feature_set=feature_set)
         rank_list = list(ranks) if ranks is not None else dataset.ranks()
         if not rank_list:
             raise DataError("WER dataset contains no rank information")
 
+        config = ModelConfig(family=family, feature_set=feature_set, log_target=True)
+        model = DramErrorModel(config)
+        X, Y, groups = dataset.rank_matrices(model.feature_set, rank_list)
+        predicted = _lowo_predictions(model, X, Y, groups)
         workload_errors: Dict[str, List[float]] = {}
-        for rank in rank_list:
-            rank_dataset = dataset.filter_rank(rank)
-            config = ModelConfig(family=family, feature_set=feature_set, log_target=True)
-            model = DramErrorModel(config)
-            _X, y, groups = rank_dataset.matrices(model.feature_set)
-            predictions = leave_one_workload_out_predictions(model, rank_dataset)
-
+        for rank, y, predictions in zip(
+            rank_list, np.ascontiguousarray(Y.T), np.ascontiguousarray(predicted.T)
+        ):
             report.error_by_rank[rank] = mean_percentage_error(y, predictions)
             for workload in np.unique(groups):
                 mask = groups == workload

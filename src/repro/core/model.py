@@ -128,7 +128,14 @@ class DramErrorModel:
 
     # ------------------------------------------------------------------
     def fit_matrices(self, X: np.ndarray, y: np.ndarray) -> "DramErrorModel":
-        """Fit from a pre-built input matrix (used by the evaluation loop)."""
+        """Fit from a pre-built input matrix (used by the evaluation loop).
+
+        ``y`` is one target vector ``(n,)`` or one column per target
+        ``(n, R)`` — e.g. one WER column per rank from
+        :meth:`ErrorDataset.rank_matrices`; :meth:`predict_matrix` then
+        returns the matching shape, column ``r`` bit-identical to a model
+        fitted on ``y[:, r]`` alone.
+        """
         self._pipeline.fit(X, self._encode_target(np.asarray(y, dtype=float)))
         self.fitted_ = True
         return self
@@ -148,9 +155,19 @@ class DramErrorModel:
         return self.predict_matrix(X)
 
     def predict(self, op: OperatingPoint, program_features: Dict[str, float]) -> float:
-        """Predict the error metric for one workload at one operating point."""
+        """Predict the error metric for one workload at one operating point.
+
+        Only a model fitted on one target column has a scalar answer; a
+        multi-output model answers through :meth:`predict_matrix`.
+        """
         row = self.feature_set.build_row(op, program_features)
-        return float(self.predict_matrix(row.reshape(1, -1))[0])
+        value = self.predict_matrix(row.reshape(1, -1))[0]
+        if np.ndim(value):
+            raise ConfigurationError(
+                "predict() needs a one-column model; use predict_matrix() "
+                "for a multi-output model"
+            )
+        return float(value)
 
     # ------------------------------------------------------------------
     @property

@@ -19,11 +19,14 @@ frozen result batch out):
 * :meth:`WorkloadAwarePredictor.predict` — the scalar convenience
   wrapper: a one-row batch unwrapped into a :class:`PredictionResult`.
 
-The per-point reference implementation (one ``feature_set.build_row``
-and one single-row model call per grid cell) lives in
-:func:`repro.core.reference.reference_predict_grid`; the batched paths
-are pinned against it to 1e-9 relative tolerance by
-``tests/test_serving.py`` and ``benchmarks/test_serving_throughput.py``.
+The WER model is one multi-output :class:`DramErrorModel` whose target
+columns are the ranks (:meth:`ErrorDataset.rank_matrices`), so every
+prediction call runs one scaler pass and one model pass for all ranks —
+for KNN, one neighbour search.  The oracle in ``tests/oracles/`` fits
+one model per rank independently and answers grid cells one row at a
+time; ``tests/test_rank_columns.py`` pins the batched paths against it
+bit for bit, and ``benchmarks/test_serving_throughput.py`` sets its
+speed floors.
 """
 
 from __future__ import annotations
@@ -172,22 +175,29 @@ class WorkloadAwarePredictor:
 
     def __init__(self, config: Optional[PredictorConfig] = None) -> None:
         self.config = config or PredictorConfig()
-        self._wer_models: Dict[RankLocation, DramErrorModel] = {}
+        #: one WER model whose output columns are :attr:`ranks`, in order
+        self._wer_model: Optional[DramErrorModel] = None
+        self._ranks: Tuple[RankLocation, ...] = ()
         self._pue_model: Optional[DramErrorModel] = None
 
     # ------------------------------------------------------------------
     def fit(self, campaign: CampaignResult,
             profiles: Optional[Dict[str, WorkloadProfile]] = None) -> "WorkloadAwarePredictor":
-        """Train the per-rank WER models and the PUE model from a campaign."""
+        """Train the WER model (one output column per rank) and the PUE model.
+
+        Raises :class:`DataError` when the ranks' rows are not aligned by
+        (workload, operating point).
+        """
         wer_dataset = build_wer_dataset(campaign, profiles)
-        for rank in wer_dataset.ranks():
-            model = DramErrorModel(ModelConfig(
-                family=self.config.wer_family,
-                feature_set=self.config.wer_feature_set,
-                log_target=True,
-            ))
-            model.fit(wer_dataset.filter_rank(rank))
-            self._wer_models[rank] = model
+        model = DramErrorModel(ModelConfig(
+            family=self.config.wer_family,
+            feature_set=self.config.wer_feature_set,
+            log_target=True,
+        ))
+        ranks = tuple(wer_dataset.ranks())
+        X, Y, _groups = wer_dataset.rank_matrices(model.feature_set, ranks)
+        self._wer_model = model.fit_matrices(X, Y)
+        self._ranks = ranks
 
         if campaign.pue_summaries:
             pue_dataset = build_pue_dataset(campaign, profiles)
@@ -201,12 +211,12 @@ class WorkloadAwarePredictor:
 
     @property
     def is_fitted(self) -> bool:
-        return bool(self._wer_models)
+        return self._wer_model is not None
 
     @property
     def ranks(self) -> Tuple[RankLocation, ...]:
-        """The ranks the fitted predictor holds per-rank WER models for."""
-        return tuple(self._wer_models)
+        """The ranks the fitted WER model predicts, one output column each."""
+        return self._ranks
 
     # ------------------------------------------------------------------
     def _resolve_profile(self, workload: WorkloadArg) -> WorkloadProfile:
@@ -249,14 +259,12 @@ class WorkloadAwarePredictor:
         operating_columns: np.ndarray,
     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         """The batched core: one feature join + one matrix call per model."""
-        if not self.is_fitted:
+        if self._wer_model is None:
             raise NotFittedError("WorkloadAwarePredictor must be fitted first")
-        wer_model = next(iter(self._wer_models.values()))
-        program = wer_model.feature_set.program_matrix(names, features)
+        program = self._wer_model.feature_set.program_matrix(names, features)
         X = np.concatenate([operating_columns, program[codes]], axis=1)
-        wer = np.stack([
-            model.predict_matrix(X) for model in self._wer_models.values()
-        ])
+        # (n, ranks) -> one C-ordered row per rank.
+        wer = np.ascontiguousarray(self._wer_model.predict_matrix(X).T)
 
         pue: Optional[np.ndarray] = None
         if self._pue_model is not None:
@@ -276,7 +284,8 @@ class WorkloadAwarePredictor:
         ``workloads`` and ``operating_points`` are matched elementwise; a
         scalar on either side broadcasts against the other.  The whole
         batch is answered with one program-feature join and one
-        ``predict_matrix`` call per fitted model — no per-row objects.
+        ``predict_matrix`` call per fitted model (WER for every rank, then
+        PUE) — no per-row objects.
         """
         if isinstance(workloads, (str, WorkloadProfile)):
             workloads = [workloads]
@@ -331,9 +340,7 @@ class WorkloadAwarePredictor:
 
         The cartesian grid is assembled columnar-ly (repeat/tile of the
         axis vectors plus one fancy-indexed program-feature join) and
-        answered with one ``predict_matrix`` call per fitted model; the
-        per-point reference is
-        :func:`repro.core.reference.reference_predict_grid`.
+        answered with one ``predict_matrix`` call per fitted model.
         """
         if isinstance(workloads, (str, WorkloadProfile)):
             workloads = [workloads]

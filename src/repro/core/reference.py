@@ -32,7 +32,6 @@ import numpy as np
 
 if TYPE_CHECKING:  # runtime import would be circular; see the lazy import below
     from repro.core.correlation import CorrelationStudy
-    from repro.core.predictor import WorkloadAwarePredictor
 
 from repro.characterization.campaign import CampaignResult
 from repro.core.dataset import Sample, _profiles_for
@@ -170,50 +169,3 @@ def reference_run_correlation_study(
         rs_pue = reference_grouped_spearman(pue_groups, column)
         points.append(FeatureCorrelationPoint(feature=name, rs_wer=rs_wer, rs_pue=rs_pue))
     return CorrelationStudy(points=points)
-
-
-def reference_predict_grid(
-    predictor: "WorkloadAwarePredictor",
-    workloads: Sequence[str],
-    trefps: Sequence[float],
-    temperatures: Sequence[float],
-    vdds: Sequence[float],
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Per-point reference of ``WorkloadAwarePredictor.predict_grid``.
-
-    One ``feature_set.build_row`` + one single-row model call per grid
-    cell — the pre-batched prediction path.  Returns ``(wer, pue)``
-    shaped like the grid's arrays: ``wer`` is ``(n_ranks, n_workloads,
-    n_trefp, n_temperature, n_vdd)`` and ``pue`` matches the surface
-    shape (or is ``None`` when the predictor has no PUE model).  The
-    batched path is pinned against this function to 1e-9 relative
-    tolerance (BLAS batching may differ in the last ulps).
-    """
-    from repro.profiling.profiler import profile_workload
-
-    profiles = [
-        w if isinstance(w, WorkloadProfile) else profile_workload(w)
-        for w in workloads
-    ]
-    ranks = tuple(predictor._wer_models)
-    shape = (len(workloads), len(trefps), len(temperatures), len(vdds))
-    wer = np.empty((len(ranks),) + shape, dtype=np.float64)
-    pue: Optional[np.ndarray] = (
-        np.empty(shape, dtype=np.float64) if predictor._pue_model is not None else None
-    )
-    for i, profile in enumerate(profiles):
-        for j, trefp in enumerate(trefps):
-            for k, temperature in enumerate(temperatures):
-                for m, vdd in enumerate(vdds):
-                    op = OperatingPoint(
-                        trefp_s=float(trefp), vdd_v=float(vdd),
-                        temperature_c=float(temperature),
-                    )
-                    for r, rank in enumerate(ranks):
-                        wer[r, i, j, k, m] = predictor._wer_models[rank].predict(
-                            op, profile.features
-                        )
-                    if pue is not None:
-                        value = predictor._pue_model.predict(op, profile.features)
-                        pue[i, j, k, m] = min(max(value, 0.0), 1.0)
-    return wer, pue

@@ -50,6 +50,23 @@ def as_1d_array(y: ArrayLike, name: str = "y") -> np.ndarray:
     return arr
 
 
+def as_target_array(y: ArrayLike, name: str = "y") -> np.ndarray:
+    """Validate ``y`` as a 1-D target vector or an ``(n, R)`` target matrix.
+
+    A 2-D ``y`` holds one output column per target; the multi-output
+    regressors (KNN, SVR, forest) fit every column at once and predict
+    the matching shape.
+    """
+    arr = np.asarray(y, dtype=float)
+    if arr.ndim not in (1, 2):
+        raise DataError(f"{name} must be 1- or 2-dimensional, got shape {arr.shape}")
+    if arr.size == 0:
+        raise DataError(f"{name} must not be empty, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise DataError(f"{name} contains NaN or infinite values")
+    return arr
+
+
 def check_consistent_length(X: np.ndarray, y: np.ndarray) -> None:
     """Raise :class:`DataError` when ``X`` and ``y`` disagree on sample count."""
     if X.shape[0] != y.shape[0]:
@@ -129,9 +146,15 @@ class Transformer(Estimator):
         return self.fit(X, y).transform(X)
 
 
-def validate_fit_args(X: ArrayLike, y: ArrayLike) -> Tuple[np.ndarray, np.ndarray]:
-    """Common validation used by every regressor's ``fit``."""
+def validate_fit_args(
+    X: ArrayLike, y: ArrayLike, multi_output: bool = False
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Common validation used by every regressor's ``fit``.
+
+    ``multi_output`` keeps a 2-D ``y`` as ``(n, R)`` target columns;
+    otherwise ``y`` is flattened to one target vector.
+    """
     X_arr = as_2d_array(X)
-    y_arr = as_1d_array(y)
+    y_arr = as_target_array(y) if multi_output else as_1d_array(y)
     check_consistent_length(X_arr, y_arr)
     return X_arr, y_arr

@@ -1,10 +1,19 @@
-"""Distance functions used by the KNN models.
+"""Distance functions used by the KNN models and the RBF kernel.
 
-All metrics bound their temporary memory: the Euclidean path is a
-single ``(n, m)`` matrix-multiply, and the L1/L-infinity paths stream
-the ``(n, m, d)`` difference broadcast in row blocks of at most
-:data:`BLOCK_ELEMENTS` floats, writing into a preallocated ``(n, m)``
-output — block size only changes peak memory, never the result.
+The metrics :func:`pairwise_distances` dispatches to (Euclidean, L1,
+L-infinity) work in row blocks written into a preallocated ``(n, m)``
+output: L1 and L-infinity reduce the ``(n, m, d)`` difference broadcast
+in blocks of at most :data:`BLOCK_ELEMENTS` floats, and the Euclidean
+kernel accumulates ``(a-b)^2`` one feature at a time over cache-sized
+blocks.  Every entry is computed from its own two rows alone, so neither
+the block size nor the number of query rows changes a single bit: a
+query's distances, and so its neighbours, are the same in a one-row call
+and in any batch.
+
+:func:`euclidean_distances` is the expanded ``|a|^2 + |b|^2 - 2 a.b``
+form (one matrix multiply plus a cancellation-rescue pass).  Only the
+RBF kernel uses it: its matmul rounds differently as GEMV and GEMM, and
+moving the SVM onto the direct form changes the SVM's results.
 """
 
 from __future__ import annotations
@@ -18,6 +27,10 @@ from repro.errors import ConfigurationError
 #: Peak temporary elements per block of the broadcast metrics
 #: (2**24 float64 = 128 MiB for the (block, m, d) difference tensor).
 BLOCK_ELEMENTS = 2 ** 24
+
+#: Difference-tensor elements per row block of
+#: :func:`direct_euclidean_distances` (2**17 float64 = 1 MiB, cache-sized).
+DIRECT_BLOCK_ELEMENTS = 2 ** 17
 
 #: Relative floor (on squared distances) below which the expanded
 #: Euclidean form is indistinguishable from cancellation noise.  float64
@@ -82,6 +95,34 @@ def _blocked_difference_reduce(
     return out
 
 
+def direct_euclidean_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Pairwise Euclidean distances from the direct ``sum((a-b)^2)`` form.
+
+    Rows of ``A`` go in blocks whose ``(d, rows, m)`` difference tensor
+    holds about :data:`DIRECT_BLOCK_ELEMENTS` floats; the squared
+    differences are then summed one feature slab at a time, in feature
+    order.  Every step is elementwise, so an entry depends only on its
+    own two rows — not on the block size or the other query rows — and
+    exact matches come out as exactly ``0.0`` with no rescue pass.
+    """
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    B = np.atleast_2d(np.asarray(B, dtype=float))
+    (n, d), m = A.shape, B.shape[0]
+    out = np.empty((n, m))
+    B_slabs = np.ascontiguousarray(B.T)[:, None, :]
+    block = max(1, DIRECT_BLOCK_ELEMENTS // max(1, d * m))
+    diff = np.empty((d, min(block, n), m))
+    for start in range(0, n, block):
+        total = out[start:start + block]
+        squares = diff[:, :total.shape[0]]
+        np.subtract(A[start:start + block].T[:, :, None], B_slabs, out=squares)
+        np.square(squares, out=squares)
+        total[...] = squares[0]
+        for feature in squares[1:]:
+            total += feature
+    return np.sqrt(out, out=out)
+
+
 def manhattan_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Pairwise L1 distances between rows of ``A`` and rows of ``B``."""
     return _blocked_difference_reduce(A, B, np.sum)
@@ -93,7 +134,7 @@ def chebyshev_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 _METRICS = {
-    "euclidean": euclidean_distances,
+    "euclidean": direct_euclidean_distances,
     "manhattan": manhattan_distances,
     "chebyshev": chebyshev_distances,
 }

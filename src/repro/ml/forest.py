@@ -7,7 +7,16 @@ numpy pass).  The fitted ensemble is stored as one set of concatenated
 flat-tree columns (per-tree node arrays with child indices shifted by
 each tree's node offset), so ``predict`` traverses every (tree, row)
 pair level-synchronously in a single numpy state vector instead of
-looping trees in Python.
+looping trees in Python.  The ensemble mean is a sequential sum in tree
+order (an ``np.cumsum`` along the tree axis), which a reduction over
+that axis would give only for batches of more than one row; so a row's
+prediction has the same bits whatever batch it is part of.
+
+A target matrix ``(n, R)`` grows one forest per column with the same
+seeds and bootstrap draws a 1-D fit uses, stored one after another in
+the same flat arrays (column ``r`` owns trees ``r*T .. (r+1)*T - 1``),
+so every output column is bit-identical to its own single-output
+forest.
 """
 
 from __future__ import annotations
@@ -58,32 +67,37 @@ class RandomForestRegressor(Regressor):
         self.random_state = random_state
 
     def fit(self, X: ArrayLike, y: ArrayLike) -> "RandomForestRegressor":
-        X_arr, y_arr = validate_fit_args(X, y)
+        X_arr, y_arr = validate_fit_args(X, y, multi_output=True)
         rng = np.random.default_rng(self.random_state)
         n_samples, n_features = X_arr.shape
         self.n_features_ = n_features
-        self.estimators_ = []
+        self.n_outputs_ = y_arr.shape[1] if y_arr.ndim == 2 else None
+        seeds = []
         samples = []
         for _ in range(self.n_estimators):
-            self.estimators_.append(DecisionTreeRegressor(
-                max_depth=self.max_depth,
-                min_samples_split=self.min_samples_split,
-                min_samples_leaf=self.min_samples_leaf,
-                max_features=self.max_features,
-                random_state=int(rng.integers(0, 2 ** 31 - 1)),
-            ))
+            seeds.append(int(rng.integers(0, 2 ** 31 - 1)))
             if self.bootstrap:
                 samples.append(rng.integers(0, n_samples, size=n_samples))
             else:
                 samples.append(np.arange(n_samples))
-        flat_trees = grow_trees(
-            X_arr, y_arr, np.stack(samples),
-            [np.random.default_rng(tree.random_state) for tree in self.estimators_],
-            self.max_depth, self.min_samples_split, self.min_samples_leaf,
-            self.max_features,
-        )
-        for tree, flat in zip(self.estimators_, flat_trees):
-            tree._set_flat(flat, n_features)
+        bootstraps = np.stack(samples)
+        self.estimators_ = []
+        for column in np.ascontiguousarray(y_arr.reshape(n_samples, -1).T):
+            flat_trees = grow_trees(
+                X_arr, column, bootstraps,
+                [np.random.default_rng(seed) for seed in seeds],
+                self.max_depth, self.min_samples_split, self.min_samples_leaf,
+                self.max_features,
+            )
+            for seed, flat in zip(seeds, flat_trees):
+                tree = DecisionTreeRegressor(
+                    max_depth=self.max_depth,
+                    min_samples_split=self.min_samples_split,
+                    min_samples_leaf=self.min_samples_leaf,
+                    max_features=self.max_features,
+                    random_state=seed,
+                )
+                self.estimators_.append(tree._set_flat(flat, n_features))
         self._flatten_ensemble()
         return self
 
@@ -118,4 +132,9 @@ class RandomForestRegressor(Regressor):
             self._feature_, self._threshold_, self._left_, self._right_,
             self._value_, X_arr, node_ids=node_ids, row_ids=row_ids,
         )
-        return leaf_values.reshape(n_trees, n_rows).mean(axis=0)
+        n_outputs = self.n_outputs_ or 1
+        per_tree = leaf_values.reshape(n_outputs, n_trees // n_outputs, n_rows)
+        # Sequential tree-order sum: batch-size invariant, and bit-equal to
+        # ``mean(axis=0)`` over a multi-row (trees, rows) block.
+        mean = np.cumsum(per_tree, axis=1)[:, -1] / per_tree.shape[1]
+        return mean[0] if self.n_outputs_ is None else mean.T

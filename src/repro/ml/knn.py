@@ -12,6 +12,12 @@ path uses ``np.argpartition`` (O(n) selection) plus a stable in-
 candidate sort; rows whose k-th distance ties with excluded training
 rows — the one case where the partition's pick is arbitrary — fall
 back to a full per-row stable sort.
+
+The regressor fits a target vector ``(n,)`` or a target matrix
+``(n, R)``: all R output columns share one neighbour search and one set
+of weights, and each column is averaged exactly as a 1-D fit on that
+column would average it, so every output column is bit-identical to its
+own single-output model.
 """
 
 from __future__ import annotations
@@ -95,7 +101,7 @@ class KNeighborsRegressor(Regressor):
         self.metric = metric
 
     def fit(self, X: ArrayLike, y: ArrayLike) -> "KNeighborsRegressor":
-        X_arr, y_arr = validate_fit_args(X, y)
+        X_arr, y_arr = validate_fit_args(X, y, multi_output=True)
         if X_arr.shape[0] < 1:
             raise DataError("KNN requires at least one training sample")
         self.X_train_ = X_arr
@@ -120,13 +126,17 @@ class KNeighborsRegressor(Regressor):
         self._check_fitted("X_train_")
         dist, idx = self.kneighbors(X)
         w = _neighbor_weights(dist, self.weights)
-        neighbor_targets = self.y_train_[idx]
         weight_sums = w.sum(axis=1)
         # All-zero weight rows only occur with "distance" weights when every
         # neighbour is at infinite distance, which cannot happen with finite
         # inputs; guard anyway to avoid division warnings.
         weight_sums[weight_sums == 0.0] = 1.0  # repro-lint: disable=REP004
-        return (w * neighbor_targets).sum(axis=1) / weight_sums
+        # Targets gathered as one C-ordered (outputs, rows, k) block: each
+        # output column reduces its k neighbours along the contiguous last
+        # axis, the same reduction a 1-D fit runs on its (rows, k) block.
+        targets_by_output = np.ascontiguousarray(self.y_train_.T)
+        prediction = (w * targets_by_output[..., idx]).sum(axis=-1) / weight_sums
+        return prediction.T
 
 
 class KNeighborsClassifier(Regressor):

@@ -13,8 +13,8 @@ Contracts pinned by the suites:
 
 * tree and forest predictions are **bit-identical** to walking each
   fitted tree's flat node arrays one row and one node at a time (same
-  float comparisons, same stored leaf means, same ``mean(axis=0)``
-  ensemble reduction);
+  float comparisons, same stored leaf means, same tree-order sequential
+  sum for the ensemble mean);
 * ``kneighbors`` / KNN predictions are **bit-identical** to a full
   per-row stable ``(distance, training index)`` sort over the same
   distance matrix (the oracle shares the distance kernel on purpose —
@@ -57,10 +57,15 @@ def reference_tree_predict(tree: DecisionTreeRegressor, X: ArrayLike) -> np.ndar
 def reference_forest_predict(forest: RandomForestRegressor, X: ArrayLike) -> np.ndarray:
     """Average per-tree per-row node walks over the fitted ensemble."""
     X_arr = as_2d_array(X, allow_empty=True)
+    n_outputs = forest.n_outputs_ or 1
     per_tree = np.stack(
         [reference_tree_predict(tree, X_arr) for tree in forest.estimators_]
-    )
-    return per_tree.mean(axis=0)
+    ).reshape(n_outputs, -1, X_arr.shape[0])
+    total = per_tree[:, 0].copy()
+    for tree in range(1, per_tree.shape[1]):
+        total += per_tree[:, tree]
+    mean = total / per_tree.shape[1]
+    return mean[0] if forest.n_outputs_ is None else mean.T
 
 
 def reference_kneighbors(

@@ -11,11 +11,16 @@ and the coefficients ``beta`` are found by minimising the regularised
 (smoothed) epsilon-insensitive loss with L-BFGS.  For the dataset sizes
 used in this study (a few hundred samples) this is fast, deterministic
 and numerically robust.
+
+A target matrix ``(n, R)`` fits R models on one Gram matrix: L-BFGS runs
+once per column, exactly as a 1-D fit on that column runs it, and
+``predict`` makes one kernel-times-coefficients product per column, so
+every output column is bit-identical to its own single-output model.
 """
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Any, Union
 
 import numpy as np
 from scipy.optimize import minimize
@@ -88,7 +93,7 @@ class SVR(Regressor):
         return func(A, B, gamma=self.gamma_, degree=self.degree, coef0=self.coef0)
 
     def fit(self, X: ArrayLike, y: ArrayLike) -> "SVR":
-        X_arr, y_arr = validate_fit_args(X, y)
+        X_arr, y_arr = validate_fit_args(X, y, multi_output=True)
         self.X_train_ = X_arr
         if self.gamma == "scale":
             self.gamma_ = gamma_scale(X_arr)
@@ -99,6 +104,25 @@ class SVR(Regressor):
         n = X_arr.shape[0]
         jitter = 1e-10 * np.eye(n)
         K_reg = K + jitter
+        results = [
+            self._minimize(K_reg, column)
+            for column in np.ascontiguousarray(y_arr.reshape(n, -1).T)
+        ]
+        beta = np.stack([result.x[:n] for result in results], axis=1)
+        intercept = np.array([result.x[n] for result in results])
+        n_iter = np.array([result.nit for result in results])
+        one_column = y_arr.ndim == 1
+        self.beta_ = beta[:, 0] if one_column else beta
+        self.intercept_ = float(intercept[0]) if one_column else intercept
+        self.n_iter_ = int(n_iter[0]) if one_column else n_iter
+        # Support vectors: samples whose coefficient is non-negligible in
+        # any output column.
+        self.support_ = np.flatnonzero((np.abs(beta) > 1e-8).any(axis=1))
+        return self
+
+    def _minimize(self, K_reg: np.ndarray, y_arr: np.ndarray) -> Any:
+        """L-BFGS on the smoothed primal for one target column."""
+        n = K_reg.shape[0]
         delta = self.smoothing
 
         def objective(params: np.ndarray):
@@ -115,22 +139,24 @@ class SVR(Regressor):
 
         x0 = np.zeros(n + 1)
         x0[n] = float(np.mean(y_arr))
-        result = minimize(
+        return minimize(
             objective,
             x0,
             jac=True,
             method="L-BFGS-B",
             options={"maxiter": self.max_iter},
         )
-        self.beta_ = result.x[:n]
-        self.intercept_ = float(result.x[n])
-        self.n_iter_ = int(result.nit)
-        # Support vectors: samples whose coefficient is non-negligible.
-        self.support_ = np.flatnonzero(np.abs(self.beta_) > 1e-8)
-        return self
 
     def predict(self, X: ArrayLike) -> np.ndarray:
         self._check_fitted("beta_")
-        X_arr = as_2d_array(X)
+        X_arr = as_2d_array(X, allow_empty=True)
         K = self._kernel_matrix(X_arr, self.X_train_)
-        return K @ self.beta_ + self.intercept_
+        if np.ndim(self.beta_) == 1:
+            return K @ self.beta_ + self.intercept_
+        # One matrix-vector product per output column, as its 1-D fit runs.
+        return np.stack([
+            K @ beta + intercept
+            for beta, intercept in zip(
+                np.ascontiguousarray(np.transpose(self.beta_)), self.intercept_
+            )
+        ], axis=1)

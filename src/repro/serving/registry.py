@@ -6,9 +6,10 @@ JSON estimator specs) plus ``arrays.npz`` (every fitted array, float64
 bit-exact).  Two bundle kinds exist:
 
 * ``predictor`` — a whole fitted
-  :class:`~repro.core.predictor.WorkloadAwarePredictor` (per-rank WER
-  pipelines + the optional PUE pipeline), written by :func:`save_model`
-  and read back by :func:`load_model`;
+  :class:`~repro.core.predictor.WorkloadAwarePredictor` (the one WER
+  pipeline with its rank list — one output column per rank — plus the
+  optional PUE pipeline), written by :func:`save_model` and read back by
+  :func:`load_model`;
 * ``estimator`` — any single ``repro.ml`` estimator or
   :class:`~repro.ml.pipeline.Pipeline`, written/read by
   :func:`save_estimator` / :func:`load_estimator`.
@@ -44,7 +45,9 @@ from repro.telemetry import get_telemetry
 from repro.telemetry.report import environment_metadata
 
 #: Schema tag embedded in every bundle manifest; bump on breaking changes.
-MODEL_BUNDLE_SCHEMA = "repro.model_bundle/v1"
+#: v2: a predictor bundle holds one multi-output WER pipeline and its rank
+#: list instead of one WER pipeline per rank.
+MODEL_BUNDLE_SCHEMA = "repro.model_bundle/v2"
 
 _MANIFEST_NAME = "manifest.json"
 _ARRAYS_NAME = "arrays.npz"
@@ -159,27 +162,22 @@ def _restore_model(
 def save_model(predictor: WorkloadAwarePredictor, directory: PathLike) -> Path:
     """Persist a fitted predictor as one bundle directory; returns the path.
 
-    The bundle holds every per-rank WER pipeline, the optional PUE
-    pipeline and the predictor configuration; loading it back with
+    The bundle holds the WER pipeline and its rank list, the optional
+    PUE pipeline and the predictor configuration; loading it back with
     :func:`load_model` reproduces predictions bit-identically.
     """
-    if not predictor.is_fitted:
+    if predictor._wer_model is None:
         raise RegistryError("cannot persist an unfitted WorkloadAwarePredictor")
     telemetry = get_telemetry()
     with telemetry.span("registry.save"):
         arrays: ArrayPayload = {}
-        ranks = predictor.ranks
-        wer_specs = [
-            _capture_model(predictor._wer_models[rank], f"wer/{index}", arrays)
-            for index, rank in enumerate(ranks)
-        ]
         pue_spec: Optional[Dict[str, Any]] = None
         if predictor._pue_model is not None:
             pue_spec = _capture_model(predictor._pue_model, "pue", arrays)
         payload = {
             "predictor_config": asdict(predictor.config),
-            "ranks": [[rank.dimm, rank.rank] for rank in ranks],
-            "wer_models": wer_specs,
+            "ranks": [[rank.dimm, rank.rank] for rank in predictor.ranks],
+            "wer_model": _capture_model(predictor._wer_model, "wer", arrays),
             "pue_model": pue_spec,
         }
         path = Path(directory)
@@ -196,23 +194,19 @@ def load_model(directory: PathLike) -> WorkloadAwarePredictor:
         payload, arrays, _manifest = _read_bundle(Path(directory), "predictor")
         try:
             config = PredictorConfig(**payload["predictor_config"])
-            rank_pairs = payload["ranks"]
-            wer_specs = payload["wer_models"]
-        except (KeyError, TypeError) as error:
+            ranks = tuple(
+                RankLocation(int(pair[0]), int(pair[1])) for pair in payload["ranks"]
+            )
+            wer_spec = payload["wer_model"]
+        except (KeyError, TypeError, IndexError, ValueError) as error:
             raise RegistryError(
                 f"malformed predictor payload at {directory}: {error}"
             ) from None
-        if len(rank_pairs) != len(wer_specs):
-            raise RegistryError(
-                f"bundle at {directory} pairs {len(rank_pairs)} ranks with "
-                f"{len(wer_specs)} WER models"
-            )
+        if not ranks:
+            raise RegistryError(f"bundle at {directory} lists no ranks")
         predictor = WorkloadAwarePredictor(config)
-        for index, (pair, spec) in enumerate(zip(rank_pairs, wer_specs)):
-            rank = RankLocation(int(pair[0]), int(pair[1]))
-            predictor._wer_models[rank] = _restore_model(
-                spec, f"wer/{index}", arrays
-            )
+        predictor._wer_model = _restore_model(wer_spec, "wer", arrays)
+        predictor._ranks = ranks
         if payload.get("pue_model") is not None:
             predictor._pue_model = _restore_model(payload["pue_model"], "pue", arrays)
         if telemetry.enabled:

@@ -16,6 +16,9 @@ restored forest only the concatenated ensemble arrays, and a restored
 SVR support coefficients but no optimizer state.  Restored estimators
 therefore predict — bit-identically — but do not expose training-only
 introspection such as ``RandomForestRegressor.estimators_``.
+Multi-output estimators round-trip the same way: per-column SVR
+intercepts and iteration counts become JSON lists, and a forest keeps
+``n_outputs_``.
 """
 
 from __future__ import annotations
@@ -87,7 +90,7 @@ _CODECS: Dict[str, _EstimatorCodec] = {
                 "_roots_", "_feature_", "_threshold_", "_left_", "_right_",
                 "_value_",
             ),
-            fitted_scalars=("n_features_",),
+            fitted_scalars=("n_features_", "n_outputs_"),
         ),
     )
 }
@@ -95,8 +98,8 @@ _CODECS: Dict[str, _EstimatorCodec] = {
 
 def _json_safe(value: Any, context: str) -> Any:
     """Coerce a constructor parameter to a JSON-representable value."""
-    if isinstance(value, (np.integer, np.floating, np.bool_)):
-        value = value.item()
+    if isinstance(value, (np.integer, np.floating, np.bool_, np.ndarray)):
+        value = value.tolist()
     if isinstance(value, tuple):
         value = list(value)
     if isinstance(value, list):

@@ -18,6 +18,7 @@ from repro.core.reference import reference_run_correlation_study
 from repro.ml import distances
 from repro.ml.distances import (
     chebyshev_distances,
+    direct_euclidean_distances,
     euclidean_distances,
     manhattan_distances,
 )
@@ -182,6 +183,28 @@ class TestChunkedDistances:
         monkeypatch.setattr(distances, "BLOCK_ELEMENTS", 64)
         assert np.array_equal(manhattan_distances(A, B), full_l1)
         assert np.array_equal(chebyshev_distances(A, B), full_linf)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 30), m=st.integers(1, 30), d=st.integers(1, 40),
+        block=st.integers(1, 500), seed=st.integers(0, 2 ** 16),
+    )
+    def test_direct_euclidean_is_block_and_batch_invariant(self, n, m, d, block, seed):
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(n, d)).round(2)
+        B = np.concatenate([rng.normal(size=(m, d)).round(2), A[:1]])
+        full = direct_euclidean_distances(A, B)
+        np.testing.assert_allclose(full, euclidean_distances(A, B), rtol=1e-9, atol=1e-12)
+        assert full[0, -1] == 0.0          # exact match, no rescue pass needed
+        # Any block size, and every row alone, gives the same bits.
+        original = distances.DIRECT_BLOCK_ELEMENTS
+        try:
+            distances.DIRECT_BLOCK_ELEMENTS = block
+            assert np.array_equal(direct_euclidean_distances(A, B), full)
+        finally:
+            distances.DIRECT_BLOCK_ELEMENTS = original
+        for row in range(n):
+            assert np.array_equal(direct_euclidean_distances(A[row:row + 1], B)[0], full[row])
 
     def test_euclidean_exact_match_is_exact_zero(self):
         # Large-magnitude coordinates make the expanded form cancel

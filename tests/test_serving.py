@@ -8,9 +8,9 @@ Three contracts are pinned here:
   bundles raise :class:`~repro.errors.RegistryError`.
 * **The batched API never changes numbers.**  ``predict`` is a wrapper
   over ``predict_batch``; ``predict_grid`` matches the per-point
-  reference (:func:`~repro.core.reference.reference_predict_grid`) to a
-  documented 1e-9 relative tolerance (BLAS batch shape may differ in
-  the last ulps).
+  reference (``tests.oracles.predictor.reference_predict_grid``, one
+  independently fitted model per rank) to a documented 1e-9 relative
+  tolerance (the SVM's BLAS batch shape may differ in the last ulps).
 * **The facade is transparent.**  Cached and batched
   :class:`~repro.serving.PredictionService` responses equal direct
   ``predict_batch`` output, including under concurrent load.
@@ -25,7 +25,6 @@ import numpy as np
 import pytest
 
 from repro.core import WorkloadAwarePredictor
-from repro.core.reference import reference_predict_grid
 from repro.dram.operating import OperatingPoint
 from repro.errors import (
     ConfigurationError,
@@ -56,6 +55,8 @@ from repro.serving import (
     save_model,
 )
 
+from tests.oracles.predictor import PerRankPredictor, reference_predict_grid
+
 WORKLOADS = ("memcached", "kmeans", "bfs")
 TREFPS = (1.173, 2.283)
 TEMPERATURES = (50.0, 60.0)
@@ -65,6 +66,11 @@ OP = OperatingPoint.relaxed(2.283, 50.0)
 @pytest.fixture(scope="module")
 def predictor(small_campaign):
     return WorkloadAwarePredictor().fit(small_campaign)
+
+
+@pytest.fixture(scope="module")
+def per_rank(small_campaign):
+    return PerRankPredictor().fit(small_campaign)
 
 
 def _training_data(seed: int = 5, n: int = 60, d: int = 5):
@@ -224,6 +230,20 @@ def test_model_round_trip_is_exact(predictor, tmp_path):
         assert original.pue is not None and np.array_equal(original.pue, reloaded.pue)
 
 
+def test_v1_predictor_bundle_is_rejected(predictor, tmp_path):
+    # v1 bundles held one WER pipeline per rank; v2 holds one multi-output
+    # pipeline and the rank list, so a v1 bundle cannot be read as v2.
+    path = save_model(predictor, tmp_path / "bundle")
+    manifest = json.loads((path / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["schema"] == MODEL_BUNDLE_SCHEMA == "repro.model_bundle/v2"
+    manifest["schema"] = "repro.model_bundle/v1"
+    (path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    with pytest.raises(RegistryError) as excinfo:
+        load_model(path)
+    assert "repro.model_bundle/v1" in str(excinfo.value)
+    assert "repro.model_bundle/v2" in str(excinfo.value)
+
+
 def test_registry_versioning(predictor, tmp_path):
     registry = ModelRegistry(tmp_path)
     assert registry.models() == []
@@ -271,12 +291,13 @@ def test_predict_batch_broadcasts_and_pairs(predictor):
         predictor.predict_batch(WORKLOADS, ops)
 
 
-def test_predict_grid_matches_per_point_reference(predictor):
+def test_predict_grid_matches_per_point_reference(predictor, per_rank):
     grid = predictor.predict_grid(WORKLOADS, TREFPS, TEMPERATURES)
     assert grid.shape == (len(WORKLOADS), len(TREFPS), len(TEMPERATURES), 1)
     assert grid.num_predictions == len(WORKLOADS) * len(TREFPS) * len(TEMPERATURES)
+    assert per_rank.ranks == predictor.ranks
     ref_wer, ref_pue = reference_predict_grid(
-        predictor, WORKLOADS, TREFPS, TEMPERATURES, grid.vdd_v
+        per_rank, WORKLOADS, TREFPS, TEMPERATURES, grid.vdd_v
     )
     np.testing.assert_allclose(grid.wer, ref_wer, rtol=1e-9)
     assert grid.pue is not None and ref_pue is not None
