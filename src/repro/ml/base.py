@@ -146,15 +146,9 @@ class Transformer(Estimator):
         return self.fit(X, y).transform(X)
 
 
-def validate_fit_args(
-    X: ArrayLike, y: ArrayLike, multi_output: bool = False
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Common validation used by every regressor's ``fit``.
-
-    ``multi_output`` keeps a 2-D ``y`` as ``(n, R)`` target columns;
-    otherwise ``y`` is flattened to one target vector.
-    """
+def validate_fit_args(X: ArrayLike, y: ArrayLike) -> Tuple[np.ndarray, np.ndarray]:
+    """Common validation used by every regressor's ``fit``."""
     X_arr = as_2d_array(X)
-    y_arr = as_target_array(y) if multi_output else as_1d_array(y)
+    y_arr = as_1d_array(y)
     check_consistent_length(X_arr, y_arr)
     return X_arr, y_arr

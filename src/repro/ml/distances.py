@@ -1,14 +1,14 @@
 """Distance functions used by the KNN models and the RBF kernel.
 
-The metrics :func:`pairwise_distances` dispatches to (Euclidean, L1,
-L-infinity) work in row blocks written into a preallocated ``(n, m)``
-output: L1 and L-infinity reduce the ``(n, m, d)`` difference broadcast
-in blocks of at most :data:`BLOCK_ELEMENTS` floats, and the Euclidean
-kernel accumulates ``(a-b)^2`` one feature at a time over cache-sized
-blocks.  Every entry is computed from its own two rows alone, so neither
-the block size nor the number of query rows changes a single bit: a
-query's distances, and so its neighbours, are the same in a one-row call
-and in any batch.
+Every metric :func:`pairwise_distances` dispatches to computes an entry
+from its own two rows alone, so neither the block size nor the number
+of query rows changes a single bit: a query's distances, and so its
+neighbours, are the same in a one-row call and in any batch.  The
+Euclidean metric is scipy's ``cdist``, which loops over the pairs in C
+and sums ``(a-b)^2`` in feature order for each; L1 and L-infinity reduce
+the ``(n, m, d)`` difference broadcast in row blocks of at most
+:data:`BLOCK_ELEMENTS` floats, written into a preallocated ``(n, m)``
+output.
 
 :func:`euclidean_distances` is the expanded ``|a|^2 + |b|^2 - 2 a.b``
 form (one matrix multiply plus a cancellation-rescue pass).  Only the
@@ -21,16 +21,13 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from repro.errors import ConfigurationError
 
 #: Peak temporary elements per block of the broadcast metrics
 #: (2**24 float64 = 128 MiB for the (block, m, d) difference tensor).
 BLOCK_ELEMENTS = 2 ** 24
-
-#: Difference-tensor elements per row block of
-#: :func:`direct_euclidean_distances` (2**17 float64 = 1 MiB, cache-sized).
-DIRECT_BLOCK_ELEMENTS = 2 ** 17
 
 #: Relative floor (on squared distances) below which the expanded
 #: Euclidean form is indistinguishable from cancellation noise.  float64
@@ -98,29 +95,13 @@ def _blocked_difference_reduce(
 def direct_euclidean_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Pairwise Euclidean distances from the direct ``sum((a-b)^2)`` form.
 
-    Rows of ``A`` go in blocks whose ``(d, rows, m)`` difference tensor
-    holds about :data:`DIRECT_BLOCK_ELEMENTS` floats; the squared
-    differences are then summed one feature slab at a time, in feature
-    order.  Every step is elementwise, so an entry depends only on its
-    own two rows — not on the block size or the other query rows — and
-    exact matches come out as exactly ``0.0`` with no rescue pass.
+    ``cdist`` computes each entry as ``sqrt(((a0-b0)^2 + (a1-b1)^2) + ...)``
+    in feature order, from its own two rows only, so exact matches come
+    out as exactly ``0.0`` with no rescue pass.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
-    (n, d), m = A.shape, B.shape[0]
-    out = np.empty((n, m))
-    B_slabs = np.ascontiguousarray(B.T)[:, None, :]
-    block = max(1, DIRECT_BLOCK_ELEMENTS // max(1, d * m))
-    diff = np.empty((d, min(block, n), m))
-    for start in range(0, n, block):
-        total = out[start:start + block]
-        squares = diff[:, :total.shape[0]]
-        np.subtract(A[start:start + block].T[:, :, None], B_slabs, out=squares)
-        np.square(squares, out=squares)
-        total[...] = squares[0]
-        for feature in squares[1:]:
-            total += feature
-    return np.sqrt(out, out=out)
+    return cdist(A, B)
 
 
 def manhattan_distances(A: np.ndarray, B: np.ndarray) -> np.ndarray:

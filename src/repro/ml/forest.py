@@ -26,7 +26,13 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.ml.base import ArrayLike, Regressor, as_2d_array, validate_fit_args
+from repro.ml.base import (
+    ArrayLike,
+    Regressor,
+    as_2d_array,
+    as_target_array,
+    check_consistent_length,
+)
 from repro.ml.tree import (
     DecisionTreeRegressor,
     MaxFeatures,
@@ -67,7 +73,8 @@ class RandomForestRegressor(Regressor):
         self.random_state = random_state
 
     def fit(self, X: ArrayLike, y: ArrayLike) -> "RandomForestRegressor":
-        X_arr, y_arr = validate_fit_args(X, y, multi_output=True)
+        X_arr, y_arr = as_2d_array(X), as_target_array(y)
+        check_consistent_length(X_arr, y_arr)
         rng = np.random.default_rng(self.random_state)
         n_samples, n_features = X_arr.shape
         self.n_features_ = n_features

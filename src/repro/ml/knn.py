@@ -27,7 +27,13 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError, DataError
-from repro.ml.base import ArrayLike, Regressor, as_2d_array, validate_fit_args
+from repro.ml.base import (
+    ArrayLike,
+    Regressor,
+    as_2d_array,
+    as_target_array,
+    check_consistent_length,
+)
 from repro.ml.distances import pairwise_distances
 
 
@@ -101,7 +107,8 @@ class KNeighborsRegressor(Regressor):
         self.metric = metric
 
     def fit(self, X: ArrayLike, y: ArrayLike) -> "KNeighborsRegressor":
-        X_arr, y_arr = validate_fit_args(X, y, multi_output=True)
+        X_arr, y_arr = as_2d_array(X), as_target_array(y)
+        check_consistent_length(X_arr, y_arr)
         if X_arr.shape[0] < 1:
             raise DataError("KNN requires at least one training sample")
         self.X_train_ = X_arr

@@ -26,7 +26,13 @@ import numpy as np
 from scipy.optimize import minimize
 
 from repro.errors import ConfigurationError
-from repro.ml.base import ArrayLike, Regressor, as_2d_array, validate_fit_args
+from repro.ml.base import (
+    ArrayLike,
+    Regressor,
+    as_2d_array,
+    as_target_array,
+    check_consistent_length,
+)
 from repro.ml.kernels import gamma_scale, resolve_kernel
 
 
@@ -93,7 +99,8 @@ class SVR(Regressor):
         return func(A, B, gamma=self.gamma_, degree=self.degree, coef0=self.coef0)
 
     def fit(self, X: ArrayLike, y: ArrayLike) -> "SVR":
-        X_arr, y_arr = validate_fit_args(X, y, multi_output=True)
+        X_arr, y_arr = as_2d_array(X), as_target_array(y)
+        check_consistent_length(X_arr, y_arr)
         self.X_train_ = X_arr
         if self.gamma == "scale":
             self.gamma_ = gamma_scale(X_arr)
@@ -151,12 +158,13 @@ class SVR(Regressor):
         self._check_fitted("beta_")
         X_arr = as_2d_array(X, allow_empty=True)
         K = self._kernel_matrix(X_arr, self.X_train_)
-        if np.ndim(self.beta_) == 1:
-            return K @ self.beta_ + self.intercept_
-        # One matrix-vector product per output column, as its 1-D fit runs.
-        return np.stack([
-            K @ beta + intercept
-            for beta, intercept in zip(
-                np.ascontiguousarray(np.transpose(self.beta_)), self.intercept_
+        # One matrix-vector product per output column; a 1-D fit is the
+        # one-column case.
+        beta = np.reshape(self.beta_, (len(self.X_train_), -1))
+        prediction = np.stack([
+            K @ column + intercept
+            for column, intercept in zip(
+                np.ascontiguousarray(beta.T), np.atleast_1d(self.intercept_)
             )
         ], axis=1)
+        return prediction[:, 0] if np.ndim(self.beta_) == 1 else prediction

@@ -16,9 +16,9 @@ restored forest only the concatenated ensemble arrays, and a restored
 SVR support coefficients but no optimizer state.  Restored estimators
 therefore predict — bit-identically — but do not expose training-only
 introspection such as ``RandomForestRegressor.estimators_``.
-Multi-output estimators round-trip the same way: per-column SVR
-intercepts and iteration counts become JSON lists, and a forest keeps
-``n_outputs_``.
+Multi-output estimators round-trip the same way: an SVR's intercepts
+and iteration counts are arrays (0-d for a 1-D fit, restored as the
+Python scalars they were), and a forest keeps ``n_outputs_``.
 """
 
 from __future__ import annotations
@@ -73,8 +73,10 @@ _CODECS: Dict[str, _EstimatorCodec] = {
         _EstimatorCodec(KNeighborsRegressor, fitted_arrays=("X_train_", "y_train_")),
         _EstimatorCodec(
             SVR,
-            fitted_arrays=("X_train_", "beta_", "support_"),
-            fitted_scalars=("intercept_", "gamma_", "n_iter_"),
+            fitted_arrays=(
+                "X_train_", "beta_", "support_", "intercept_", "n_iter_",
+            ),
+            fitted_scalars=("gamma_",),
         ),
         _EstimatorCodec(
             DecisionTreeRegressor,
@@ -98,8 +100,8 @@ _CODECS: Dict[str, _EstimatorCodec] = {
 
 def _json_safe(value: Any, context: str) -> Any:
     """Coerce a constructor parameter to a JSON-representable value."""
-    if isinstance(value, (np.integer, np.floating, np.bool_, np.ndarray)):
-        value = value.tolist()
+    if isinstance(value, (np.integer, np.floating, np.bool_)):
+        value = value.item()
     if isinstance(value, tuple):
         value = list(value)
     if isinstance(value, list):
@@ -220,7 +222,9 @@ def restore_estimator(
             f"cannot construct {type_name} from bundle parameters: {error}"
         ) from None
     for name in codec.fitted_arrays:
-        setattr(estimator, name, _array_for(arrays, f"{prefix}/{name}", type_name))
+        value = _array_for(arrays, f"{prefix}/{name}", type_name)
+        # A 0-d array was a Python scalar (a 1-D SVR's intercept_ and n_iter_).
+        setattr(estimator, name, value.item() if value.ndim == 0 else value)
     scalars = spec.get("fitted_scalars", {})
     for name in codec.fitted_scalars:
         if name not in scalars:

@@ -187,22 +187,28 @@ class TestChunkedDistances:
     @settings(max_examples=40, deadline=None)
     @given(
         n=st.integers(1, 30), m=st.integers(1, 30), d=st.integers(1, 40),
-        block=st.integers(1, 500), seed=st.integers(0, 2 ** 16),
+        scale=st.integers(-100, 100), seed=st.integers(0, 2 ** 16),
     )
-    def test_direct_euclidean_is_block_and_batch_invariant(self, n, m, d, block, seed):
+    def test_direct_euclidean_is_a_feature_order_sum_in_any_batch(
+        self, n, m, d, scale, seed
+    ):
         rng = np.random.default_rng(seed)
-        A = rng.normal(size=(n, d)).round(2)
-        B = np.concatenate([rng.normal(size=(m, d)).round(2), A[:1]])
+        unit = 10.0 ** scale
+        A = rng.normal(size=(n, d)).round(2) * unit
+        B = np.concatenate([rng.normal(size=(m, d)).round(2) * unit, A[:1]])
         full = direct_euclidean_distances(A, B)
-        np.testing.assert_allclose(full, euclidean_distances(A, B), rtol=1e-9, atol=1e-12)
+        # Every entry is sqrt(((a0-b0)^2 + (a1-b1)^2) + ...) in feature
+        # order, whatever the library's loop structure.
+        squares = (A[:, None, :] - B[None, :, :]) ** 2
+        total = squares[..., 0].copy()
+        for feature in range(1, d):
+            total += squares[..., feature]
+        assert np.array_equal(full, np.sqrt(total))
+        np.testing.assert_allclose(
+            full, euclidean_distances(A, B), rtol=1e-9, atol=1e-12 * unit
+        )
         assert full[0, -1] == 0.0          # exact match, no rescue pass needed
-        # Any block size, and every row alone, gives the same bits.
-        original = distances.DIRECT_BLOCK_ELEMENTS
-        try:
-            distances.DIRECT_BLOCK_ELEMENTS = block
-            assert np.array_equal(direct_euclidean_distances(A, B), full)
-        finally:
-            distances.DIRECT_BLOCK_ELEMENTS = original
+        # Every row alone gives the same bits as in the batch.
         for row in range(n):
             assert np.array_equal(direct_euclidean_distances(A[row:row + 1], B)[0], full[row])
 

@@ -110,6 +110,23 @@ def test_estimator_round_trip_is_exact(family, tmp_path):
     assert np.array_equal(restored.predict(X_query), expected)
 
 
+@pytest.mark.parametrize("n_outputs", [None, 3])
+def test_svr_round_trip_keeps_attribute_types(n_outputs, tmp_path):
+    X, y = _training_data()
+    if n_outputs is not None:
+        y = np.column_stack([y + shift for shift in range(n_outputs)])
+    estimator = _estimator_factories()["svm"]().fit(X, y)
+    save_estimator(estimator, tmp_path / "svm")
+    restored = load_estimator(tmp_path / "svm")
+    for name in ("beta_", "intercept_", "n_iter_"):
+        fitted, loaded = getattr(estimator, name), getattr(restored, name)
+        assert type(loaded) is type(fitted)
+        assert np.array_equal(loaded, fitted)
+    if n_outputs is not None:
+        assert restored.intercept_.shape == (n_outputs,)
+        assert restored.n_iter_.shape == (n_outputs,)
+
+
 @pytest.mark.parametrize("family", sorted(_estimator_factories()))
 def test_pipeline_round_trip_is_exact(family, tmp_path):
     X, y = _training_data()
