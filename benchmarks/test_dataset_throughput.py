@@ -6,11 +6,11 @@ properties of the columnar builders, mirroring how the ECC and campaign
 benchmarks pin their batch engines:
 
 * ``build_wer_dataset`` / ``build_pue_dataset`` produce *bit-identical*
-  ``(X, y, groups)`` matrices — and equal ``Sample`` views — to the
-  per-sample reference implementations (``repro.core.reference``, the
+  ``(X, y, groups)`` matrices — and the same rank column — as the
+  per-row reference implementations (``tests/oracles/dataset.py``, the
   pre-columnar builder bodies) on the paper's default campaign;
 * assembling the WER design matrix through the columnar path is at
-  least 10x faster than the per-sample list scan.
+  least 10x faster than the per-row list scan.
 """
 
 import time
@@ -19,23 +19,15 @@ import pytest
 
 from repro.core.dataset import build_pue_dataset, build_wer_dataset
 from repro.core.features import INPUT_SET_1, INPUT_SET_3
-from repro.core.reference import (
+
+from tests.oracles.dataset import (
+    assert_matches_rows,
     reference_build_pue_dataset,
     reference_build_wer_dataset,
     reference_matrices,
 )
 
 pytestmark = pytest.mark.slow
-
-
-def _assert_identical_matrices(columnar, reference, feature_set):
-    """``columnar`` is an ErrorDataset, ``reference`` a list of samples."""
-    Xc, yc, gc = columnar.matrices(feature_set)
-    Xr, yr, gr = reference_matrices(reference, feature_set)
-    assert Xc.dtype == Xr.dtype and Xc.shape == Xr.shape
-    assert Xc.tobytes() == Xr.tobytes()
-    assert yc.tobytes() == yr.tobytes()
-    assert bool((gc == gr).all())
 
 
 def test_columnar_wer_dataset_matches_reference_exactly(
@@ -45,15 +37,13 @@ def test_columnar_wer_dataset_matches_reference_exactly(
     reference = reference_build_wer_dataset(full_campaign, campaign_profiles)
     assert len(columnar) == len(reference) > 1000
     for feature_set in (INPUT_SET_1, INPUT_SET_3):
-        _assert_identical_matrices(columnar, reference, feature_set)
+        assert_matches_rows(columnar, reference, feature_set)
     # Rank filtering must stay columnar and still match the list filter.
     rank = min(s.rank for s in reference)
-    _assert_identical_matrices(
+    assert_matches_rows(
         columnar.filter_rank(rank), [s for s in reference if s.rank == rank],
         INPUT_SET_1,
     )
-    # The lazily materialized Sample view reproduces the reference samples.
-    assert list(columnar.samples) == reference
 
 
 def test_columnar_pue_dataset_matches_reference_exactly(
@@ -61,8 +51,7 @@ def test_columnar_pue_dataset_matches_reference_exactly(
 ):
     columnar = build_pue_dataset(full_campaign, campaign_profiles)
     reference = reference_build_pue_dataset(full_campaign, campaign_profiles)
-    _assert_identical_matrices(columnar, reference, INPUT_SET_1)
-    assert list(columnar.samples) == reference
+    assert_matches_rows(columnar, reference, INPUT_SET_1)
 
 
 def test_dataset_assembly_at_least_10x_list_scan(

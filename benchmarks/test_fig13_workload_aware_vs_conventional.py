@@ -10,7 +10,6 @@ micro-benchmark.
 import numpy as np
 
 from repro.core.conventional import ConventionalErrorModel
-from repro.core.dataset import ErrorDataset
 from repro.core.model import DramErrorModel, ModelConfig
 from repro.dram.operating import OperatingPoint
 from repro.ml.metrics import prediction_ratio
@@ -25,21 +24,19 @@ def _measured_wer(campaign, workload):
 
 
 def _train_and_predict(extended_wer_dataset):
-    """Per-rank KNN models trained without lulesh, averaged per workload."""
-    training = ErrorDataset(
-        samples=[s for s in extended_wer_dataset
-                 if s.workload not in LULESH_VARIANTS]
-    )
-    predictions = {}
-    for workload in LULESH_VARIANTS:
-        profile = profile_workload(workload)
-        per_rank = []
-        for rank in training.ranks():
-            model = DramErrorModel(ModelConfig(family="knn", feature_set="set1"))
-            model.fit(training.filter_rank(rank))
-            per_rank.append(model.predict(TARGET_OP, profile.features))
-        predictions[workload] = float(np.mean(per_rank))
-    return predictions
+    """One KNN model trained without lulesh, its rank columns averaged per workload."""
+    model = DramErrorModel(ModelConfig(family="knn", feature_set="set1"))
+    X, Y, groups = extended_wer_dataset.rank_matrices(model.feature_set)
+    training = ~np.isin(groups, LULESH_VARIANTS)
+    model.fit_matrices(X[training], Y[training])
+    per_rank = model.predict_matrix(np.stack([
+        model.feature_set.build_row(TARGET_OP, profile_workload(workload).features)
+        for workload in LULESH_VARIANTS
+    ]))
+    return {
+        workload: float(np.mean(row))
+        for workload, row in zip(LULESH_VARIANTS, per_rank)
+    }
 
 
 def test_fig13_workload_aware_vs_conventional(benchmark, extended_campaign,

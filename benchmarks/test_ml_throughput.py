@@ -4,7 +4,7 @@ The flattened-tree forest and the ``argpartition`` neighbour search are
 the model-evaluation hot path of the accuracy study (Section VI): every
 leave-one-workload-out fold refits and re-predicts a model per feature
 set.  These benchmarks pin the vectorized estimators against the
-per-row oracles in ``repro.ml.reference`` the same way the ECC and
+per-row oracles in ``tests/oracles/ml.py`` the same way the ECC and
 dataset benchmarks pin their batch engines:
 
 * a leave-one-group-out KNN cross-validation over a campaign-shaped
@@ -15,7 +15,7 @@ dataset benchmarks pin their batch engines:
   faster than the per-tree/per-row node walk, also bit-identical;
 * fitting the campaign's set1 forest (154 rows x 7 inputs, 30 trees)
   with the lockstep grower is at least 2x faster than the recursive
-  one-tree-at-a-time builder in ``tests/oracles/ml.py``, with
+  one-tree-at-a-time builder, with
   bit-identical flat node arrays.
 """
 
@@ -28,12 +28,12 @@ from repro.core.features import INPUT_SET_1
 from repro.ml.cross_validation import cross_val_predict_groups
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.knn import KNeighborsRegressor
-from repro.ml.reference import (
+
+from tests.oracles.ml import (
     ReferenceKNeighborsRegressor,
+    fit_forest_oracle,
     reference_forest_predict,
 )
-
-from tests.oracles.ml import fit_forest_oracle
 
 pytestmark = pytest.mark.slow
 

@@ -9,10 +9,12 @@ conventional constant-rate model (calibrated with a random data-pattern
 micro-benchmark) is shown for comparison.
 """
 
+import numpy as np
+
 from repro import OperatingPoint, profile_workload
 from repro.characterization.campaign import CampaignConfig, CharacterizationCampaign
 from repro.core.conventional import ConventionalErrorModel
-from repro.core.dataset import ErrorDataset, build_wer_dataset
+from repro.core.dataset import build_wer_dataset
 from repro.core.model import DramErrorModel, ModelConfig
 from repro.workloads.registry import campaign_workload_names
 
@@ -31,22 +33,21 @@ def main() -> None:
 
     measured = campaign.wer_by_workload(TARGET_OP.trefp_s, TARGET_OP.temperature_c)
 
-    print("\n== Training per-rank KNN models without the lulesh variants ==")
-    training = ErrorDataset(samples=[s for s in dataset if s.workload not in VARIANTS])
-    models = {}
-    for rank in training.ranks():
-        model = DramErrorModel(ModelConfig(family="knn", feature_set="set1"))
-        model.fit(training.filter_rank(rank))
-        models[rank] = model
+    print("\n== Training one KNN model (a WER column per rank) without the lulesh variants ==")
+    model = DramErrorModel(ModelConfig(family="knn", feature_set="set1"))
+    X, Y, groups = dataset.rank_matrices(model.feature_set)
+    training = ~np.isin(groups, VARIANTS)
+    model.fit_matrices(X[training], Y[training])
 
     conventional = ConventionalErrorModel().fit(dataset)
 
     print(f"\n== WER at TREFP={TARGET_OP.trefp_s}s, {TARGET_OP.temperature_c:.0f}C ==")
-    for variant in VARIANTS:
-        profile = profile_workload(variant)
-        predicted = sum(
-            model.predict(TARGET_OP, profile.features) for model in models.values()
-        ) / len(models)
+    per_rank = model.predict_matrix(np.stack([
+        model.feature_set.build_row(TARGET_OP, profile_workload(variant).features)
+        for variant in VARIANTS
+    ]))
+    for variant, rank_wers in zip(VARIANTS, per_rank):
+        predicted = float(np.mean(rank_wers))
         constant = conventional.predict(TARGET_OP)
         error = abs(predicted - measured[variant]) / measured[variant] * 100
         constant_error = abs(constant - measured[variant]) / measured[variant] * 100

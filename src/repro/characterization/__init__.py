@@ -14,7 +14,6 @@ from repro.characterization.metrics import (
     WerMeasurement,
     probability_of_uncorrectable,
     rank_ue_distribution,
-    wer_from_error_log,
     word_error_rate,
 )
 from repro.characterization.server import SocDescription, XGene2Server
@@ -33,7 +32,6 @@ __all__ = [
     "WerMeasurement",
     "probability_of_uncorrectable",
     "rank_ue_distribution",
-    "wer_from_error_log",
     "word_error_rate",
     "SocDescription",
     "XGene2Server",

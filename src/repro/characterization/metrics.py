@@ -15,10 +15,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from repro import units
-from repro.dram.ecc import ErrorClass
 from repro.dram.geometry import RankLocation
-from repro.dram.records import ErrorLog
 from repro.errors import CharacterizationError, DataError
 
 
@@ -40,24 +37,6 @@ def probability_of_uncorrectable(ue_runs: int, total_runs: int) -> float:
     if not 0 <= ue_runs <= total_runs:
         raise DataError("ue_runs must lie in [0, total_runs]")
     return ue_runs / total_runs
-
-
-def wer_from_error_log(
-    log: ErrorLog, footprint_bytes: int, rank: Optional[RankLocation] = None
-) -> float:
-    """Compute WER from an ECC error log (whole memory or one rank).
-
-    When ``rank`` is given, the footprint attributed to that rank is the
-    interleaved share (footprint / number of ranks observed in the log's
-    geometry is unknown here, so the caller passes the per-rank footprint
-    directly via ``footprint_bytes``).
-    """
-    footprint_words = units.words_in(footprint_bytes)
-    if rank is None:
-        unique = len(log.unique_word_locations(ErrorClass.CORRECTED))
-    else:
-        unique = log.unique_words_by_rank(ErrorClass.CORRECTED).get(rank, 0)
-    return word_error_rate(unique, footprint_words)
 
 
 @dataclass

@@ -75,13 +75,6 @@ class Slimpro:
             temperature_c=self.mean_dram_temperature(),
         )
 
-    def apply_operating_point(self, op: OperatingPoint) -> None:
-        """Configure TREFP/VDD and record the target DIMM temperature."""
-        self.set_refresh_period(op.trefp_s)
-        self.set_supply_voltage(op.vdd_v)
-        for dimm in range(self.geometry.num_dimms):
-            self.record_dimm_temperature(dimm, op.temperature_c)
-
     # -- ECC event reporting ---------------------------------------------------
     def report_error(
         self,

@@ -6,13 +6,7 @@ from repro.core.correlation import (
     FeatureCorrelationPoint,
     run_correlation_study,
 )
-from repro.core.dataset import (
-    ColumnarDataset,
-    ErrorDataset,
-    Sample,
-    build_pue_dataset,
-    build_wer_dataset,
-)
+from repro.core.dataset import ErrorDataset, build_pue_dataset, build_wer_dataset
 from repro.core.evaluation import (
     AccuracyEvaluator,
     PueAccuracyReport,
@@ -44,9 +38,7 @@ __all__ = [
     "CorrelationStudy",
     "FeatureCorrelationPoint",
     "run_correlation_study",
-    "ColumnarDataset",
     "ErrorDataset",
-    "Sample",
     "build_pue_dataset",
     "build_wer_dataset",
     "AccuracyEvaluator",

@@ -12,7 +12,7 @@ model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -22,8 +22,15 @@ from repro.errors import DataError, NotFittedError
 from repro.ml.metrics import mean_percentage_error, prediction_ratio
 
 
-def _op_key(op: OperatingPoint) -> Tuple[float, float, float]:
-    return (round(op.trefp_s, 6), round(op.vdd_v, 4), round(op.temperature_c, 2))
+def _op_key(trefp_s: float, vdd_v: float, temperature_c: float) -> Tuple[float, float, float]:
+    return (round(trefp_s, 6), round(vdd_v, 4), round(temperature_c, 2))
+
+
+def _reference_rows(dataset: ErrorDataset, workload: str) -> np.ndarray:
+    """Boolean mask of the dataset rows measured on ``workload``."""
+    if workload not in dataset.workload_table:
+        return np.zeros(len(dataset), dtype=bool)
+    return dataset.workload_codes == dataset.workload_table.index(workload)
 
 
 @dataclass
@@ -36,11 +43,11 @@ class ConventionalErrorModel:
     # ------------------------------------------------------------------
     def fit(self, dataset: ErrorDataset) -> "ConventionalErrorModel":
         """Learn the per-operating-point constant rate from the micro-benchmark."""
-        grouped: Dict[Tuple[float, float, float], list] = {}
-        for sample in dataset:
-            if sample.workload != self.reference_workload:
-                continue
-            grouped.setdefault(_op_key(sample.operating_point), []).append(sample.target)
+        rows = _reference_rows(dataset, self.reference_workload)
+        grouped: Dict[Tuple[float, float, float], List[float]] = {}
+        for op, target in zip(dataset.operating_columns[rows].tolist(),
+                              dataset.targets[rows].tolist()):
+            grouped.setdefault(_op_key(*op), []).append(target)
         if not grouped:
             raise DataError(
                 "dataset has no samples of the reference micro-benchmark "
@@ -50,11 +57,9 @@ class ConventionalErrorModel:
         return self
 
     # ------------------------------------------------------------------
-    def predict(self, op: OperatingPoint, workload: str = "") -> float:
-        """The constant rate for an operating point — the workload is ignored."""
+    def _rate(self, key: Tuple[float, float, float]) -> float:
         if not self._rates:
             raise NotFittedError("ConventionalErrorModel must be fitted first")
-        key = _op_key(op)
         if key in self._rates:
             return self._rates[key]
         # Fall back to the closest characterized operating point.
@@ -64,25 +69,25 @@ class ConventionalErrorModel:
         )
         return self._rates[closest]
 
+    def predict(self, op: OperatingPoint, workload: str = "") -> float:
+        """The constant rate for an operating point — the workload is ignored."""
+        return self._rate(_op_key(op.trefp_s, op.vdd_v, op.temperature_c))
+
     # ------------------------------------------------------------------
     def evaluate(self, dataset: ErrorDataset) -> Dict[str, float]:
         """Score the constant-rate model against real-workload measurements.
 
         Returns the mean percentage error and the multiplicative estimation
-        factor (the "2.9x" of Fig. 13) over every sample that does not
+        factor (the "2.9x" of Fig. 13) over every row that does not
         belong to the reference micro-benchmark.
         """
-        targets = []
-        predictions = []
-        for sample in dataset:
-            if sample.workload == self.reference_workload:
-                continue
-            targets.append(sample.target)
-            predictions.append(self.predict(sample.operating_point, sample.workload))
-        if not targets:
+        rows = ~_reference_rows(dataset, self.reference_workload)
+        if not rows.any():
             raise DataError("dataset has no real-workload samples to evaluate against")
-        targets_arr = np.asarray(targets)
-        predictions_arr = np.asarray(predictions)
+        targets_arr = dataset.targets[rows]
+        predictions_arr = np.array([
+            self._rate(_op_key(*op)) for op in dataset.operating_columns[rows].tolist()
+        ])
         positive = targets_arr > 0
         ratio = (
             prediction_ratio(targets_arr[positive], predictions_arr[positive])

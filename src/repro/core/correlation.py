@@ -8,18 +8,19 @@ cycles, ``HDP`` and ``Treuse`` as the features most related to DRAM
 error behaviour — the basis of input sets 1 and 2.
 
 The study is columnar end to end: operating points are dictionary-
-encoded into group codes straight from the dataset's
-:class:`~repro.core.dataset.ColumnarDataset` columns, per-(operating
+encoded into group codes straight from the
+:class:`~repro.core.dataset.ErrorDataset` columns, per-(operating
 point, workload) target means are two ``np.bincount`` reductions, and
 each group's Spearman coefficients for *all* features come from one
 ranked-matrix product instead of one scipy call per (feature, group)
 pair.  A zero-variance feature or
 constant per-group targets contribute a coefficient of exactly ``0.0``
 (no ranking information), matching :func:`~repro.ml.metrics.
-spearman_correlation`.  The pre-vectorized per-sample implementation
-survives as :func:`repro.core.reference.reference_run_correlation_study`
-and the two are pinned to a 1e-9 tolerance by ``tests/test_core.py``
-(reduction order differs, so agreement is tolerance- not bit-exact).
+spearman_correlation`.  The pre-vectorized per-row implementation
+survives as ``reference_run_correlation_study`` in
+``tests/oracles/dataset.py``, and ``tests/test_ml_vectorized.py`` pins
+the two to a 1e-9 tolerance (reduction order differs, so agreement is
+tolerance- not bit-exact).
 """
 
 from __future__ import annotations
@@ -101,22 +102,21 @@ def _study_columns(
     order (program features are constant per workload by construction, so
     one row per workload code suffices); ``group_codes`` dictionary-encode
     the ``(round(trefp, 6), round(temp, 2))`` operating-point key the
-    per-sample path grouped on.
+    per-row oracle groups on.
     """
-    columns = dataset.columns()
-    if not len(columns):
+    if not len(dataset):
         raise DataError("dataset is empty")
     program = np.array(
-        [[float(columns.features_by_workload[w][name]) for name in feature_names]
-         for w in columns.workloads],
+        [[float(dataset.features_by_workload[w][name]) for name in feature_names]
+         for w in dataset.workload_table],
         dtype=np.float64,
     )
-    operating = columns.operating_columns
+    operating = dataset.operating_columns
     op_key = np.column_stack(
         (np.round(operating[:, 0], 6), np.round(operating[:, 2], 2))
     )
     _, group_codes = np.unique(op_key, axis=0, return_inverse=True)
-    return program, columns.workload_codes, group_codes.reshape(-1), columns.targets
+    return program, dataset.workload_codes, group_codes.reshape(-1), dataset.targets
 
 
 def _grouped_feature_spearman(

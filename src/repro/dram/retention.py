@@ -134,26 +134,6 @@ def sample_retention_times(
     return np.exp(generator.normal(mu, cal.log_sigma, size=n_cells))
 
 
-def rescale_retention_times(
-    retention_s: np.ndarray,
-    from_temperature_c: float,
-    to_temperature_c: float,
-    calibration: Optional[RetentionCalibration] = None,
-) -> np.ndarray:
-    """Rescale sampled retention times to a different temperature.
-
-    The lognormal temperature shift is multiplicative, so a population
-    sampled at one temperature can be carried to another without
-    re-sampling — exactly how a heated DIMM behaves: the same weak cells
-    get weaker.
-    """
-    cal = calibration or DEFAULT_CALIBRATION.retention
-    factor = math.exp(
-        -cal.temperature_slope_per_c * (to_temperature_c - from_temperature_c)
-    )
-    return np.asarray(retention_s, dtype=float) * factor
-
-
 def retention_halving_temperature(calibration: Optional[RetentionCalibration] = None) -> float:
     """Temperature increase (deg C) that halves the median retention time."""
     cal = calibration or DEFAULT_CALIBRATION.retention

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -43,12 +43,6 @@ class SpearmanFeatureRanker:
             for j, name in enumerate(feature_names)
         ]
         return sorted(correlations, key=lambda c: c.strength, reverse=True)
-
-    def correlation_map(
-        self, X: np.ndarray, y: Sequence[float], feature_names: Sequence[str]
-    ) -> Dict[str, float]:
-        """Feature name -> correlation coefficient (unsorted)."""
-        return {c.feature: c.coefficient for c in self.rank(X, y, feature_names)}
 
 
 def select_top_features(

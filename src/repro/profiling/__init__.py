@@ -16,7 +16,6 @@ from repro.profiling.profiler import (
     TimingModel,
     WorkloadProfiler,
     clear_profile_cache,
-    profile_campaign_workloads,
     profile_workload,
     scaled_profiling_cache_configs,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "TimingModel",
     "WorkloadProfiler",
     "clear_profile_cache",
-    "profile_campaign_workloads",
     "profile_workload",
     "scaled_profiling_cache_configs",
     "ReuseStatistics",

@@ -230,13 +230,6 @@ def profile_workload(name: str, profiler: Optional[WorkloadProfiler] = None) -> 
     return profile
 
 
-def profile_campaign_workloads() -> Dict[str, WorkloadProfile]:
-    """Profiles of all 14 campaign benchmarks (cached)."""
-    from repro.workloads.registry import campaign_workload_names
-
-    return {name: profile_workload(name) for name in campaign_workload_names()}
-
-
 def clear_profile_cache() -> None:
     """Drop cached profiles (used by tests that tweak profiler settings)."""
     _PROFILE_CACHE.clear()

@@ -104,12 +104,3 @@ class ReuseTimeEstimator:
             * seconds_per_instruction
             * footprint_scale
         )
-
-    def estimate_from_trace(
-        self,
-        trace: Trace,
-        cycles_per_instruction: float,
-        footprint_scale: float = 1.0,
-    ) -> float:
-        """Convenience wrapper: statistics + estimate in one call."""
-        return self.estimate(reuse_statistics(trace), cycles_per_instruction, footprint_scale)

@@ -32,12 +32,6 @@ class MemcachedWorkload(Workload):
         self.get_fraction = get_fraction
         self.zipf_exponent = zipf_exponent
 
-    def _zipf_key(self, rng: np.random.Generator) -> int:
-        ranks = np.arange(1, self.keys + 1, dtype=float)
-        weights = 1.0 / np.power(ranks, self.zipf_exponent)
-        weights /= weights.sum()
-        return int(rng.choice(self.keys, p=weights))
-
     def run(self, recorder: TraceRecorder) -> None:
         rng = self._rng
         # key slot -> (stored key, stored value); two words per slot.  Keys

@@ -1,9 +1,12 @@
-"""Object-at-a-time reference implementations that pin the columnar library.
+"""Straightforward reference implementations that pin the library.
 
-Each oracle is the straightforward per-access formulation of a library
-computation: an ``OrderedDict`` LRU cache, per-command MCU routing, a
-dict-based reuse-distance loop, a ``Counter`` entropy estimate and a
-recorder that stores one :class:`~repro.memsys.access.MemoryAccess` per
-access.  Tests and benchmarks compare the library against them bit for
-bit; nothing under ``src/`` imports this package.
+Each oracle is the slow, obvious formulation of a library computation:
+the per-access cache, routing, reuse and entropy loops (``memsys``,
+``profiling``), the per-row dataset builders and study loops
+(``dataset``), the recursive tree builder and per-row prediction paths
+(``ml``), the scalar characterization run (``characterization``) and
+one independently fitted model per rank (``predictor``).  Tests and
+benchmarks compare the library against them bit for bit, or to a
+documented tolerance; nothing under ``src/`` imports this package
+(lint rule REP007).
 """

@@ -13,21 +13,19 @@ this reference and the pinning suites (``tests/test_campaign_grid.py``,
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro import units
+from repro.characterization.experiment import CharacterizationExperiment
 from repro.dram.geometry import RankLocation
 from repro.dram.operating import OperatingPoint
 from repro.profiling.profile import WorkloadProfile
 
-if TYPE_CHECKING:  # circular at runtime: experiment.py imports this module
-    from repro.characterization.experiment import CharacterizationExperiment
-
 
 def reference_scalar_run(
-    experiment: "CharacterizationExperiment",
+    experiment: CharacterizationExperiment,
     workload: str,
     op: OperatingPoint,
     profile: Optional[WorkloadProfile] = None,

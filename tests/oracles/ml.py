@@ -1,4 +1,4 @@
-"""Recursive CART builder: the oracle of the lockstep forest grower.
+"""Per-row oracles of the ML estimators: tree growth and prediction.
 
 :func:`fit_tree_oracle` grows one tree node by node exactly as the
 library did before its trees were grown together: a recursive
@@ -9,6 +9,23 @@ column of the node and scans it with cumulative sums.
 the library's order and fits the trees one after another.  Both return
 the breadth-first flat node arrays the library stores, so tests compare
 them bit for bit.
+
+The prediction oracles are the pre-vectorized estimator prediction
+paths, one row at a time:
+
+* tree and forest predictions are **bit-identical** to walking each
+  fitted tree's flat node arrays one row and one node at a time (same
+  float comparisons, same stored leaf means, same tree-order sequential
+  sum for the ensemble mean);
+* ``kneighbors`` / KNN predictions are **bit-identical** to a full
+  per-row stable ``(distance, training index)`` sort over the same
+  distance matrix (the oracle shares the distance kernel on purpose —
+  it isolates selection/tie-break correctness; the kernel itself is
+  pinned separately in the distance tests).
+
+:class:`ReferenceKNeighborsRegressor` is a drop-in KNN subclass whose
+``predict`` uses the loopy path, so ``cross_val_predict_groups`` can run
+the paper's leave-one-workload-out protocol through either path.
 """
 
 from __future__ import annotations
@@ -18,6 +35,10 @@ from typing import List, NamedTuple, Optional
 
 import numpy as np
 
+from repro.ml.base import ArrayLike, as_2d_array
+from repro.ml.distances import pairwise_distances
+from repro.ml.forest import RandomForestRegressor
+from repro.ml.knn import KNeighborsRegressor, _neighbor_weights
 from repro.ml.tree import DecisionTreeRegressor
 
 
@@ -240,3 +261,82 @@ def fit_forest_oracle(forest, X: np.ndarray, y: np.ndarray) -> FlatForest:
         right=np.where(internal, right + offsets, -1),
         value=np.concatenate([t.value for t in trees]),
     )
+
+
+# ---------------------------------------------------------------------------
+# Prediction, one query row at a time.
+# ---------------------------------------------------------------------------
+def reference_tree_predict(tree: DecisionTreeRegressor, X: ArrayLike) -> np.ndarray:
+    """Walk the fitted node arrays one query row and one node at a time."""
+    X_arr = as_2d_array(X, allow_empty=True)
+
+    def predict_one(x: np.ndarray) -> float:
+        node = 0
+        while tree.feature_[node] >= 0:
+            if x[tree.feature_[node]] <= tree.threshold_[node]:
+                node = tree.children_left_[node]
+            else:
+                node = tree.children_right_[node]
+        return tree.value_[node]
+
+    return np.array([predict_one(row) for row in X_arr])
+
+
+def reference_forest_predict(forest: RandomForestRegressor, X: ArrayLike) -> np.ndarray:
+    """Average per-tree per-row node walks over the fitted ensemble."""
+    X_arr = as_2d_array(X, allow_empty=True)
+    n_outputs = forest.n_outputs_ or 1
+    per_tree = np.stack(
+        [reference_tree_predict(tree, X_arr) for tree in forest.estimators_]
+    ).reshape(n_outputs, -1, X_arr.shape[0])
+    total = per_tree[:, 0].copy()
+    for tree in range(1, per_tree.shape[1]):
+        total += per_tree[:, tree]
+    mean = total / per_tree.shape[1]
+    return mean[0] if forest.n_outputs_ is None else mean.T
+
+
+def reference_kneighbors(
+    model: KNeighborsRegressor, X: ArrayLike, n_neighbors: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Full stable per-row sort by ``(distance, training index)``."""
+    k = n_neighbors if n_neighbors is not None else model.n_neighbors
+    k = min(k, model.X_train_.shape[0])
+    X_arr = as_2d_array(X, allow_empty=True)
+    dist = pairwise_distances(X_arr, model.X_train_, metric=model.metric)
+    train_index = np.arange(model.X_train_.shape[0])
+    indices = np.empty((X_arr.shape[0], k), dtype=np.int64)
+    nearest = np.empty((X_arr.shape[0], k), dtype=np.float64)
+    for row in range(X_arr.shape[0]):
+        order = np.lexsort((train_index, dist[row]))[:k]
+        indices[row] = order
+        nearest[row] = dist[row, order]
+    return nearest, indices
+
+
+def reference_knn_predict(model: KNeighborsRegressor, X: ArrayLike) -> np.ndarray:
+    """Weighted neighbour average, one query row at a time."""
+    nearest, indices = reference_kneighbors(model, X)
+    predictions = np.empty(nearest.shape[0], dtype=np.float64)
+    for row in range(nearest.shape[0]):
+        w = _neighbor_weights(nearest[row][None, :], model.weights)[0]
+        targets = model.y_train_[indices[row]]
+        total = w.sum()
+        if total == 0.0:  # repro-lint: disable=REP004
+            total = 1.0
+        predictions[row] = (w * targets).sum() / total
+    return predictions
+
+
+class ReferenceKNeighborsRegressor(KNeighborsRegressor):
+    """Oracle KNN: identical fit, per-row full-sort predict."""
+
+    def kneighbors(
+        self, X: ArrayLike, n_neighbors: int | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        self._check_fitted("X_train_")
+        return reference_kneighbors(self, X, n_neighbors)
+
+    def predict(self, X: ArrayLike) -> np.ndarray:
+        self._check_fitted("X_train_")
+        return reference_knn_predict(self, X)

@@ -22,11 +22,12 @@ from repro.characterization.campaign import (
 )
 from repro.characterization.experiment import CharacterizationExperiment
 from repro.characterization.metrics import WerColumnStore
-from repro.characterization.reference import reference_scalar_run
 from repro.dram.operating import OperatingPoint
 from repro.dram.statistical import StatisticalErrorModel
 from repro.errors import CharacterizationError
 from repro.profiling.profiler import profile_workload
+
+from tests.oracles.characterization import reference_scalar_run
 
 #: Palettes the property tests draw grid subsets from (all within the
 #: platform's configurable TREFP / temperature ranges).

@@ -1,21 +1,17 @@
-"""Columnar dataset builders: equivalence with the per-sample reference.
+"""Columnar dataset builders: equivalence with the per-row oracle.
 
 ``build_wer_dataset`` / ``build_pue_dataset`` stream a campaign's
-columnar store straight into a :class:`ColumnarDataset`, and
-``ErrorDataset(samples=...)`` encodes a sample list into one; the
-pre-columnar per-``Sample`` builders and the row-by-row matrix assembly
-(``reference_matrices``) live on in ``repro.core.reference`` as the
+columnar store straight into an :class:`ErrorDataset`; the pre-columnar
+per-row builders and the row-by-row matrix assembly
+(``reference_matrices``) live in ``tests/oracles/dataset.py`` as the
 independent reference.  Every matrix comparison in this file is exact
-(``tobytes()`` on floats) — that is the columnar-vs-per-sample API
+(``tobytes()`` on floats) — that is the columnar-vs-per-row API
 contract, mirroring the grid engine's scalar-vs-batch contract.
 
 Also pinned here: the dataset error paths (missing profiles list every
 absent workload, empty campaigns raise for both builders, rank-less
-datasets raise from ``ranks()``), the read-only sample view, and the
-rejection of conflicting per-workload program features.
+datasets raise from ``ranks()``, columns of unequal length raise).
 """
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,22 +21,14 @@ from hypothesis import strategies as st
 from repro.characterization.campaign import CampaignConfig, CampaignResult
 from repro.core.dataset import ErrorDataset, build_pue_dataset, build_wer_dataset
 from repro.core.features import INPUT_SET_1, INPUT_SET_2, INPUT_SET_3
-from repro.core.reference import (
-    reference_build_pue_dataset,
-    reference_build_wer_dataset,
-    reference_matrices,
-)
 from repro.errors import DataError
 
-
-def _assert_identical_matrices(columnar, reference, feature_set):
-    """``columnar`` is an ErrorDataset, ``reference`` a list of samples."""
-    Xc, yc, gc = columnar.matrices(feature_set)
-    Xr, yr, gr = reference_matrices(reference, feature_set)
-    assert Xc.dtype == Xr.dtype and Xc.shape == Xr.shape
-    assert Xc.tobytes() == Xr.tobytes()
-    assert yc.tobytes() == yr.tobytes()
-    assert bool((gc == gr).all())
+from tests.oracles.dataset import (
+    assert_matches_rows,
+    encode_rows,
+    reference_build_pue_dataset,
+    reference_build_wer_dataset,
+)
 
 
 class TestColumnarEquivalence:
@@ -50,37 +38,18 @@ class TestColumnarEquivalence:
                                         feature_set):
         columnar = build_wer_dataset(small_campaign, small_profiles)
         reference = reference_build_wer_dataset(small_campaign, small_profiles)
-        _assert_identical_matrices(columnar, reference, feature_set)
+        assert_matches_rows(columnar, reference, feature_set)
 
     def test_pue_matrices_bit_identical(self, small_campaign, small_profiles):
         columnar = build_pue_dataset(small_campaign, small_profiles)
         reference = reference_build_pue_dataset(small_campaign, small_profiles)
-        _assert_identical_matrices(columnar, reference, INPUT_SET_2)
-
-    def test_materialized_samples_equal_reference(self, small_campaign,
-                                                  small_profiles):
-        columnar = build_wer_dataset(small_campaign, small_profiles)
-        reference = reference_build_wer_dataset(small_campaign, small_profiles)
-        assert list(columnar.samples) == reference
-        pue = build_pue_dataset(small_campaign, small_profiles)
-        assert list(pue.samples) == reference_build_pue_dataset(
-            small_campaign, small_profiles
-        )
-        # The sample view is read-only: an append raises instead of
-        # silently diverging from the columns.
-        with pytest.raises(AttributeError):
-            columnar.samples.append(reference[0])
-        assert len(columnar) == len(reference)
+        assert_matches_rows(columnar, reference, INPUT_SET_2)
 
     def test_group_accessors_match(self, small_campaign, small_profiles):
         columnar = build_wer_dataset(small_campaign, small_profiles)
         reference = reference_build_wer_dataset(small_campaign, small_profiles)
         assert columnar.workloads() == sorted({s.workload for s in reference})
         assert columnar.ranks() == sorted({s.rank for s in reference})
-        by_workload = {}
-        for sample in reference:
-            by_workload.setdefault(sample.workload, []).append(sample.target)
-        assert columnar.targets_by_workload() == by_workload
 
     def test_filter_rank_stays_columnar_and_matches(self, small_campaign,
                                                     small_profiles):
@@ -88,8 +57,8 @@ class TestColumnarEquivalence:
         reference = reference_build_wer_dataset(small_campaign, small_profiles)
         for rank in sorted({s.rank for s in reference})[:3]:
             filtered = columnar.filter_rank(rank)
-            assert len(filtered.columns()) == len(filtered)
-            _assert_identical_matrices(
+            assert filtered.ranks() == [rank]
+            assert_matches_rows(
                 filtered, [s for s in reference if s.rank == rank], INPUT_SET_1
             )
 
@@ -109,12 +78,9 @@ class TestColumnarEquivalence:
                                   wer_measurements=subset)
         columnar = build_wer_dataset(campaign, small_profiles)
         reference = reference_build_wer_dataset(campaign, small_profiles)
-        _assert_identical_matrices(columnar, reference, INPUT_SET_1)
-        assert list(columnar.samples) == reference
-        # Hand-built datasets are encoded into the same columns.
-        from_samples = ErrorDataset(samples=reference)
-        _assert_identical_matrices(from_samples, reference, INPUT_SET_1)
-        assert list(from_samples.samples) == reference
+        assert_matches_rows(columnar, reference, INPUT_SET_1)
+        # Hand-built rows are encoded into the same columns.
+        assert_matches_rows(encode_rows(reference), reference, INPUT_SET_1)
 
 
 class TestDatasetErrorPaths:
@@ -140,9 +106,10 @@ class TestDatasetErrorPaths:
         with pytest.raises(DataError):
             pue.ranks()
 
-    def test_empty_dataset_ranks_raises(self):
+    def test_empty_dataset_ranks_raises(self, small_wer_dataset):
+        empty = small_wer_dataset.subset(np.zeros(len(small_wer_dataset), dtype=bool))
         with pytest.raises(DataError):
-            ErrorDataset().ranks()
+            empty.ranks()
 
     def test_unknown_rank_filter_raises(self, small_wer_dataset):
         from repro.dram.geometry import RankLocation
@@ -154,28 +121,17 @@ class TestDatasetErrorPaths:
                                                    small_profiles):
         dataset = build_wer_dataset(small_campaign, small_profiles)
         with pytest.raises(DataError):
-            dataset.columns().subset(
+            dataset.subset(
                 np.zeros(len(dataset), dtype=bool)
             ).matrices(INPUT_SET_1)
 
-
-class TestMutationSemantics:
-    def test_samples_and_columns_are_mutually_exclusive(
-        self, small_campaign, small_profiles
-    ):
-        columnar = build_wer_dataset(small_campaign, small_profiles)
-        with pytest.raises(DataError):
-            ErrorDataset(samples=[], columns=columnar.columns())
-
-    def test_conflicting_program_features_raise(self, small_campaign,
-                                                small_profiles):
-        samples = reference_build_wer_dataset(small_campaign, small_profiles)[:2]
-        assert samples[0].workload == samples[1].workload
-        altered = dict(samples[1].program_features)
-        altered["ipc"] = altered["ipc"] + 1.0
-        conflicting = replace(samples[1], program_features=altered)
-        with pytest.raises(DataError, match="conflicting program features"):
-            ErrorDataset(samples=[samples[0], conflicting])
-        # Equal features in distinct dict objects are not a conflict.
-        equal = replace(samples[1], program_features=dict(samples[1].program_features))
-        assert len(ErrorDataset(samples=[samples[0], equal])) == 2
+    def test_columns_of_unequal_length_raise(self, small_wer_dataset):
+        dataset = small_wer_dataset
+        with pytest.raises(DataError, match="one entry per row"):
+            ErrorDataset(
+                workload_table=dataset.workload_table,
+                workload_codes=dataset.workload_codes[:-1],
+                operating_columns=dataset.operating_columns,
+                targets=dataset.targets,
+                features_by_workload=dataset.features_by_workload,
+            )

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.conventional import ConventionalErrorModel
 from repro.core.correlation import run_correlation_study
@@ -19,6 +21,16 @@ from repro.core.model import DramErrorModel, ModelConfig
 from repro.core.predictor import WorkloadAwarePredictor
 from repro.dram.operating import OperatingPoint
 from repro.errors import ConfigurationError, DataError, NotFittedError
+
+from tests.oracles.dataset import (
+    Row,
+    assert_matches_rows,
+    encode_rows,
+    reference_build_pue_dataset,
+    reference_build_wer_dataset,
+    reference_conventional_rates,
+    reference_conventional_scores,
+)
 
 
 class TestFeatureSets:
@@ -58,25 +70,34 @@ class TestFeatureSets:
 
 
 class TestDatasets:
-    def test_wer_dataset_size_and_targets(self, small_campaign, small_wer_dataset):
-        assert len(small_wer_dataset) == len(small_campaign.wer_measurements)
-        assert all(sample.target > 0 for sample in small_wer_dataset)
-        assert all(sample.rank is not None for sample in small_wer_dataset)
+    def test_wer_dataset_size_and_targets(self, small_campaign, small_profiles,
+                                          small_wer_dataset):
+        rows = reference_build_wer_dataset(small_campaign, small_profiles)
+        assert len(small_wer_dataset) == len(rows) == len(small_campaign.wer_measurements)
+        assert_matches_rows(small_wer_dataset, rows, INPUT_SET_1)
+        assert (small_wer_dataset.targets > 0).all()
+        assert (small_wer_dataset.rank_codes >= 0).all()
 
-    def test_pue_dataset_targets_in_unit_interval(self, small_pue_dataset):
-        assert all(0.0 <= sample.target <= 1.0 for sample in small_pue_dataset)
-        assert all(sample.rank is None for sample in small_pue_dataset)
+    def test_pue_dataset_targets_in_unit_interval(self, small_campaign, small_profiles,
+                                                  small_pue_dataset):
+        rows = reference_build_pue_dataset(small_campaign, small_profiles)
+        assert_matches_rows(small_pue_dataset, rows, INPUT_SET_2)
+        targets = small_pue_dataset.targets
+        assert ((0.0 <= targets) & (targets <= 1.0)).all()
+        assert (small_pue_dataset.rank_codes == -1).all()
 
     def test_matrices_shapes(self, small_wer_dataset):
         X, y, groups = small_wer_dataset.matrices(INPUT_SET_1)
         assert X.shape == (len(small_wer_dataset), 7)
         assert y.shape[0] == groups.shape[0] == len(small_wer_dataset)
 
-    def test_filter_rank(self, small_wer_dataset):
+    def test_filter_rank(self, small_campaign, small_profiles, small_wer_dataset):
         rank = small_wer_dataset.ranks()[0]
         subset = small_wer_dataset.filter_rank(rank)
-        assert all(sample.rank == rank for sample in subset)
+        assert subset.ranks() == [rank]
         assert len(subset) == len(small_wer_dataset) // 8
+        rows = reference_build_wer_dataset(small_campaign, small_profiles)
+        assert_matches_rows(subset, [r for r in rows if r.rank == rank], INPUT_SET_1)
 
     def test_workloads_listed(self, small_wer_dataset):
         assert "memcached" in small_wer_dataset.workloads()
@@ -210,9 +231,6 @@ class TestCorrelationStudy:
         # Zero-variance contract: a feature that never varies across
         # workloads has no ranking information, so its coefficient must be
         # exactly 0.0 — not a NaN that would silently poison the study mean.
-        from repro.core.dataset import ErrorDataset, Sample
-
-        rng = np.random.default_rng(3)
         workloads = [f"w{i}" for i in range(4)]
         features = {
             w: {"f_const": 7.5, "f_varying": float(i)}
@@ -221,8 +239,8 @@ class TestCorrelationStudy:
 
         def build(seed):
             r = np.random.default_rng(seed)
-            return ErrorDataset(samples=[
-                Sample(
+            return encode_rows([
+                Row(
                     workload=workload,
                     operating_point=OperatingPoint(
                         trefp_s=trefp, vdd_v=1.45, temperature_c=50.0
@@ -240,15 +258,12 @@ class TestCorrelationStudy:
         assert study.rs_wer("f_const") == 0.0
         assert study.rs_pue("f_const") == 0.0
         assert -1.0 <= study.rs_wer("f_varying") <= 1.0
-        del rng
 
     def test_constant_targets_within_groups_yield_zero_not_nan(self):
         # Constant per-group targets are the other zero-variance direction.
-        from repro.core.dataset import ErrorDataset, Sample
-
         def build():
-            return ErrorDataset(samples=[
-                Sample(
+            return encode_rows([
+                Row(
                     workload=f"w{i}",
                     operating_point=OperatingPoint(
                         trefp_s=trefp, vdd_v=1.45, temperature_c=50.0
@@ -273,6 +288,52 @@ class TestConventionalModel:
     def test_predict_before_fit_raises(self):
         with pytest.raises(NotFittedError):
             ConventionalErrorModel().predict(OperatingPoint.nominal())
+
+    # The columnar fit/evaluate must give the per-row loop's bits.  The
+    # small campaign has no data-pattern micro-benchmark, so one of its
+    # workloads stands in as the reference.
+    @staticmethod
+    def _assert_matches_oracle(fitted_on, evaluated_on):
+        dataset, rows = fitted_on
+        try:
+            expected = reference_conventional_rates(rows, "kmeans")
+        except DataError:
+            with pytest.raises(DataError):
+                ConventionalErrorModel(reference_workload="kmeans").fit(dataset)
+            return
+        model = ConventionalErrorModel(reference_workload="kmeans").fit(dataset)
+        assert list(model._rates.items()) == list(expected.items())
+        for data, data_rows in evaluated_on:
+            try:
+                reference = reference_conventional_scores(model, data_rows)
+            except DataError:
+                with pytest.raises(DataError):
+                    model.evaluate(data)
+                continue
+            scores = model.evaluate(data)
+            assert list(scores) == list(reference)
+            assert np.array_equal(np.array(list(scores.values())),
+                                  np.array(list(reference.values())), equal_nan=True)
+
+    def test_fit_and_evaluate_match_per_row_loop(self, small_campaign, small_profiles,
+                                                 small_wer_dataset):
+        rows = reference_build_wer_dataset(small_campaign, small_profiles)
+        self._assert_matches_oracle((small_wer_dataset, rows), [(small_wer_dataset, rows)])
+
+    @given(seed=st.integers(min_value=0, max_value=2 ** 16),
+           keep=st.floats(min_value=0.05, max_value=1.0))
+    @settings(max_examples=15, deadline=None)
+    def test_row_subsets_match_per_row_loop(self, small_campaign, small_profiles,
+                                            small_wer_dataset, seed, keep):
+        """Hypothesis: fit on any row subset; evaluating on every row also
+        exercises the closest-operating-point fallback."""
+        rows = reference_build_wer_dataset(small_campaign, small_profiles)
+        mask = np.random.default_rng(seed).random(len(rows)) < keep
+        subset = (small_wer_dataset.subset(mask),
+                  [row for row, kept in zip(rows, mask) if kept])
+        self._assert_matches_oracle(
+            subset, [subset, (small_wer_dataset, rows)]
+        )
 
 
 class TestWorkloadAwarePredictor:

@@ -2,9 +2,9 @@
 
 The flat-array tree/forest traversals and the ``argpartition`` neighbour
 search must stay **bit-identical** to the per-row reference
-implementations in ``repro.ml.reference`` (the pre-vectorized bodies);
+implementations in ``tests/oracles/ml.py`` (the pre-vectorized bodies);
 the chunked L1/L-infinity metrics must be block-size invariant; and the
-vectorized correlation study must agree with its per-sample oracle to
+vectorized correlation study must agree with its per-row oracle to
 1e-9 (reduction order differs, so the pin is tolerance- not bit-exact).
 """
 
@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.correlation import run_correlation_study
-from repro.core.reference import reference_run_correlation_study
 from repro.ml import distances
 from repro.ml.distances import (
     chebyshev_distances,
@@ -24,14 +23,20 @@ from repro.ml.distances import (
 )
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.knn import KNeighborsClassifier, KNeighborsRegressor, stable_kneighbors
-from repro.ml.reference import (
+from repro.ml.tree import DecisionTreeRegressor
+
+from tests.oracles.dataset import (
+    reference_build_pue_dataset,
+    reference_build_wer_dataset,
+    reference_run_correlation_study,
+)
+from tests.oracles.ml import (
     ReferenceKNeighborsRegressor,
     reference_forest_predict,
     reference_kneighbors,
     reference_knn_predict,
     reference_tree_predict,
 )
-from repro.ml.tree import DecisionTreeRegressor
 
 
 def _regression_data(rng, n, d, duplicates=0):
@@ -233,14 +238,16 @@ class TestChunkedDistances:
 
 
 class TestCorrelationStudyEquivalence:
-    def test_vectorized_study_matches_reference(self, small_wer_dataset,
-                                                small_pue_dataset):
+    def test_vectorized_study_matches_reference(self, small_campaign, small_profiles,
+                                                small_wer_dataset, small_pue_dataset):
         names = ["memory_accesses_per_cycle", "wait_cycles", "hdp", "treuse", "ipc"]
         vectorized = run_correlation_study(
             small_wer_dataset, small_pue_dataset, feature_names=names
         )
         reference = reference_run_correlation_study(
-            small_wer_dataset, small_pue_dataset, feature_names=names
+            reference_build_wer_dataset(small_campaign, small_profiles),
+            reference_build_pue_dataset(small_campaign, small_profiles),
+            feature_names=names,
         )
         for name in names:
             assert vectorized.rs_wer(name) == pytest.approx(

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.characterization.campaign import CampaignResult
 from repro.core import WorkloadAwarePredictor
-from repro.core.dataset import ErrorDataset, build_wer_dataset
+from repro.core.dataset import build_wer_dataset
 from repro.core.evaluation import AccuracyEvaluator
 from repro.core.features import get_feature_set
 from repro.core.predictor import PredictorConfig
@@ -37,6 +37,7 @@ from repro.ml.knn import KNeighborsRegressor
 from repro.ml.svm import SVR
 from repro.serving import load_model, save_model
 
+from tests.oracles.dataset import encode_rows, reference_build_wer_dataset
 from tests.oracles.predictor import (
     PerRankPredictor,
     per_rank_wer_errors,
@@ -149,14 +150,15 @@ def test_rank_matrices_reject_misaligned_ranks(misaligned_campaign, small_profil
         dataset.rank_matrices(get_feature_set("set1"))
 
 
-def test_rank_matrices_reject_shuffled_rows(small_wer_dataset):
+def test_rank_matrices_reject_shuffled_rows(small_campaign, small_profiles,
+                                            small_wer_dataset):
     # Same rows, different order for one rank: positions no longer line up.
-    samples = list(small_wer_dataset)
+    samples = reference_build_wer_dataset(small_campaign, small_profiles)
     last_rank = small_wer_dataset.ranks()[-1]
     rows = [i for i, sample in enumerate(samples) if sample.rank == last_rank]
     samples[rows[0]], samples[rows[1]] = samples[rows[1]], samples[rows[0]]
     with pytest.raises(DataError, match="not aligned"):
-        ErrorDataset(samples).rank_matrices(get_feature_set("set1"))
+        encode_rows(samples).rank_matrices(get_feature_set("set1"))
 
 
 def test_misaligned_ranks_fail_fit_and_evaluation(misaligned_campaign, small_profiles):

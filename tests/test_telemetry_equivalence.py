@@ -97,12 +97,9 @@ def test_dataset_build_unaffected_by_telemetry(sequential_off):
     baseline = build_wer_dataset(sequential_off, profiles)
     with telemetry_session() as telemetry:
         instrumented = build_wer_dataset(sequential_off, profiles)
+    assert np.array_equal(baseline.targets, instrumented.targets)
     assert np.array_equal(
-        baseline.columns().targets, instrumented.columns().targets
-    )
-    assert np.array_equal(
-        baseline.columns().operating_columns,
-        instrumented.columns().operating_columns,
+        baseline.operating_columns, instrumented.operating_columns
     )
     snapshot = telemetry.snapshot()
     assert snapshot.counters["dataset.wer_rows"] == len(baseline)

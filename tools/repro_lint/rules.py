@@ -1,4 +1,4 @@
-"""Rule registry and the six REPxxx determinism/contract checks.
+"""Rule registry and the seven REPxxx determinism/contract checks.
 
 Each rule is a :class:`Rule` instance registered in :data:`RULES`.  A rule
 owns a path scope (which files it applies to, expressed over posix-style
@@ -423,4 +423,56 @@ register(Rule(
     ),
     scope=_in_src_repro,
     check=_check_rep006,
+))
+
+
+# --------------------------------------------------------------------------
+# REP007 — oracles live with the tests, not in the library.
+# --------------------------------------------------------------------------
+_ORACLE_PACKAGES = {"tests", "oracles"}
+
+
+def _imported_modules(node: ast.AST) -> List[str]:
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        module = node.module or ""
+        return [f"{module}.{alias.name}".lstrip(".") for alias in node.names]
+    return []
+
+
+def _check_rep007(tree: ast.Module, path: str) -> Iterator[Violation]:
+    for node in ast.walk(tree):
+        for module in _imported_modules(node):
+            if _ORACLE_PACKAGES & set(module.split(".")):
+                yield Violation(
+                    "REP007", path, node.lineno, node.col_offset,
+                    f"library code imports {module!r}; oracles and test "
+                    "helpers live in tests/oracles/ and only tests import them",
+                )
+    for node in tree.body:
+        oracle_def = (
+            isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name.startswith("reference_")
+        ) or (isinstance(node, ast.ClassDef) and node.name.startswith("Reference"))
+        if oracle_def:
+            yield Violation(
+                "REP007", path, node.lineno, node.col_offset,
+                f"oracle {node.name} defined in library code; move it to "
+                "tests/oracles/",
+            )
+
+
+register(Rule(
+    id="REP007",
+    title="oracles stay out of the library",
+    rationale=(
+        "An oracle exists only to pin a test, so it belongs with the tests: "
+        "in src/repro it is code every reader and every line count pays "
+        "for, and a library caller can come to depend on it.  The "
+        "convention is a `reference_*` function or `Reference*` class in "
+        "tests/oracles/; library code never imports that package."
+    ),
+    scope=_in_src_repro,
+    check=_check_rep007,
 ))
