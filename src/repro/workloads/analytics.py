@@ -1,32 +1,57 @@
 """Graph-analytics benchmarks: pagerank, bfs and betweenness centrality.
 
 The paper runs these with the Ligra/GraphGrind frameworks on 8 GB
-inputs; here they operate on synthetic scale-free graphs (generated with
-networkx) stored in instrumented CSR arrays, so the access trace has the
+inputs; here they operate on synthetic scale-free (Barabási–Albert)
+graphs stored in instrumented CSR arrays, so the access trace has the
 irregular, index-chasing character of real graph analytics.
 """
 
 from __future__ import annotations
 
+import random
 from collections import deque
-from typing import List, Tuple
+from typing import List, Set, Tuple
 
-import networkx as nx
+import numpy as np
 
-from repro.workloads.base import TraceRecorder, Workload
+from repro.errors import WorkloadError
+from repro.workloads.base import (
+    InstrumentedArray,
+    TraceRecorder,
+    Workload,
+    interleave,
+    running_sums,
+    sequence,
+)
 
 
-def _build_csr(graph: nx.Graph) -> Tuple[List[int], List[int]]:
-    """Row-pointer / column-index CSR arrays of an undirected graph."""
-    nodes = sorted(graph.nodes())
-    index_of = {node: i for i, node in enumerate(nodes)}
-    row_ptr = [0]
-    col_idx: List[int] = []
-    for node in nodes:
-        neighbours = sorted(index_of[n] for n in graph.neighbors(node))
-        col_idx.extend(neighbours)
-        row_ptr.append(len(col_idx))
-    return row_ptr, col_idx
+def barabasi_albert_neighbours(nodes: int, attach: int, seed: int) -> List[List[int]]:
+    """Sorted neighbour lists of a Barabási–Albert preferential-attachment graph.
+
+    The same graph as networkx 3.6.1's ``barabasi_albert_graph(nodes,
+    attach, seed)``, drawn from the same ``random.Random(seed)`` stream: a
+    star on ``attach + 1`` nodes, then each new node links to ``attach``
+    distinct targets drawn from the degree-weighted (repeated) node list.
+    """
+    if not 1 <= attach < nodes:
+        raise WorkloadError(f"Barabási–Albert graph needs 1 <= attach < nodes, "
+                            f"got attach={attach}, nodes={nodes}")
+    rng = random.Random(seed)
+    neighbours: List[Set[int]] = [set() for _ in range(nodes)]
+    repeated = [0] * attach + list(range(1, attach + 1))
+    for spoke in range(1, attach + 1):
+        neighbours[0].add(spoke)
+        neighbours[spoke].add(0)
+    for source in range(attach + 1, nodes):
+        targets: Set[int] = set()
+        while len(targets) < attach:
+            targets.add(rng.choice(repeated))
+        for target in targets:
+            neighbours[source].add(target)
+            neighbours[target].add(source)
+        repeated.extend(targets)
+        repeated.extend([source] * attach)
+    return [sorted(adjacent) for adjacent in neighbours]
 
 
 class _GraphWorkload(Workload):
@@ -41,17 +66,21 @@ class _GraphWorkload(Workload):
         self.nodes = nodes
         self.attach_edges = attach_edges
 
-    def _load_graph(self, recorder: TraceRecorder):
-        """Generate the graph and store it into instrumented CSR arrays."""
-        graph = nx.barabasi_albert_graph(self.nodes, self.attach_edges, seed=self.seed)
-        row_ptr, col_idx = _build_csr(graph)
+    def _csr(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Row-pointer / column-index CSR arrays of the workload's graph."""
+        neighbours = barabasi_albert_neighbours(self.nodes, self.attach_edges, self.seed)
+        row_ptr = np.cumsum([0] + [len(adjacent) for adjacent in neighbours])
+        col_idx = np.array([node for adjacent in neighbours for node in adjacent],
+                           dtype=np.int64)
+        return row_ptr, col_idx
 
+    def _load_graph(self, recorder: TraceRecorder) -> Tuple[InstrumentedArray, InstrumentedArray]:
+        """Generate the graph and store it into instrumented CSR arrays."""
+        row_ptr, col_idx = self._csr()
         row_array = recorder.alloc(len(row_ptr), "row_ptr")
         col_array = recorder.alloc(max(len(col_idx), 1), "col_idx")
-        for i, value in enumerate(row_ptr):
-            row_array.write(i, float(value))
-        for i, value in enumerate(col_idx):
-            col_array.write(i, float(value))
+        row_array.fill(row_ptr)
+        recorder.record_block(col_array.store(np.arange(len(col_idx)), col_idx))
         return row_array, col_array
 
     def _neighbors(self, row_array, col_array, node: int, thread: int) -> List[int]:
@@ -78,28 +107,39 @@ class PagerankWorkload(_GraphWorkload):
         new_ranks = recorder.alloc(self.nodes, "new_ranks")
         degrees = recorder.alloc(self.nodes, "degrees")
 
-        for node in range(self.nodes):
-            ranks.write(node, 1.0 / self.nodes)
-            start = int(row_array.read(node))
-            end = int(row_array.read(node + 1))
-            degrees.write(node, float(max(end - start, 1)))
-            recorder.compute(3)
+        node = np.arange(self.nodes)[:, None]
+        start, end = row_array.values[:-1].astype(np.int64), row_array.values[1:].astype(np.int64)
+        recorder.record_block(sequence(
+            ranks.store(node, 1.0 / self.nodes), row_array.load(node), row_array.load(node + 1),
+            degrees.store(node, np.maximum(end - start, 1)[:, None], compute=3)))
 
+        # Per node: rank, degree, the CSR row bounds, every neighbour index,
+        # then one read-modify-write of new_ranks per neighbour; rows are
+        # padded to the largest degree and masked.
+        slot = np.arange(int((end - start).max()))
         for _iteration in range(self.iterations):
-            for node in range(self.nodes):
-                new_ranks.write(node, (1.0 - self.damping) / self.nodes)
-            schedule = self.interleaved_schedule(self.nodes)
-            for node, thread in schedule:
-                contribution = self.damping * ranks.read(node, thread) / \
-                    degrees.read(node, thread)
-                recorder.compute(3)
-                for neighbour in self._neighbors(row_array, col_array, node, thread):
-                    new_ranks.write(neighbour,
-                                    new_ranks.read(neighbour, thread) + contribution,
-                                    thread)
-                    recorder.compute(2)
-            for node in range(self.nodes):
-                ranks.write(node, new_ranks.read(node))
+            new_ranks.fill((1.0 - self.damping) / self.nodes)
+            order, threads = self.interleaved_schedule(self.nodes)
+            row = order[:, None]
+            present = start[row] + slot < end[row]
+            edge = np.where(present, start[row] + slot, 0)
+            neighbour = col_array.values[edge].astype(np.int64)
+            contribution = self.damping * ranks.values[row] / degrees.values[row]
+            pushes = np.zeros(present.shape + (2,))
+            before, after, totals = running_sums(
+                neighbour[present], np.broadcast_to(contribution, present.shape)[present],
+                new_ranks.values)
+            pushes[present] = np.stack([before, after], axis=1)
+            recorder.record_block(sequence(
+                ranks.load(row), degrees.load(row, compute=3),
+                row_array.load(row), row_array.load(row + 1), col_array.load(edge),
+                interleave(new_ranks.load(neighbour, pushes[:, :, 0]),
+                           new_ranks.store(neighbour, pushes[:, :, 1], compute=2)),
+            ), threads[:, None], np.hstack([np.ones((self.nodes, 4), dtype=bool), present,
+                                            np.repeat(present, 2, axis=1)]))
+            new_ranks.values[:] = totals
+            recorder.record_block(interleave(new_ranks.load(node),
+                                             ranks.store(node, new_ranks.values[node])))
             if self.threads > 1:
                 recorder.compute(100 * self.threads)
 
@@ -116,16 +156,15 @@ class BfsWorkload(_GraphWorkload):
     def run(self, recorder: TraceRecorder) -> None:
         row_array, col_array = self._load_graph(recorder)
         distances = recorder.alloc(self.nodes, "distances")
-        for node in range(self.nodes):
-            distances.write(node, -1.0)
+        distances.fill(-1.0)
 
         distances.write(0, 0.0)
         frontier = [0]
         level = 0
         while frontier:
             next_frontier: List[int] = []
-            schedule = self.interleaved_schedule(len(frontier))
-            for index, thread in schedule:
+            order, threads = self.interleaved_schedule(len(frontier))
+            for index, thread in zip(order.tolist(), threads.tolist()):
                 node = frontier[index]
                 for neighbour in self._neighbors(row_array, col_array, node, thread):
                     if distances.read(neighbour, thread) < 0.0:
@@ -156,19 +195,17 @@ class BetweennessCentralityWorkload(_GraphWorkload):
         distance = recorder.alloc(self.nodes, "distance")
         delta = recorder.alloc(self.nodes, "delta")
 
-        for node in range(self.nodes):
-            centrality.write(node, 0.0)
+        centrality.fill(0.0)
+        nodes = np.arange(self.nodes)[:, None]
 
         source_nodes = list(range(0, self.nodes, max(1, self.nodes // self.sources)))[: self.sources]
-        schedule = self.interleaved_schedule(len(source_nodes))
-        for source_index, thread in schedule:
+        order, threads = self.interleaved_schedule(len(source_nodes))
+        for source_index, thread in zip(order.tolist(), threads.tolist()):
             source = source_nodes[source_index]
             stack: List[int] = []
             predecessors: List[List[int]] = [[] for _ in range(self.nodes)]
-            for node in range(self.nodes):
-                sigma.write(node, 0.0, thread)
-                distance.write(node, -1.0, thread)
-                delta.write(node, 0.0, thread)
+            recorder.record_block(interleave(sigma.store(nodes, 0.0), distance.store(nodes, -1.0),
+                                             delta.store(nodes, 0.0)), thread)
             sigma.write(source, 1.0, thread)
             distance.write(source, 0.0, thread)
 

@@ -16,6 +16,17 @@ frozen :class:`~repro.memsys.access.AccessColumns` of numpy arrays.  The
 64-bit word that sits in DRAM is the float column viewed as ``uint64``
 (the columnar form of :func:`float_to_word`).
 
+``InstrumentedArray.read``/``write`` record one access each; kernels
+that branch on the data they read (memcached probing, the bfs/bc
+traversals) use them.  Every loop without a dependence inside one sweep
+is block-recorded instead: the kernel computes its values with numpy on
+``InstrumentedArray.values`` and :meth:`TraceRecorder.record_block`
+appends the whole loop — one row per iteration, one column per access of
+the body, ravelled in program order — to the same buffers.  Sequential
+float accumulations keep their order (:func:`running_sums`), so the
+trace is bit-identical to the per-access kernels kept as the oracle in
+``tests/oracles/workloads.py``.
+
 Footprints are miniature (tens of kilobytes instead of the paper's 8 GB)
 so that traces stay tractable; the profiler scales footprint-dependent
 quantities (reuse time, footprint words) up to the workload's
@@ -29,9 +40,10 @@ import struct
 from abc import ABC, abstractmethod
 from array import array
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from repro import units
 from repro.errors import WorkloadError
@@ -41,6 +53,57 @@ from repro.memsys.access import AccessColumns
 def float_to_word(value: float) -> int:
     """Raw 64-bit pattern of a float — what actually sits in DRAM."""
     return struct.unpack("<Q", struct.pack("<d", float(value)))[0]
+
+
+#: One access of a block-recorded loop body: its byte address, whether it
+#: writes, the float loaded or stored, and the ``compute()`` instructions
+#: retired right after it.
+ACCESS = np.dtype([("address", np.int64), ("is_write", np.bool_),
+                   ("value", np.float64), ("compute", np.int64)], align=True)
+#: the same records as opaque bytes: numpy copies these ~10x faster than
+#: field by field, so blocks are moved around in this view
+_RAW = np.dtype((np.void, ACCESS.itemsize))
+
+
+def _common_shape(*shapes: Tuple[int, ...]) -> Tuple[int, ...]:
+    try:
+        return np.broadcast_shapes(*shapes)
+    except ValueError:
+        raise WorkloadError(f"access block shapes {shapes} do not broadcast") from None
+
+
+def _accesses(address: np.ndarray, is_write: bool, value: ArrayLike,
+              compute: ArrayLike) -> np.ndarray:
+    shape = _common_shape(address.shape, np.shape(value), np.shape(compute))
+    accesses = np.empty(shape, dtype=ACCESS)
+    accesses["address"] = address
+    accesses["is_write"] = is_write
+    accesses["value"] = value
+    accesses["compute"] = compute
+    return accesses
+
+
+def sequence(*statements: np.ndarray) -> np.ndarray:
+    """One loop body from statements that run one after another.
+
+    Each statement is an :data:`ACCESS` block whose last axis holds its
+    accesses in order; the leading (iteration) axes broadcast.
+    """
+    shape = _common_shape(*(statement.shape[:-1] for statement in statements))
+    return np.concatenate([np.broadcast_to(statement.view(_RAW), shape + statement.shape[-1:])
+                           for statement in statements], axis=-1).view(ACCESS)
+
+
+def interleave(*statements: np.ndarray) -> np.ndarray:
+    """One loop body from statements that alternate inside an inner loop.
+
+    The statements broadcast to one shape ``(..., n)`` whose last axis is
+    the inner loop; the result runs all of them for each of its ``n`` steps.
+    """
+    shape = _common_shape(*(statement.shape for statement in statements))
+    stacked = np.stack([np.broadcast_to(statement.view(_RAW), shape) for statement in statements],
+                       axis=-1)
+    return stacked.reshape(stacked.shape[:-2] + (-1,)).view(ACCESS)
 
 
 class InstrumentedArray:
@@ -54,11 +117,14 @@ class InstrumentedArray:
                  name: str = "") -> None:
         if length <= 0:
             raise WorkloadError("array length must be positive")
+        self._recorder = recorder
         self._record = recorder.record_access
         self.base_address = base_address
         self.length = length
         self.name = name
         self._data = array("d", bytes(length * units.WORD_BYTES))
+        #: writable numpy view of the data, for block kernels (not recorded)
+        self.values = np.frombuffer(self._data, dtype=np.float64)
 
     def __len__(self) -> int:
         return self.length
@@ -84,9 +150,36 @@ class InstrumentedArray:
         self._data[index] = stored
         self._record(self.base_address + index * units.WORD_BYTES, True, stored, thread_id)
 
-    def raw(self) -> np.ndarray:
-        """Un-instrumented view of the data (for result verification only)."""
-        return np.frombuffer(self._data, dtype=np.float64)
+    def addresses(self, indices: ArrayLike) -> np.ndarray:
+        """Byte addresses of ``indices`` (any shape), bounds-checked like ``read``."""
+        indices = np.asarray(indices, dtype=np.int64)
+        outside = (indices < 0) | (indices >= self.length)
+        if outside.any():
+            raise self._out_of_bounds(int(indices[outside].flat[0]))
+        return self.base_address + indices * units.WORD_BYTES
+
+    def load(self, indices: ArrayLike, values: Optional[ArrayLike] = None,
+             compute: ArrayLike = 0) -> np.ndarray:
+        """:data:`ACCESS` reads of ``indices``; ``values`` default to the data now."""
+        address = self.addresses(indices)
+        if values is None:
+            values = self.values[np.asarray(indices, dtype=np.int64)]
+        return _accesses(address, False, values, compute)
+
+    def store(self, indices: ArrayLike, values: ArrayLike, compute: ArrayLike = 0) -> np.ndarray:
+        """:data:`ACCESS` writes of ``values`` to ``indices``, applied to the data now.
+
+        Where ``indices`` repeat, the caller sets the final data itself
+        (accumulating kernels take it from :func:`running_sums`).
+        """
+        accesses = _accesses(self.addresses(indices), True, values, compute)
+        indices = np.broadcast_to(np.asarray(indices, dtype=np.int64), accesses.shape)
+        self.values[indices] = accesses["value"]
+        return accesses
+
+    def fill(self, values: ArrayLike, compute: int = 0) -> None:
+        """Store ``values`` into every element in index order, recording each write."""
+        self._recorder.record_block(self.store(np.arange(self.length), values, compute))
 
 
 class TraceRecorder:
@@ -129,6 +222,39 @@ class TraceRecorder:
         self._values.append(value)
         self._instructions.append(self.instruction_count)
         self._threads.append(thread_id)
+
+    def record_block(self, accesses: np.ndarray, thread: ArrayLike = 0,
+                     present: Optional[ArrayLike] = None) -> None:
+        """Append an ``(m, k)`` :data:`ACCESS` block: row = iteration, column = access.
+
+        ``thread`` and the optional ``present`` mask broadcast to the
+        block.  A slot whose ``present`` is False does not execute: it
+        records no access and retires no instructions (ragged bodies).
+        The block is ravelled in C order, i.e. program order.
+        """
+        accesses = np.asarray(accesses, dtype=ACCESS)
+        try:
+            thread = np.broadcast_to(np.asarray(thread, dtype=np.int64), accesses.shape)
+            if present is not None:
+                present = np.broadcast_to(np.asarray(present, dtype=np.bool_), accesses.shape)
+                accesses, thread = accesses.view(_RAW)[present].view(ACCESS), thread[present]
+        except ValueError:
+            raise WorkloadError(
+                f"record_block thread/present do not broadcast to the block {accesses.shape}"
+            ) from None
+        accesses, thread = accesses.ravel(), thread.ravel()
+        compute = accesses["compute"]
+        if (compute < 0).any():
+            raise WorkloadError("instruction count cannot be negative")
+        if accesses.size == 0:
+            return
+        retired = self.instruction_count + np.cumsum(compute + 1)
+        self.instruction_count = int(retired[-1])
+        self._addresses.frombytes(accesses["address"].tobytes())
+        self._writes.frombytes(accesses["is_write"].tobytes())
+        self._values.frombytes(accesses["value"].tobytes())
+        self._instructions.frombytes((retired - compute).tobytes())
+        self._threads.frombytes(thread.tobytes())
 
     def compute(self, instructions: int = 1) -> None:
         """Account non-memory (ALU/branch) instructions."""
@@ -228,37 +354,61 @@ class Workload(ABC):
         return recorder
 
     # -- helpers for parallel kernels ----------------------------------------
-    def thread_chunks(self, num_items: int) -> List[range]:
-        """Split ``num_items`` work items into one contiguous chunk per thread."""
-        if num_items <= 0:
-            raise WorkloadError("num_items must be positive")
-        base, extra = divmod(num_items, self.threads)
-        chunks = []
-        start = 0
-        for thread in range(self.threads):
-            size = base + (1 if thread < extra else 0)
-            chunks.append(range(start, start + size))
-            start += size
-        return chunks
-
-    def interleaved_schedule(self, num_items: int, block: int = 8) -> List[tuple]:
-        """Round-robin (item, thread) schedule approximating parallel execution.
+    def interleaved_schedule(self, num_items: Union[int, Sequence[int]],
+                             block: int = 8) -> Tuple[np.ndarray, np.ndarray]:
+        """Round-robin ``(items, threads)`` schedule approximating parallel execution.
 
         Parallel threads execute simultaneously; in the single global
         dynamic instruction stream this shows up as their accesses being
         interleaved block by block, which is what shortens the reuse
         distance of shared data structures for the ``(par)`` versions.
+        Each thread owns one contiguous chunk (the first ``n % threads``
+        chunks one item longer) and takes ``block`` items of it per round:
+        items are ordered by (round, thread, position).  A sequence of
+        sizes schedules consecutive sweeps (nw's anti-diagonals) one after
+        the other, with the items numbered across all of them.
         """
-        chunks = self.thread_chunks(num_items)
-        positions = [0] * self.threads
-        schedule: List[tuple] = []
-        remaining = num_items
-        while remaining > 0:
-            for thread, chunk in enumerate(chunks):
-                taken = 0
-                while positions[thread] < len(chunk) and taken < block:
-                    schedule.append((chunk[positions[thread]], thread))
-                    positions[thread] += 1
-                    taken += 1
-                    remaining -= 1
-        return schedule
+        sizes = np.atleast_1d(np.asarray(num_items, dtype=np.int64))
+        if (sizes <= 0).any():
+            raise WorkloadError("num_items must be positive")
+        sweep = np.repeat(np.arange(len(sizes)), sizes)
+        offsets = np.cumsum(sizes) - sizes
+        position = np.arange(int(sizes.sum())) - offsets[sweep]
+        base, extra = np.divmod(sizes, self.threads)
+        base, extra = base[sweep], extra[sweep]
+        in_big = position < extra * (base + 1)
+        threads = np.where(in_big, position // (base + 1),
+                           extra + (position - extra * (base + 1)) // np.maximum(base, 1))
+        chunk_start = np.where(in_big, threads * (base + 1),
+                               extra * (base + 1) + (threads - extra) * base)
+        items = np.lexsort((position, threads, (position - chunk_start) // block, sweep))
+        return items.astype(np.int64), threads[items]
+
+
+def running_sums(groups: np.ndarray, values: np.ndarray,
+                 start: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sequential per-group accumulation, as a scalar ``acc[g] += v`` loop does it.
+
+    Element ``i`` adds ``values[i]`` (a number or a row) to accumulator
+    ``groups[i]``, which starts at ``start[groups[i]]``.  Returns every
+    accumulator's value just before and just after each element, and the
+    final accumulators.  Each group is one row of a table — its start
+    value, then its elements in order, padded with ``-0.0`` (``x + -0.0``
+    is ``x`` for every ``x``) — and ``np.cumsum`` along a row adds in order.
+    """
+    groups = np.asarray(groups, dtype=np.int64)
+    values = np.asarray(values, dtype=np.float64)
+    start = np.asarray(start, dtype=np.float64)
+    if groups.size == 0:
+        return np.empty_like(values), np.empty_like(values), start.copy()
+    order = np.argsort(groups, kind="stable")
+    row = groups[order]
+    column = np.arange(groups.size) - np.searchsorted(row, row) + 1
+    table = np.full((len(start), int(column.max()) + 1) + values.shape[1:], -0.0)
+    table[:, 0] = start
+    table[row, column] = values[order]
+    sums = np.cumsum(table, axis=1)
+    before, after = np.empty_like(values), np.empty_like(values)
+    before[order] = sums[row, column - 1]
+    after[order] = sums[row, column]
+    return before, after, sums[:, -1]

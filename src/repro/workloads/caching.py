@@ -49,8 +49,8 @@ class MemcachedWorkload(Workload):
         key_stream = rng.choice(self.keys, size=self.requests, p=weights) + 1
         op_stream = rng.random(self.requests) < self.get_fraction
 
-        schedule = self.interleaved_schedule(self.requests)
-        for request_index, thread in schedule:
+        order, threads = self.interleaved_schedule(self.requests)
+        for request_index, thread in zip(order.tolist(), threads.tolist()):
             key = int(key_stream[request_index])
             is_get = bool(op_stream[request_index])
             slot = (key * 2654435761) % self.table_slots

@@ -13,7 +13,15 @@ from __future__ import annotations
 
 import math
 
-from repro.workloads.base import TraceRecorder, Workload
+import numpy as np
+
+from repro.workloads.base import (
+    TraceRecorder,
+    Workload,
+    interleave,
+    running_sums,
+    sequence,
+)
 
 
 class BackpropWorkload(Workload):
@@ -34,51 +42,63 @@ class BackpropWorkload(Workload):
 
     def run(self, recorder: TraceRecorder) -> None:
         rng = self._rng
-        inputs = recorder.alloc(self.samples * self.input_size, "inputs")
-        targets = recorder.alloc(self.samples, "targets")
-        w_hidden = recorder.alloc(self.input_size * self.hidden_size, "w_hidden")
-        w_out = recorder.alloc(self.hidden_size, "w_out")
-        hidden = recorder.alloc(self.samples * self.hidden_size, "hidden")
+        n_in, n_hid, samples = self.input_size, self.hidden_size, self.samples
+        inputs = recorder.alloc(samples * n_in, "inputs")
+        targets = recorder.alloc(samples, "targets")
+        w_hidden = recorder.alloc(n_in * n_hid, "w_hidden")
+        w_out = recorder.alloc(n_hid, "w_out")
+        hidden = recorder.alloc(samples * n_hid, "hidden")
 
         # Initialisation phase (data set + weights).
-        for i in range(self.samples * self.input_size):
-            inputs.write(i, rng.normal())
-            recorder.compute(2)
-        for i in range(self.samples):
-            targets.write(i, rng.random())
-        for i in range(self.input_size * self.hidden_size):
-            w_hidden.write(i, rng.normal() * 0.1)
-        for i in range(self.hidden_size):
-            w_out.write(i, rng.normal() * 0.1)
+        inputs.fill(rng.normal(size=inputs.length), compute=2)
+        targets.fill(rng.random(samples))
+        w_hidden.fill(rng.normal(size=w_hidden.length) * 0.1)
+        w_out.fill(rng.normal(size=n_hid) * 0.1)
 
+        # Forward pass: hidden = sigmoid(W_h . x).  W_h never changes, so a
+        # sample's activations are the same in every epoch.
+        x = inputs.values.reshape(samples, n_in)
+        w_h = w_hidden.values.reshape(n_in, n_hid)
+        acc = np.zeros((samples, n_hid))
+        for i in range(n_in):            # each dot product sums over i in order
+            acc = acc + x[:, i:i + 1] * w_h[i]
+        activation = np.array([1.0 / (1.0 + math.exp(-max(min(a, 30.0), -30.0)))
+                               for a in acc.ravel().tolist()]).reshape(samples, n_hid)
+
+        # Output + backward pass on the output layer: w_out changes after
+        # every sample, so this part walks the samples in schedule order.
+        schedules = [self.interleaved_schedule(samples) for _epoch in range(self.epochs)]
+        order = np.concatenate([items for items, _threads in schedules])
+        threads = np.concatenate([threads for _items, threads in schedules])
         learning_rate = 0.05
-        for _epoch in range(self.epochs):
-            schedule = self.interleaved_schedule(self.samples)
-            for sample, thread in schedule:
-                # Forward pass: hidden = sigmoid(W_h . x)
-                for h in range(self.hidden_size):
-                    acc = 0.0
-                    for i in range(self.input_size):
-                        acc += (
-                            inputs.read(sample * self.input_size + i, thread)
-                            * w_hidden.read(i * self.hidden_size + h, thread)
-                        )
-                        recorder.compute(2)
-                    activation = 1.0 / (1.0 + math.exp(-max(min(acc, 30.0), -30.0)))
-                    hidden.write(sample * self.hidden_size + h, activation, thread)
-                    recorder.compute(4)
-                # Output + backward pass on the output layer.
-                output = 0.0
-                for h in range(self.hidden_size):
-                    output += hidden.read(sample * self.hidden_size + h, thread) * \
-                        w_out.read(h, thread)
-                    recorder.compute(2)
-                error = targets.read(sample, thread) - output
-                recorder.compute(3)
-                for h in range(self.hidden_size):
-                    gradient = error * hidden.read(sample * self.hidden_size + h, thread)
-                    w_out.write(h, w_out.read(h, thread) + learning_rate * gradient, thread)
-                    recorder.compute(4)
+        w_before = np.empty((len(order), n_hid))
+        w_after = np.empty((len(order), n_hid))
+        weights = w_out.values.copy()
+        for step, sample in enumerate(order.tolist()):
+            w_before[step] = weights
+            output = 0.0
+            for a, w in zip(activation[sample].tolist(), weights.tolist()):
+                output += a * w
+            error = targets.values[sample] - output
+            weights = weights + learning_rate * (error * activation[sample])
+            w_after[step] = weights
+
+        # One row per scheduled sample: for h {for i {x, W_h}, hidden write},
+        # for h {hidden, w_out}, target, for h {hidden, w_out, w_out write}.
+        sample, unit, feature = order[:, None], np.arange(n_hid), np.arange(n_in)
+        hidden_index = sample * n_hid + unit
+        recorder.record_block(sequence(
+            sequence(
+                interleave(inputs.load(sample[:, :, None] * n_in + feature),
+                           w_hidden.load(feature * n_hid + unit[:, None], compute=2)),
+                hidden.store(hidden_index[:, :, None], activation[order][:, :, None], compute=4),
+            ).reshape(len(order), -1),
+            interleave(hidden.load(hidden_index), w_out.load(unit, w_before, compute=2)),
+            targets.load(sample, compute=3),
+            interleave(hidden.load(hidden_index), w_out.load(unit, w_before),
+                       w_out.store(unit, w_after, compute=4)),
+        ), threads[:, None])
+        w_out.values[:] = weights
 
 
 class KmeansWorkload(Workload):
@@ -99,54 +119,62 @@ class KmeansWorkload(Workload):
 
     def run(self, recorder: TraceRecorder) -> None:
         rng = self._rng
-        data = recorder.alloc(self.points * self.dims, "points")
-        centroids = recorder.alloc(self.clusters * self.dims, "centroids")
-        assignments = recorder.alloc(self.points, "assignments")
-        sums = recorder.alloc(self.clusters * self.dims, "sums")
-        counts = recorder.alloc(self.clusters, "counts")
+        points, dims, clusters = self.points, self.dims, self.clusters
+        data = recorder.alloc(points * dims, "points")
+        centroids = recorder.alloc(clusters * dims, "centroids")
+        assignments = recorder.alloc(points, "assignments")
+        sums = recorder.alloc(clusters * dims, "sums")
+        counts = recorder.alloc(clusters, "counts")
 
-        for i in range(self.points * self.dims):
-            data.write(i, rng.normal())
-        for i in range(self.clusters * self.dims):
-            centroids.write(i, rng.normal())
+        data.fill(rng.normal(size=data.length))
+        centroids.fill(rng.normal(size=centroids.length))
 
+        x = data.values.reshape(points, dims)
+        dim, cluster = np.arange(dims), np.arange(clusters)[:, None]
+        # Per point: for c {for d {x, centroid}}, the assignment, the count
+        # read and write, for d {sum read, x, sum write}; each cluster's
+        # distance ends with a compare (compute(2) after its last pair).
+        distance_compute = np.full((clusters, dims), 3)
+        distance_compute[:, -1] += 2
         for _iteration in range(self.iterations):
-            for i in range(self.clusters * self.dims):
-                sums.write(i, 0.0)
-            for c in range(self.clusters):
-                counts.write(c, 0.0)
+            sums.fill(0.0)
+            counts.fill(0.0)
 
-            schedule = self.interleaved_schedule(self.points)
-            for point, thread in schedule:
-                best_cluster = 0
-                best_distance = float("inf")
-                for c in range(self.clusters):
-                    distance = 0.0
-                    for d in range(self.dims):
-                        diff = data.read(point * self.dims + d, thread) - \
-                            centroids.read(c * self.dims + d, thread)
-                        distance += diff * diff
-                        recorder.compute(3)
-                    if distance < best_distance:
-                        best_distance = distance
-                        best_cluster = c
-                    recorder.compute(2)
-                assignments.write(point, float(best_cluster), thread)
-                counts.write(best_cluster, counts.read(best_cluster, thread) + 1.0, thread)
-                for d in range(self.dims):
-                    index = best_cluster * self.dims + d
-                    sums.write(index, sums.read(index, thread) +
-                               data.read(point * self.dims + d, thread), thread)
-                    recorder.compute(1)
+            order, threads = self.interleaved_schedule(points)
+            point, xs = order[:, None], x[order]
+            # The centroids are fixed during the sweep; each distance sums
+            # over d in order, and the first minimum wins as with `<`.
+            diff = xs[:, None, :] - centroids.values.reshape(clusters, dims)
+            distance = np.zeros((points, clusters))
+            for d in range(dims):
+                distance = distance + diff[:, :, d] * diff[:, :, d]
+            best = np.argmin(distance, axis=1)[:, None]
+            # The counts and sums accumulate in schedule order.
+            before, after, totals = running_sums(
+                best[:, 0], np.hstack([np.ones((points, 1)), xs]),
+                np.hstack([counts.values[:, None], sums.values.reshape(clusters, dims)]))
+            sum_index = best * dims + dim
+            recorder.record_block(sequence(
+                interleave(data.load(point[:, :, None] * dims + dim),
+                           centroids.load(cluster * dims + dim, compute=distance_compute),
+                           ).reshape(points, -1),
+                assignments.store(point, best),
+                counts.load(best, before[:, :1]), counts.store(best, after[:, :1]),
+                interleave(sums.load(sum_index, before[:, 1:]), data.load(point * dims + dim),
+                           sums.store(sum_index, after[:, 1:], compute=1)),
+            ), threads[:, None])
+            counts.values[:] = totals[:, 0]
+            sums.values[:] = totals[:, 1:].ravel()
 
             # Centroid update (done by one thread after a barrier).
             recorder.compute(200 * self.threads)   # barrier / reduction overhead
-            for c in range(self.clusters):
-                count = max(counts.read(c), 1.0)
-                for d in range(self.dims):
-                    index = c * self.dims + d
-                    centroids.write(index, sums.read(index) / count)
-                    recorder.compute(2)
+            count = np.maximum(counts.values, 1.0)[:, None]
+            recorder.record_block(sequence(
+                counts.load(cluster),
+                interleave(sums.load(cluster * dims + dim),
+                           centroids.store(cluster * dims + dim,
+                                           sums.values.reshape(clusters, dims) / count, compute=2)),
+            ))
 
 
 class NeedlemanWunschWorkload(Workload):
@@ -165,46 +193,60 @@ class NeedlemanWunschWorkload(Workload):
     def run(self, recorder: TraceRecorder) -> None:
         rng = self._rng
         n = self.length
+        width = n + 1
         seq_a = recorder.alloc(n, "seq_a")
         seq_b = recorder.alloc(n, "seq_b")
-        matrix = recorder.alloc((n + 1) * (n + 1), "dp_matrix")
-        reference = recorder.alloc((n + 1) * (n + 1), "reference")
+        matrix = recorder.alloc(width * width, "dp_matrix")
+        reference = recorder.alloc(width * width, "reference")
 
         # Rodinia's nw fills both the similarity (reference) matrix and the DP
         # matrix with initial values before the wavefront starts; the long gap
         # between this initialisation and the later use of each cell is what
         # gives nw the largest average DRAM reuse time of the suite (Table II).
-        for i in range(n):
-            seq_a.write(i, float(rng.integers(0, 4)))
-            seq_b.write(i, float(rng.integers(0, 4)))
-        for i in range((n + 1) * (n + 1)):
-            reference.write(i, float(rng.integers(-2, 3)))
-            matrix.write(i, 0.0)
-            recorder.compute(1)
-        for i in range(n + 1):
-            matrix.write(i * (n + 1), -self.gap_penalty * i)
-            matrix.write(i, -self.gap_penalty * i)
+        draws = rng.integers(0, 4, size=(n, 2))
+        residue = np.arange(n)[:, None]
+        recorder.record_block(interleave(seq_a.store(residue, draws[:, :1]),
+                                         seq_b.store(residue, draws[:, 1:])))
+        cells = np.arange(width * width)[:, None]
+        recorder.record_block(interleave(
+            reference.store(cells, rng.integers(-2, 3, size=cells.shape)),
+            matrix.store(cells, 0.0, compute=1)))
+        edge = np.arange(width)[:, None]
+        recorder.record_block(interleave(matrix.store(edge * width, -self.gap_penalty * edge),
+                                         matrix.store(edge, -self.gap_penalty * edge)))
 
         # Anti-diagonal wavefront: the unit of parallel work in Rodinia's nw.
-        for diagonal in range(2, 2 * n + 1):
-            cells = [
-                (i, diagonal - i)
-                for i in range(max(1, diagonal - n), min(n, diagonal - 1) + 1)
-            ]
-            schedule = self.interleaved_schedule(len(cells)) if self.threads > 1 else \
-                [(k, 0) for k in range(len(cells))]
-            for cell_index, thread in schedule:
-                i, j = cells[cell_index]
-                match = 1.0 if seq_a.read(i - 1, thread) == seq_b.read(j - 1, thread) else -1.0
-                match += reference.read(i * (n + 1) + j, thread)
-                recorder.compute(2)
-                diag = matrix.read((i - 1) * (n + 1) + (j - 1), thread) + match
-                up = matrix.read((i - 1) * (n + 1) + j, thread) - self.gap_penalty
-                left = matrix.read(i * (n + 1) + (j - 1), thread) - self.gap_penalty
-                matrix.write(i * (n + 1) + j, max(diag, up, left), thread)
-                recorder.compute(4)
-            if self.threads > 1:
-                recorder.compute(50 * self.threads)   # wavefront barrier
+        diagonals = np.arange(2, 2 * n + 1)
+        first = np.maximum(1, diagonals - n)
+        sizes = np.minimum(n, diagonals - 1) - first + 1
+        ends = np.cumsum(sizes)
+        i = np.arange(int(ends[-1])) - np.repeat(ends - sizes - first, sizes)
+        j = np.repeat(diagonals, sizes) - i
+        # Per cell: a, b, reference, then the diag, up and left reads and the DP write.
+        cell = i * width + j
+        reads = np.stack([(i - 1) * width + (j - 1), (i - 1) * width + j, i * width + (j - 1)],
+                         axis=1)
+        match = np.where(seq_a.values[i - 1] == seq_b.values[j - 1], 1.0, -1.0) + \
+            reference.values[cell]
+        # Each cell is written once, after the cells it reads: run the DP one
+        # diagonal at a time, then every read sees its cell's final value.
+        for lo, hi in zip((ends - sizes).tolist(), ends.tolist()):
+            diag, up, left = matrix.values[reads[lo:hi].T]
+            best = diag + match[lo:hi]
+            up = up - self.gap_penalty
+            left = left - self.gap_penalty
+            best = np.where(up > best, up, best)      # max() keeps the first maximum
+            matrix.values[cell[lo:hi]] = np.where(left > best, left, best)
+
+        order, threads = self.interleaved_schedule(sizes)
+        i, j, cell = i[order, None], j[order, None], cell[order, None]
+        barrier = np.zeros_like(cell)
+        if self.threads > 1:
+            barrier[ends - 1] = 50 * self.threads   # after each diagonal's last cell
+        recorder.record_block(sequence(
+            seq_a.load(i - 1), seq_b.load(j - 1), reference.load(cell, compute=2),
+            matrix.load(reads[order]), matrix.store(cell, matrix.values[cell], compute=4 + barrier),
+        ), threads[:, None])
 
 
 class SradWorkload(Workload):
@@ -227,30 +269,33 @@ class SradWorkload(Workload):
         image = recorder.alloc(self.rows * self.cols, "image")
         coefficients = recorder.alloc(self.rows * self.cols, "coefficients")
 
-        for i in range(self.rows * self.cols):
-            image.write(i, abs(rng.normal()) + 1.0)
+        image.fill(np.abs(rng.normal(size=image.length)) + 1.0)
 
+        col = np.arange(self.cols)
         for _iteration in range(self.iterations):
-            schedule = self.interleaved_schedule(self.rows)
-            for row, thread in schedule:
-                for col in range(self.cols):
-                    index = row * self.cols + col
-                    center = image.read(index, thread)
-                    north = image.read(max(row - 1, 0) * self.cols + col, thread)
-                    south = image.read(min(row + 1, self.rows - 1) * self.cols + col, thread)
-                    west = image.read(row * self.cols + max(col - 1, 0), thread)
-                    east = image.read(row * self.cols + min(col + 1, self.cols - 1), thread)
-                    gradient = (north + south + west + east) - 4.0 * center
-                    coefficient = 1.0 / (1.0 + abs(gradient) / max(center, 1e-6))
-                    coefficients.write(index, coefficient, thread)
-                    recorder.compute(8)
-            schedule = self.interleaved_schedule(self.rows)
-            for row, thread in schedule:
-                for col in range(self.cols):
-                    index = row * self.cols + col
-                    update = coefficients.read(index, thread) * self.lam
-                    image.write(index, image.read(index, thread) * (1.0 - 0.1 * update), thread)
-                    recorder.compute(4)
+            # Both sweeps walk the same schedule; a row's pixels run in order.
+            rows, threads = self.interleaved_schedule(self.rows)
+            row = rows[:, None]
+            thread = np.repeat(threads, self.cols)[:, None]
+            stencil = np.stack(np.broadcast_arrays(
+                row * self.cols + col,
+                np.maximum(row - 1, 0) * self.cols + col,
+                np.minimum(row + 1, self.rows - 1) * self.cols + col,
+                row * self.cols + np.maximum(col - 1, 0),
+                row * self.cols + np.minimum(col + 1, self.cols - 1),
+            ), axis=-1).reshape(-1, 5)
+            pixel = stencil[:, :1]
+            reads = image.load(stencil)
+            center, north, south, west, east = reads["value"].T[:, :, None]
+            gradient = (north + south + west + east) - 4.0 * center
+            coefficient = 1.0 / (1.0 + np.abs(gradient) / np.maximum(center, 1e-6))
+            recorder.record_block(sequence(reads, coefficients.store(pixel, coefficient, compute=8)),
+                                  thread)
+            update = coefficient * self.lam
+            recorder.record_block(sequence(
+                coefficients.load(pixel), image.load(pixel),
+                image.store(pixel, center * (1.0 - 0.1 * update), compute=4),
+            ), thread)
             if self.threads > 1:
                 recorder.compute(50 * self.threads)   # per-iteration barrier
 
@@ -279,63 +324,80 @@ class FmmWorkload(Workload):
         cell_mass = recorder.alloc(num_cells, "cell_mass")
         cell_center = recorder.alloc(num_cells * 2, "cell_center")
 
-        for i in range(n):
-            positions.write(i * 2, rng.random())
-            positions.write(i * 2 + 1, rng.random())
-            masses.write(i, rng.random() + 0.5)
+        particle = np.arange(n)[:, None]
+        coordinate = particle * 2 + [0, 1]
+        draws = rng.random((n, 3))
+        recorder.record_block(sequence(positions.store(coordinate, draws[:, :2]),
+                                       masses.store(particle, draws[:, 2:] + 0.5)))
 
+        cells = np.arange(num_cells)[:, None]
+        offsets = np.array([-2, -1, 1, 2])
+        mass = masses.values
         for _step in range(self.steps):
-            # Upward pass: aggregate particles into cells.
-            for c in range(num_cells):
-                cell_mass.write(c, 0.0)
-                cell_center.write(c * 2, 0.0)
-                cell_center.write(c * 2 + 1, 0.0)
-            for i in range(n):
-                x = positions.read(i * 2)
-                y = positions.read(i * 2 + 1)
-                cell = min(int(x * self.grid), self.grid - 1) * self.grid + \
-                    min(int(y * self.grid), self.grid - 1)
-                mass = masses.read(i)
-                cell_mass.write(cell, cell_mass.read(cell) + mass)
-                cell_center.write(cell * 2, cell_center.read(cell * 2) + x * mass)
-                cell_center.write(cell * 2 + 1, cell_center.read(cell * 2 + 1) + y * mass)
-                recorder.compute(8)
+            # Upward pass: aggregate particles into cells, in particle order.
+            recorder.record_block(sequence(cell_mass.store(cells, 0.0),
+                                           cell_center.store(cells * 2 + [0, 1], 0.0)))
+            x, y = positions.values[0::2].copy(), positions.values[1::2].copy()
+            cell = np.minimum((x * self.grid).astype(np.int64), self.grid - 1) * self.grid + \
+                np.minimum((y * self.grid).astype(np.int64), self.grid - 1)
+            before, after, totals = running_sums(
+                cell, np.stack([mass, x * mass, y * mass], axis=1),
+                np.hstack([cell_mass.values[:, None], cell_center.values.reshape(num_cells, 2)]))
+            cell = cell[:, None]
+            recorder.record_block(sequence(
+                positions.load(coordinate), masses.load(particle),
+                cell_mass.load(cell, before[:, :1]), cell_mass.store(cell, after[:, :1]),
+                interleave(cell_center.load(cell * 2 + [0, 1], before[:, 1:]),
+                           cell_center.store(cell * 2 + [0, 1], after[:, 1:], compute=[0, 8])),
+            ))
+            cell_mass.values[:] = totals[:, 0]
+            cell_center.values[:] = totals[:, 1:].ravel()
 
-            # Force evaluation: far field from cells, near field from the
-            # particle's own cell neighbours.
-            schedule = self.interleaved_schedule(n)
-            for i, thread in schedule:
-                x = positions.read(i * 2, thread)
-                y = positions.read(i * 2 + 1, thread)
-                fx = fy = 0.0
-                for c in range(num_cells):
-                    mass = cell_mass.read(c, thread)
-                    if mass <= 0.0:
-                        recorder.compute(1)
-                        continue
-                    cx = cell_center.read(c * 2, thread) / mass
-                    cy = cell_center.read(c * 2 + 1, thread) / mass
-                    dx, dy = cx - x, cy - y
-                    dist_sq = dx * dx + dy * dy + 1e-3
-                    fx += mass * dx / dist_sq
-                    fy += mass * dy / dist_sq
-                    recorder.compute(10)
-                for j in range(max(0, i - 2), min(n, i + 3)):
-                    if j == i:
-                        continue
-                    dx = positions.read(j * 2, thread) - x
-                    dy = positions.read(j * 2 + 1, thread) - y
-                    dist_sq = dx * dx + dy * dy + 1e-3
-                    fx += masses.read(j, thread) * dx / dist_sq
-                    fy += masses.read(j, thread) * dy / dist_sq
-                    recorder.compute(10)
-                forces.write(i * 2, fx, thread)
-                forces.write(i * 2 + 1, fy, thread)
+            # Force evaluation: far field from the occupied cells, near field
+            # from the particle's neighbours i-2..i+2; both sum in order.
+            order, threads = self.interleaved_schedule(n)
+            px, py = x[order], y[order]
+            fx, fy = np.zeros(n), np.zeros(n)
+            occupied = cell_mass.values > 0.0
+            for c in np.flatnonzero(occupied).tolist():
+                mass_c = cell_mass.values[c]
+                dx = cell_center.values[c * 2] / mass_c - px
+                dy = cell_center.values[c * 2 + 1] / mass_c - py
+                dist_sq = dx * dx + dy * dy + 1e-3
+                fx = fx + mass_c * dx / dist_sq
+                fy = fy + mass_c * dy / dist_sq
+            neighbour = order[:, None] + offsets
+            present = (neighbour >= 0) & (neighbour < n)
+            neighbour = np.where(present, neighbour, order[:, None])
+            for k in range(len(offsets)):
+                j = neighbour[:, k]
+                dx = x[j] - px
+                dy = y[j] - py
+                dist_sq = dx * dx + dy * dy + 1e-3
+                fx = np.where(present[:, k], fx + mass[j] * dx / dist_sq, fx)
+                fy = np.where(present[:, k], fy + mass[j] * dy / dist_sq, fy)
+
+            # Per particle: x, y; per cell its mass, then its centre if it is
+            # occupied; per neighbour x, y and its mass twice; the force.
+            row, neighbour = order[:, None], neighbour[:, :, None]
+            recorder.record_block(sequence(
+                positions.load(row * 2 + [0, 1]),
+                sequence(cell_mass.load(cells, compute=np.where(occupied, 0, 1)[:, None]),
+                         cell_center.load(cells * 2 + [0, 1], compute=[0, 10])).reshape(1, -1),
+                sequence(positions.load(neighbour * 2 + [0, 1]), masses.load(neighbour),
+                         masses.load(neighbour, compute=10)).reshape(n, -1),
+                forces.store(row * 2 + [0, 1], np.stack([fx, fy], axis=1)),
+            ), threads[:, None], np.hstack([
+                np.ones((n, 2), dtype=bool),
+                np.broadcast_to(np.stack([np.ones(num_cells, dtype=bool), occupied, occupied],
+                                         axis=1).ravel(), (n, num_cells * 3)),
+                np.repeat(present, 4, axis=1), np.ones((n, 2), dtype=bool),
+            ]))
 
             # Position update.
-            for i in range(n):
-                positions.write(i * 2, min(max(positions.read(i * 2) +
-                                               1e-4 * forces.read(i * 2), 0.0), 1.0))
-                positions.write(i * 2 + 1, min(max(positions.read(i * 2 + 1) +
-                                                   1e-4 * forces.read(i * 2 + 1), 0.0), 1.0))
-                recorder.compute(6)
+            moved = positions.values + 1e-4 * forces.values
+            moved = np.where(0.0 > moved, 0.0, moved)      # min(max(., 0.0), 1.0)
+            moved = np.where(1.0 < moved, 1.0, moved)
+            recorder.record_block(interleave(
+                positions.load(coordinate), forces.load(coordinate),
+                positions.store(coordinate, moved.reshape(n, 2), compute=[0, 6])))

@@ -10,7 +10,9 @@ so its memory-access *rate* is higher and its run time shorter.
 
 from __future__ import annotations
 
-from repro.workloads.base import TraceRecorder, Workload
+import numpy as np
+
+from repro.workloads.base import TraceRecorder, Workload, interleave, sequence
 
 
 class LuleshWorkload(Workload):
@@ -45,40 +47,40 @@ class LuleshWorkload(Workload):
         volume = recorder.alloc(num_elements, "volume")
         compute_cost = self.COMPUTE_PER_POINT[self.optimization]
 
-        for i in range(num_elements):
-            energy.write(i, abs(rng.normal()) + 1.0)
-            volume.write(i, 1.0)
+        elements = np.arange(num_elements)[:, None]
+        recorder.record_block(interleave(
+            energy.store(elements, np.abs(rng.normal(size=elements.shape)) + 1.0),
+            volume.store(elements, 1.0)))
 
-        def element(x: int, y: int, z: int) -> int:
-            return (x * n + y) * n + z
-
+        yz = np.arange(n * n)
+        neighbour_compute = np.r_[np.zeros(6, dtype=np.int64), compute_cost]
         for _step in range(self.steps):
-            schedule = self.interleaved_schedule(n)
-            for x, thread in schedule:
-                for y in range(n):
-                    for z in range(n):
-                        index = element(x, y, z)
-                        local_energy = energy.read(index, thread)
-                        neighbours = 0.0
-                        for dx, dy, dz in ((1, 0, 0), (-1, 0, 0), (0, 1, 0),
-                                           (0, -1, 0), (0, 0, 1), (0, 0, -1)):
-                            nx = min(max(x + dx, 0), n - 1)
-                            ny = min(max(y + dy, 0), n - 1)
-                            nz = min(max(z + dz, 0), n - 1)
-                            neighbours += energy.read(element(nx, ny, nz), thread)
-                        recorder.compute(compute_cost)
-                        new_pressure = 0.4 * local_energy + 0.05 * neighbours
-                        pressure.write(index, new_pressure, thread)
-                        volume.write(index, volume.read(index, thread) *
-                                     (1.0 - 0.001 * new_pressure), thread)
+            # Both sweeps walk the same schedule of x planes, y and z in order.
+            planes, threads = self.interleaved_schedule(n)
+            x, y, z = np.repeat(planes, n * n), np.tile(yz // n, n), np.tile(yz % n, n)
+            thread = np.repeat(threads, n * n)[:, None]
+            # Per element: its energy and its six face neighbours' energies,
+            # the pressure write, then the volume read and write.
+            stencil = np.stack([(np.clip(x + dx, 0, n - 1) * n + np.clip(y + dy, 0, n - 1)) * n
+                                + np.clip(z + dz, 0, n - 1)
+                                for dx, dy, dz in ((0, 0, 0), (1, 0, 0), (-1, 0, 0), (0, 1, 0),
+                                                   (0, -1, 0), (0, 0, 1), (0, 0, -1))], axis=1)
+            index = stencil[:, :1]
+            reads = energy.load(stencil, compute=neighbour_compute)
+            energies = reads["value"]
+            neighbours = np.zeros((num_elements, 1))
+            for k in range(1, 7):       # the neighbour sum runs in order
+                neighbours = neighbours + energies[:, k:k + 1]
+            new_pressure = 0.4 * energies[:, :1] + 0.05 * neighbours
+            recorder.record_block(sequence(
+                reads, pressure.store(index, new_pressure), volume.load(index),
+                volume.store(index, volume.values[index] * (1.0 - 0.001 * new_pressure)),
+            ), thread)
             # Lagrange nodal update sweep.
-            schedule = self.interleaved_schedule(n)
-            for x, thread in schedule:
-                for y in range(n):
-                    for z in range(n):
-                        index = element(x, y, z)
-                        energy.write(index, energy.read(index, thread) -
-                                     0.01 * pressure.read(index, thread), thread)
-                        recorder.compute(compute_cost // 2 + 1)
+            recorder.record_block(sequence(
+                energy.load(index), pressure.load(index),
+                energy.store(index, energies[:, :1] - 0.01 * new_pressure,
+                             compute=compute_cost // 2 + 1),
+            ), thread)
             if self.threads > 1:
                 recorder.compute(80 * self.threads)

@@ -39,30 +39,27 @@ class DataPatternWorkload(Workload):
     def display_name(self) -> str:
         return f"data-pattern-{self.pattern}"
 
-    def _pattern_value(self, index: int, rng: np.random.Generator) -> float:
+    def _pattern(self, rng: np.random.Generator) -> np.ndarray:
         if self.pattern == "random":
             # A random 52-bit mantissa pattern: maximum data entropy.
-            return float(rng.integers(0, 2 ** 52))
+            return rng.integers(0, 2 ** 52, size=self.words).astype(np.float64)
         if self.pattern == "solid":
-            return 0.0
+            return np.zeros(self.words)
         # checkerboard
-        return float(0x5555555555555 if index % 2 == 0 else 0xAAAAAAAAAAAAA)
+        return np.where(np.arange(self.words) % 2 == 0, 0x5555555555555, 0xAAAAAAAAAAAAA
+                        ).astype(np.float64)
 
     def run(self, recorder: TraceRecorder) -> None:
-        rng = self._rng
         buffer = recorder.alloc(self.words, "pattern_buffer")
+        # Every access is followed by one compute instruction.
+        buffer.fill(self._pattern(self._rng), compute=1)
 
-        for index in range(self.words):
-            buffer.write(index, self._pattern_value(index, rng))
-            recorder.compute(1)
-
+        sweep = buffer.load(np.arange(self.words), compute=1)
         for _sweep in range(self.sweeps):
             # The micro-benchmark spends most of its time waiting for cells to
             # decay; compute-only instructions model that idle period.
             recorder.compute(self.idle_instructions)
-            for index in range(self.words):
-                buffer.read(index)
-                recorder.compute(1)
+            recorder.record_block(sweep)
 
 
 def random_data_pattern(**kwargs: Any) -> DataPatternWorkload:

@@ -1,9 +1,12 @@
 # repro-lint-fixture: path=src/repro/dram/fake_sampling_ok.py
 #
 # Explicit generator objects are the sanctioned sampling route: seeded
-# default_rng, Generator-over-PCG64 (the crc32-keyed stream idiom) and
-# SeedSequence spawning are all allowed.
+# default_rng, Generator-over-PCG64 (the crc32-keyed stream idiom),
+# SeedSequence spawning and an explicitly seeded stdlib random.Random
+# instance are all allowed.
+import random
 import zlib
+from random import Random
 
 import numpy as np
 
@@ -20,3 +23,11 @@ def keyed_stream(workload: str, repetition: int) -> "np.random.Generator":
 
 def spawned(seed: int) -> "np.random.SeedSequence":
     return np.random.SeedSequence(seed)
+
+
+def pick(items: list, seed: int) -> object:
+    return random.Random(seed).choice(items)
+
+
+def seeded_instance(seed: int) -> Random:
+    return Random(seed)

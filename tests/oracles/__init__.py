@@ -1,8 +1,8 @@
 """Straightforward reference implementations that pin the library.
 
 Each oracle is the slow, obvious formulation of a library computation:
-the per-access cache, routing, reuse and entropy loops (``memsys``,
-``profiling``), the per-row dataset builders and study loops
+the per-access workload kernels (``workloads``), the per-access cache,
+routing, reuse and entropy loops (``memsys``, ``profiling``), the per-row dataset builders and study loops
 (``dataset``), the recursive tree builder and per-row prediction paths
 (``ml``), the scalar characterization run (``characterization``) and
 one independently fitted model per rank (``predictor``).  Tests and

@@ -1,7 +1,8 @@
 """Object-trace profiling: the oracle of the columnar profiling front end.
 
 :class:`ObjectTraceRecorder` stores one ``MemoryAccess`` per access (the
-stored float converted with the scalar ``float_to_word``),
+stored float converted with the scalar ``float_to_word``) of the scalar
+oracle kernels in :mod:`tests.oracles.workloads`,
 :func:`reuse_statistics_objects` is the dict-based reuse loop,
 :func:`entropy_objects` the ``Counter`` estimate, and
 :func:`profile_objects` chains them with :func:`simulate_objects` into
@@ -24,6 +25,7 @@ from repro.profiling.reuse import ReuseStatistics
 from repro.workloads.base import TraceRecorder, Workload, float_to_word
 
 from tests.oracles.memsys import simulate_objects
+from tests.oracles.workloads import run_scalar
 
 
 class ObjectTraceRecorder(TraceRecorder):
@@ -52,10 +54,9 @@ class ObjectTraceRecorder(TraceRecorder):
 
 
 def record_object_trace(workload: Workload) -> ObjectTraceRecorder:
-    """``workload.record_trace()`` into an :class:`ObjectTraceRecorder`."""
+    """The workload's scalar oracle kernel, into an :class:`ObjectTraceRecorder`."""
     recorder = ObjectTraceRecorder()
-    workload._rng = np.random.default_rng(workload.seed)
-    workload.run(recorder)
+    run_scalar(workload, recorder)
     return recorder
 
 

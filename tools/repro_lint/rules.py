@@ -116,21 +116,40 @@ _NP_RANDOM_ALLOWED = {"Generator", "default_rng", "PCG64", "SeedSequence", "BitG
 _NP_ALIASES = {"np", "numpy"}
 
 
+def _is_seeded_random(node: ast.Call) -> bool:
+    """``random.Random(<seed>)`` / ``Random(<seed>)``: an explicitly seeded instance."""
+    return bool(node.args or node.keywords)
+
+
 def _check_rep001(tree: ast.Module, path: str) -> Iterator[Violation]:
+    stdlib_message = (
+        "stdlib `random` draws from hidden global state; use a seeded "
+        "np.random.Generator, a crc32-keyed stream or random.Random(<seed>)"
+    )
     for node in ast.walk(tree):
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            module = node.module if isinstance(node, ast.ImportFrom) else None
-            names = [alias.name for alias in node.names]
-            if module == "random" or (module is None and "random" in names):
+        if isinstance(node, ast.Import):
+            # `import random` is fine; its module-level draws are flagged below.
+            if any(alias.name == "random" and alias.asname for alias in node.names):
+                yield Violation("REP001", path, node.lineno, node.col_offset, stdlib_message)
+            continue
+        if isinstance(node, ast.ImportFrom):
+            if node.module == "random" and any(alias.name != "Random" for alias in node.names):
+                yield Violation("REP001", path, node.lineno, node.col_offset, stdlib_message)
+            continue
+        if isinstance(node, ast.Call) and _dotted_name(node.func) in ("random.Random", "Random"):
+            if not _is_seeded_random(node):
                 yield Violation(
                     "REP001", path, node.lineno, node.col_offset,
-                    "stdlib `random` draws from hidden global state; use a "
-                    "seeded np.random.Generator or a crc32-keyed stream",
+                    "random.Random() without a seed draws from OS entropy; pass the seed",
                 )
             continue
         if not isinstance(node, ast.Attribute):
             continue
         value = node.value
+        if isinstance(value, ast.Name) and value.id == "random":
+            if node.attr != "Random":
+                yield Violation("REP001", path, node.lineno, node.col_offset, stdlib_message)
+            continue
         if not (
             isinstance(value, ast.Attribute)
             and value.attr == "random"
@@ -153,8 +172,9 @@ register(Rule(
     rationale=(
         "Bit-identical WER/PUE numbers require every random draw to come from "
         "an explicit, seeded np.random.Generator (or the crc32-keyed per-cell "
-        "streams).  Legacy np.random.* functions and the stdlib random module "
-        "share hidden global state that import order and thread timing mutate."
+        "streams, or an explicitly seeded random.Random).  Legacy np.random.* "
+        "functions and the stdlib random module's functions share hidden global "
+        "state that import order and thread timing mutate."
     ),
     scope=_in_src_repro,
     check=_check_rep001,
