@@ -6,8 +6,6 @@ effect, the access-rate-driven interference term, and the KNN
 hyper-parameters of the error model.
 """
 
-import numpy as np
-
 from repro.core.dataset import build_wer_dataset
 from repro.core.evaluation import AccuracyEvaluator
 from repro.dram.calibration import (
@@ -17,9 +15,10 @@ from repro.dram.calibration import (
 )
 from repro.dram.operating import OperatingPoint
 from repro.dram.statistical import StatisticalErrorModel
-from repro.ml.metrics import spearman_correlation
 from repro.profiling.profiler import profile_workload
 from repro.workloads.registry import campaign_workload_names
+
+from tests.oracles.dataset import spearman_correlation
 
 OP = OperatingPoint.relaxed(2.283, 50.0)
 
@@ -92,7 +91,6 @@ def test_ablation_interference(benchmark, print_table):
 def test_ablation_knn_hyperparameters(benchmark, full_campaign, campaign_profiles,
                                       print_table):
     """Sensitivity of the KNN error model to the neighbour count."""
-    from repro.core.model import _build_estimator  # noqa: PLC2701 - ablation hook
     import repro.core.model as model_module
 
     dataset = build_wer_dataset(full_campaign, campaign_profiles)

@@ -8,8 +8,9 @@ experiment.  These benchmarks pin three properties of the batch engine:
   (including the overall parity bit) and a multi-bit tail;
 * the batch pipeline is at least 20x faster than looping the scalar API
   word by word, and the bit-packed uint64-lane decode is at least 3x
-  faster again than the retained byte-per-bit oracle on the *same*
-  corrupted block — with both paths proven bit-identical first;
+  faster again than the byte-per-bit oracle (``tests/oracles/ecc.py``)
+  on the *same* corrupted block — with both paths proven bit-identical
+  first;
 * a million-word (72M-cell) streamed cell-array write/read sweep
   completes in seconds.
 """
@@ -23,6 +24,8 @@ from repro.dram.cells import CellArrayConfig, CellArraySimulator
 from repro.dram.calibration import DramCalibration, RetentionCalibration
 from repro.dram.ecc import ERROR_CLASS_ORDER, SecdedCode, bits_to_words
 from repro.dram.geometry import DramGeometry, small_geometry
+
+from tests.oracles.ecc import UnpackedSecdedCode
 
 pytestmark = pytest.mark.slow
 
@@ -112,8 +115,8 @@ def test_packed_decode_at_least_3x_unpacked(corrupted_block, bench_report):
     and corrected-bit indices on the same corrupted codewords.
     """
     _words, codewords = corrupted_block
-    packed = SecdedCode(packed=True)
-    oracle = SecdedCode(packed=False)
+    packed = SecdedCode()
+    oracle = UnpackedSecdedCode()
 
     packed_result = packed.decode_batch(codewords)
     oracle_result = oracle.decode_batch(codewords)

@@ -5,7 +5,7 @@ assemble the 249 features) is nearly all of a cold campaign.  The
 library runs it on :class:`~repro.memsys.access.AccessColumns`; the
 oracle in ``tests/oracles/profiling.py`` runs the same workload with one
 ``MemoryAccess`` object per access, an ``OrderedDict`` LRU per cache set,
-one ``AddressMapper.map_address`` per DRAM command and dict/``Counter``
+one scalar ``map_address`` per DRAM command and dict/``Counter``
 reuse and entropy loops.  This benchmark pins:
 
 * every registered workload's feature dict equals the oracle's bit for

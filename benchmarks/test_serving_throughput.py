@@ -46,6 +46,9 @@ SERVICE_PREDICTIONS_PER_S_FLOOR = 2_000.0
 ONE_ROW_CALLS = 200
 ONE_ROW_ROUNDS = 5
 
+#: Interleaved timed rounds per side of the service throughput floor.
+SERVICE_ROUNDS = 5
+
 
 def test_predict_grid_at_least_10x_per_point(bench_report, full_campaign,
                                              campaign_profiles):
@@ -130,28 +133,33 @@ def test_service_throughput_floor(bench_report, full_campaign,
     # cache so both sides measure prediction, not profiling.
     profiles = {r.workload: campaign_profiles[r.workload] for r in requests}
 
-    # Scalar baseline: one predict() per request (no cache, no batching).
-    start = time.perf_counter()
-    for request in requests:
-        predictor.predict(profiles[request.workload], request.operating_point())
-    scalar_s = time.perf_counter() - start
-
+    # Interleave the sides and keep each one's fastest round, so a slow
+    # stretch of the host (or a benchmark run just before this one) hits
+    # both.  Scalar side: one predict() per request (no cache, no
+    # batching); service side: ``repeats`` warm predict_many sweeps.
     repeats = 4
+    scalar_s, batch_s = [], []
     with PredictionService(predictor, batch_window_s=0.001) as service:
         service.predict_many(requests)          # warm: populate the cache
-        start = time.perf_counter()
-        for _ in range(repeats):
-            service.predict_many(requests)
-        batch_s = time.perf_counter() - start
+        for _ in range(SERVICE_ROUNDS):
+            start = time.perf_counter()
+            for request in requests:
+                predictor.predict(profiles[request.workload], request.operating_point())
+            scalar_s.append(time.perf_counter() - start)
+            start = time.perf_counter()
+            for _ in range(repeats):
+                service.predict_many(requests)
+            batch_s.append(time.perf_counter() - start)
         stats = service.stats()
 
     served = repeats * len(requests)
-    predictions_per_s = served / batch_s
+    predictions_per_s = served / min(batch_s)
     speedup = bench_report.record(
         "prediction_service", floor=10.0,
-        scalar_s=scalar_s * repeats, batch_s=batch_s,
+        scalar_s=min(scalar_s) * repeats, batch_s=min(batch_s),
         units_label="predictions", work_items=served,
     )
-    assert stats.cache_hits >= served            # the steady state is all hits
+    # The steady state is all hits.
+    assert stats.cache_hits >= SERVICE_ROUNDS * served
     assert predictions_per_s >= SERVICE_PREDICTIONS_PER_S_FLOOR
     assert speedup >= 10.0

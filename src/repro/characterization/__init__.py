@@ -14,9 +14,8 @@ from repro.characterization.metrics import (
     WerMeasurement,
     probability_of_uncorrectable,
     rank_ue_distribution,
-    word_error_rate,
 )
-from repro.characterization.server import SocDescription, XGene2Server
+from repro.characterization.server import XGene2Server
 from repro.characterization.slimpro import Slimpro
 
 __all__ = [
@@ -32,8 +31,6 @@ __all__ = [
     "WerMeasurement",
     "probability_of_uncorrectable",
     "rank_ue_distribution",
-    "word_error_rate",
-    "SocDescription",
     "XGene2Server",
     "Slimpro",
 ]

@@ -193,40 +193,6 @@ class CampaignResult:
         per_workload = self.wer_by_workload(trefp_s, temperature_c)
         return float(np.mean(list(per_workload.values())))
 
-    def workload_spread(self, trefp_s: float, temperature_c: float) -> float:
-        """Max/min WER ratio across workloads (the "8x" claim).
-
-        Workloads that measured no errors at all (WER = 0, common at mild
-        operating points) are excluded: the ratio against them is
-        undefined, and the paper's spread compares measurable rates.
-        """
-        per_workload = self.wer_by_workload(trefp_s, temperature_c)
-        positive = [v for v in per_workload.values() if v > 0]
-        if len(positive) < 2:
-            raise CharacterizationError(
-                f"workload spread undefined at TREFP={trefp_s}s, "
-                f"T={temperature_c}C: fewer than two workloads measured a "
-                "positive WER"
-            )
-        return max(positive) / min(positive)
-
-    def rank_spread(self, trefp_s: float, temperature_c: float) -> float:
-        """Largest max/min WER ratio across DIMM/ranks for a single workload.
-
-        This is the quantity behind the paper's "up to 188x" claim: the bc
-        benchmark's WER differs by that factor between its strongest and
-        weakest rank (Fig. 8).
-        """
-        per_rank = self.wer_by_rank(trefp_s, temperature_c)
-        spreads = []
-        for ranks in per_rank.values():
-            positive = [v for v in ranks.values() if v > 0]
-            if len(positive) >= 2:
-                spreads.append(max(positive) / min(positive))
-        if not spreads:
-            raise CharacterizationError("no positive per-rank WER measurements")
-        return max(spreads)
-
     # -- PUE aggregations ------------------------------------------------------
     def pue_by_workload(self, trefp_s: float) -> Dict[str, float]:
         """PUE per workload at one refresh period of the 70 C study (Fig. 9a)."""

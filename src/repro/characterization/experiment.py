@@ -29,11 +29,8 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from repro import units
-from repro.characterization.metrics import UeObservation, WerColumnStore, WerMeasurement
-from repro.dram.calibration import DramCalibration, RetentionCalibration
-from repro.dram.cells import CellArrayConfig, CellArraySimulator
-from repro.dram.ecc import ErrorClass, bits_to_words
-from repro.dram.geometry import RankLocation, small_geometry
+from repro.characterization.metrics import WerColumnStore, WerMeasurement
+from repro.dram.geometry import RankLocation
 from repro.dram.operating import OperatingPoint
 from repro.dram.statistical import WorkloadBehavior
 from repro.errors import CharacterizationError
@@ -81,16 +78,6 @@ class ExperimentResult:
             for rank, wer in sorted(self.rank_wer.items(), key=lambda kv: kv[0].label)
         ]
 
-    def ue_observation(self) -> UeObservation:
-        op = self.operating_point
-        return UeObservation(
-            workload=self.workload,
-            trefp_s=op.trefp_s,
-            temperature_c=op.temperature_c,
-            crashed=self.crashed,
-            rank=self.ue_rank,
-        )
-
 
 @dataclass
 class GridColumns:
@@ -119,21 +106,6 @@ class GridColumns:
         """
         wer = self.wer[:, :1, :] if first_repetition_only else self.wer
         return WerColumnStore.from_grid(self.workload, self.ops, wer, self.ranks)
-
-
-@dataclass(frozen=True)
-class MechanismCheckResult:
-    """Mechanism-level cross-check of one operating point.
-
-    Produced by :meth:`CharacterizationExperiment.mechanism_check`: real
-    SECDED decoding of real bit flips on a small cell array, reduced to
-    the same WER metric the statistical model predicts.
-    """
-
-    operating_point: OperatingPoint
-    words: int
-    counts: Dict[ErrorClass, int]
-    measured_wer: float
 
 
 class CharacterizationExperiment:
@@ -330,71 +302,3 @@ class CharacterizationExperiment:
             profile=profile,
             collect_time_series=collect_time_series,
         )[0][0]
-
-    # ------------------------------------------------------------------
-    def mechanism_check(
-        self,
-        op: OperatingPoint,
-        behavior: Optional[WorkloadBehavior] = None,
-        num_words: int = 4096,
-        idle_s: float = 600.0,
-        calibration: Optional[DramCalibration] = None,
-        seed: Optional[int] = None,
-        block_words: int = 65536,
-    ) -> MechanismCheckResult:
-        """Cross-check an operating point against the explicit cell array.
-
-        The campaign itself uses the closed-form statistical model; this
-        runs the same operating point through the cell-array simulator's
-        batch engine — write a data pattern whose charged-bit density
-        follows the workload's entropy, let the array leak, read back
-        through real SECDED decoding — so the model's trends can be
-        validated mechanism-level.  The default calibration is a
-        deliberately weak cell population: a tiny array must exhibit
-        failures for the check to say anything.
-
-        The sweep addresses the array by word index (the simulator's
-        packed fast path) and streams in ``block_words`` slabs, so
-        million-word checks never materialize per-location objects or
-        all-cell temporaries.
-        """
-        simulator = CellArraySimulator(
-            CellArrayConfig(
-                geometry=small_geometry(),
-                trefp_s=op.trefp_s,
-                vdd_v=op.vdd_v,
-                temperature_c=op.temperature_c,
-                calibration=calibration
-                or DramCalibration(
-                    retention=RetentionCalibration(
-                        log_median_retention_50c=3.0, log_sigma=1.3
-                    )
-                ),
-                seed=self.seed if seed is None else seed,
-                block_words=block_words,
-            )
-        )
-        if not 0 < num_words <= simulator.geometry.total_words:
-            raise CharacterizationError(
-                f"num_words must be in 1..{simulator.geometry.total_words}, "
-                f"got {num_words}"
-            )
-        if idle_s <= 0:
-            raise CharacterizationError("idle_s must be positive")
-
-        rng = np.random.default_rng(simulator.config.seed)
-        density = 1.0
-        if behavior is not None:
-            density = min(max(behavior.data_entropy_bits / 32.0, 0.0), 1.0)
-        bits = (rng.random((num_words, units.WORD_BITS)) < density).astype(np.uint8)
-        words = np.arange(num_words, dtype=np.int64)
-        with get_telemetry().span("experiment.mechanism_check"):
-            simulator.write_batch(words, bits_to_words(bits))
-            simulator.idle(idle_s)
-            sweep = simulator.read_batch(words, workload="mechanism-check")
-        return MechanismCheckResult(
-            operating_point=op,
-            words=num_words,
-            counts=sweep.counts(),
-            measured_wer=simulator.measured_wer(num_words),
-        )

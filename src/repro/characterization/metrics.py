@@ -19,17 +19,6 @@ from repro.dram.geometry import RankLocation
 from repro.errors import CharacterizationError, DataError
 
 
-def word_error_rate(unique_ce_words: int, footprint_words: int) -> float:
-    """WER = N_CE / MEMSIZE (Eq. 2): unique erroneous words per allocated word."""
-    if footprint_words <= 0:
-        raise DataError("footprint_words must be positive")
-    if unique_ce_words < 0:
-        raise DataError("unique_ce_words must be non-negative")
-    if unique_ce_words > footprint_words:
-        raise DataError("cannot have more erroneous words than allocated words")
-    return unique_ce_words / footprint_words
-
-
 def probability_of_uncorrectable(ue_runs: int, total_runs: int) -> float:
     """PUE = N_UE / N_EXP (Eq. 3): fraction of runs that triggered a UE."""
     if total_runs <= 0:

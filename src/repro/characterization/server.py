@@ -1,41 +1,22 @@
 """The X-Gene2 server model: the experimental platform of the paper.
 
-The server bundles the SoC description (8 ARMv8 cores, 4 MCUs), the four
-DDR3 DIMMs with their per-rank reliability variation, the SLIMpro
-management core and the thermal testbed.  The characterization
-experiments drive everything through this class, mirroring how the
-paper's framework drives the real machine.
+The server bundles the four DDR3 DIMMs with their per-rank reliability
+variation, the SLIMpro management core and the thermal testbed.  The
+characterization experiments drive everything through this class,
+mirroring how the paper's framework drives the real machine.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
-from repro import units
 from repro.dram.calibration import DEFAULT_CALIBRATION, DramCalibration
 from repro.dram.geometry import DramGeometry
 from repro.dram.operating import OperatingPoint
 from repro.dram.statistical import StatisticalErrorModel
 from repro.dram.variation import VariationProfile
-from repro.errors import ConfigurationError
 from repro.characterization.slimpro import Slimpro
 from repro.thermal.testbed import ThermalTestbed
-
-
-@dataclass(frozen=True)
-class SocDescription:
-    """Static description of the X-Gene2 Server-on-a-Chip."""
-
-    name: str = "X-Gene2"
-    num_cores: int = units.NUM_CORES
-    core_frequency_hz: float = units.CPU_FREQ_HZ
-    num_mcus: int = units.NUM_MCUS
-    dram_type: str = "DDR3-1866"
-
-    def __post_init__(self) -> None:
-        if self.num_cores <= 0 or self.num_mcus <= 0:
-            raise ConfigurationError("core and MCU counts must be positive")
 
 
 class XGene2Server:
@@ -46,10 +27,8 @@ class XGene2Server:
         geometry: Optional[DramGeometry] = None,
         variation: Optional[VariationProfile] = None,
         calibration: Optional[DramCalibration] = None,
-        soc: Optional[SocDescription] = None,
         seed: int = 2019,
     ) -> None:
-        self.soc = soc or SocDescription()
         self.geometry = geometry or DramGeometry()
         self.variation = variation or VariationProfile.default(self.geometry)
         self.calibration = calibration or DEFAULT_CALIBRATION
@@ -62,30 +41,6 @@ class XGene2Server:
             seed=seed,
         )
         self.seed = seed
-
-    # ------------------------------------------------------------------
-    @property
-    def dimm_capacity_bytes(self) -> int:
-        return units.DIMM_CAPACITY_BYTES
-
-    @property
-    def total_memory_bytes(self) -> int:
-        return self.geometry.num_dimms * self.dimm_capacity_bytes
-
-    def describe(self) -> Dict[str, object]:
-        """Human-readable inventory of the platform (README / examples)."""
-        return {
-            "soc": self.soc.name,
-            "cores": self.soc.num_cores,
-            "frequency_ghz": self.soc.core_frequency_hz / 1e9,
-            "mcus": self.soc.num_mcus,
-            "dimms": self.geometry.num_dimms,
-            "ranks_per_dimm": self.geometry.ranks_per_dimm,
-            "dram_chips": self.geometry.num_dimms * units.RANKS_PER_DIMM *
-            units.CHIPS_PER_RANK,
-            "total_memory_gib": self.total_memory_bytes / units.GIB,
-            "rank_wer_spread": round(self.variation.spread(), 1),
-        }
 
     # ------------------------------------------------------------------
     def configure(self, op: OperatingPoint, settle_thermals: bool = False) -> OperatingPoint:

@@ -13,11 +13,10 @@ encoded into group codes straight from the
 point, workload) target means are two ``np.bincount`` reductions, and
 each group's Spearman coefficients for *all* features come from one
 ranked-matrix product instead of one scipy call per (feature, group)
-pair.  A zero-variance feature or
-constant per-group targets contribute a coefficient of exactly ``0.0``
-(no ranking information), matching :func:`~repro.ml.metrics.
-spearman_correlation`.  The pre-vectorized per-row implementation
-survives as ``reference_run_correlation_study`` in
+pair.  A zero-variance feature or constant per-group targets contribute
+a coefficient of exactly ``0.0`` (no ranking information; scipy's
+``spearmanr`` would return NaN).  The pre-vectorized per-row
+implementation survives as ``reference_run_correlation_study`` in
 ``tests/oracles/dataset.py``, and ``tests/test_ml_vectorized.py`` pins
 the two to a 1e-9 tolerance (reduction order differs, so agreement is
 tolerance- not bit-exact).

@@ -39,12 +39,6 @@ class WerAccuracyReport:
         return float(np.mean(list(self.error_by_rank.values())))
 
     @property
-    def average_workload_error(self) -> float:
-        if not self.error_by_workload:
-            raise DataError("report has no per-workload errors")
-        return float(np.mean(list(self.error_by_workload.values())))
-
-    @property
     def max_workload_error(self) -> float:
         return float(max(self.error_by_workload.values()))
 

@@ -150,10 +150,6 @@ class DramErrorModel:
             raise NotFittedError("DramErrorModel must be fitted before predicting")
         return self._decode_target(self._pipeline.predict(X))
 
-    def predict_dataset(self, dataset: ErrorDataset) -> np.ndarray:
-        X, _y, _groups = dataset.matrices(self.feature_set)
-        return self.predict_matrix(X)
-
     def predict(self, op: OperatingPoint, program_features: Dict[str, float]) -> float:
         """Predict the error metric for one workload at one operating point.
 

@@ -150,15 +150,6 @@ class PredictionGrid:
         """Memory-wide WER surface (mean over ranks)."""
         return self.wer.mean(axis=0)
 
-    def wer_for(self, rank: RankLocation) -> np.ndarray:
-        """One rank's WER surface."""
-        try:
-            return self.wer[self.ranks.index(rank)]
-        except ValueError:
-            raise ConfigurationError(
-                f"grid holds no predictions for rank {rank.label}"
-            ) from None
-
 
 @dataclass
 class PredictorConfig:

@@ -31,12 +31,7 @@ from repro.dram.ecc import (
 from repro.dram.geometry import CellLocation, DramGeometry, RankLocation, small_geometry
 from repro.dram.operating import OperatingPoint
 from repro.dram.records import ErrorLog, ErrorRecord
-from repro.dram.retention import (
-    bit_failure_probability,
-    median_retention_s,
-    retention_halving_temperature,
-    sample_retention_times,
-)
+from repro.dram.retention import bit_failure_probability_grid, sample_retention_times
 from repro.dram.statistical import StatisticalErrorModel, WorkloadBehavior
 from repro.dram.variation import (
     DEFAULT_RANK_UE_WEIGHTS,
@@ -69,9 +64,7 @@ __all__ = [
     "OperatingPoint",
     "ErrorLog",
     "ErrorRecord",
-    "bit_failure_probability",
-    "median_retention_s",
-    "retention_halving_temperature",
+    "bit_failure_probability_grid",
     "sample_retention_times",
     "StatisticalErrorModel",
     "WorkloadBehavior",

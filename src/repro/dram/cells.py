@@ -3,9 +3,9 @@
 This is the "FPGA testbed in software": a small DRAM array whose
 individual cells have sampled retention times, true-/anti-cell charge
 polarity, variable retention time (VRT) and cell-to-cell interference.
-It exists to (a) validate the closed-form statistical model used for the
-full-scale campaigns against a mechanism-level simulation, and (b) let
-unit tests and examples exercise real SECDED decoding on real bit flips.
+It is the mechanism-level counterpart of the closed-form statistical
+model used for the full-scale campaigns: unit tests and examples
+exercise real SECDED decoding on real bit flips with it.
 
 Semantics
 ---------
@@ -170,18 +170,6 @@ class BatchReadResult:
         """Words per error class, including :attr:`ErrorClass.NO_ERROR`."""
         return self.decode.counts()
 
-    def error_locations(self) -> List:
-        """Locations whose read produced any ECC event.
-
-        Entries match the type of ``locations``: CellLocation objects for
-        object-addressed reads, word indices for index-addressed reads.
-        """
-        rows = np.flatnonzero(self.decode.error_codes != _NO_ERROR_CODE)
-        if isinstance(self.locations, np.ndarray):
-            # Fancy indexing: one vectorized gather, no per-row Python loop.
-            return list(self.locations[rows])
-        return [self.locations[int(row)] for row in rows]
-
 
 class CellArraySimulator:
     """Mechanism-level simulation of an ECC-protected DRAM array."""
@@ -254,9 +242,6 @@ class CellArraySimulator:
         """Yield (start, stop) streaming block bounds covering ``count`` items."""
         for start in range(0, count, self._block_words):
             yield start, min(start + self._block_words, count)
-
-    def _word_index(self, location: CellLocation) -> int:
-        return self.geometry.word_index(location)
 
     def _word_indices(self, locations: BatchLocations) -> np.ndarray:
         if isinstance(locations, np.ndarray) and np.issubdtype(

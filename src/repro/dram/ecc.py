@@ -38,11 +38,12 @@ six contiguous runs between the power-of-two parity positions), computes
 each parity bit as ``popcount(word & coverage_mask) & 1``, and decoding
 gathers the data word back with the inverse shifts.
 
-``SecdedCode(packed=False)`` retains the original unpacked byte-per-bit
-engine as the in-repo oracle; both paths share one classifier and are
-pinned bit-identical by ``tests/test_ecc_packed.py`` and the throughput
-benchmarks.  :meth:`SecdedCode.encode_batch` / :meth:`SecdedCode.decode_batch`
-keep their ``(N, 72)`` uint8 signatures (``decode_batch`` additionally
+The byte-per-bit engine (GF(2) matmuls over ``(N, 72)`` uint8 blocks)
+is the oracle in ``tests/oracles/ecc.py``.  Both share one classifier
+(:meth:`SecdedCode._classify`) and are pinned bit-identical by
+``tests/test_ecc_packed.py`` and the throughput benchmarks.
+:meth:`SecdedCode.encode_batch` / :meth:`SecdedCode.decode_batch` keep
+their ``(N, 72)`` uint8 signatures (``decode_batch`` additionally
 accepts ``(N, 2)`` uint64 lanes directly), and the scalar
 :meth:`SecdedCode.encode` / :meth:`SecdedCode.decode` API remains a thin
 wrapper over one-element batches.
@@ -158,9 +159,8 @@ def bits_to_words(bits: np.ndarray) -> np.ndarray:
 def pack_bits(bits: np.ndarray) -> np.ndarray:
     """Pack an ``(N, 72)`` bit-plane into ``(N, 2)`` uint64 lanes.
 
-    Nonzero entries count as 1 (``np.packbits`` semantics) — this is the
-    unvalidated fast path used for internal masks; use
-    :func:`pack_codewords` for value-checked codeword packing.
+    See the module docstring for the lane layout.  Nonzero entries count
+    as 1 (``np.packbits`` semantics).
     """
     data = np.ascontiguousarray(bits, dtype=np.uint8)
     if data.ndim != 2 or data.shape[1] != units.CODEWORD_BITS:
@@ -171,22 +171,6 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
     lanes = np.zeros((data.shape[0], _LANE_BYTES), dtype=np.uint8)
     lanes[:, :_CODEWORD_BYTES] = payload
     return lanes.view("<u8")
-
-
-def pack_codewords(codewords: np.ndarray) -> np.ndarray:
-    """Pack an ``(N, 72)`` codeword block into ``(N, 2)`` uint64 lanes.
-
-    See the module docstring for the lane layout.  Entries must be 0/1.
-    """
-    block = np.asarray(codewords)
-    if block.ndim != 2 or block.shape[1] != units.CODEWORD_BITS:
-        raise ConfigurationError(
-            f"codeword block must have shape (N, {units.CODEWORD_BITS}), "
-            f"got shape {block.shape}"
-        )
-    if np.any((block != 0) & (block != 1)):
-        raise ConfigurationError("codeword bits must be 0 or 1")
-    return pack_bits(block)
 
 
 def unpack_codewords(lanes: np.ndarray) -> np.ndarray:
@@ -265,11 +249,6 @@ class BatchDecodeResult:
             self._data_words = bits_to_words(self._data_bits)
         return self._data_words
 
-    def error_classes(self) -> np.ndarray:
-        """The per-codeword :class:`ErrorClass` values (object array)."""
-        lookup = np.array(ERROR_CLASS_ORDER, dtype=object)
-        return lookup[self.error_codes]
-
     def counts(self) -> Dict[ErrorClass, int]:
         """Number of codewords per error class."""
         histogram = np.bincount(self.error_codes, minlength=len(ERROR_CLASS_ORDER))
@@ -295,19 +274,15 @@ class SecdedCode:
 
     Layout: 71 Hamming positions numbered 1..71 where power-of-two
     positions hold check bits and the rest hold the 64 data bits, plus an
-    overall parity bit appended at index 71 of the codeword array.
-
-    ``packed=True`` (the default) routes the batch API through the
-    uint64-lane kernels described in the module docstring;
-    ``packed=False`` keeps the original unpacked byte-per-bit engine,
-    retained as the equivalence oracle.
+    overall parity bit appended at index 71 of the codeword array.  The
+    batch API runs on the uint64-lane kernels described in the module
+    docstring.
     """
 
     data_bits = units.WORD_BITS
     codeword_bits = units.CODEWORD_BITS
 
-    def __init__(self, packed: bool = True) -> None:
-        self.packed = bool(packed)
+    def __init__(self) -> None:
         positions = np.arange(1, 72)                      # Hamming positions 1..71
         self._parity_positions = np.array([1, 2, 4, 8, 16, 32, 64])
         self._data_positions = np.array(
@@ -315,22 +290,6 @@ class SecdedCode:
         )
         if self._data_positions.shape[0] != self.data_bits:
             raise ConfigurationError("internal SECDED layout error")
-
-        # GF(2) structure, precomputed once so batch encode/decode reduce to
-        # integer matmuls followed by `& 1`:
-        #   * syndrome matrix S (71 x 7): S[c, b] = bit b of Hamming position
-        #     c+1, so syndrome_bits = hamming_bits @ S (mod 2) is the XOR of
-        #     the 1-indexed positions of all set bits;
-        #   * coverage matrix C (64 x 7): C[i, j] = 1 when data position i is
-        #     covered by parity position 2^j, so parity_bits = data @ C (mod 2).
-        bit_index = np.arange(7)
-        self._syndrome_matrix = (
-            (positions[:, None] >> bit_index[None, :]) & 1
-        ).astype(np.int64)
-        self._coverage_matrix = (
-            (self._data_positions[:, None] & self._parity_positions[None, :]) != 0
-        ).astype(np.int64)
-        self._syndrome_weights = (1 << bit_index).astype(np.int64)
 
         self._build_packed_constants()
 
@@ -442,8 +401,8 @@ class SecdedCode:
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Shared Table-I classifier: (codes, corrected positions, in-code mask).
 
-        Both engines route through this so the packed path can never
-        drift from the unpacked oracle's classification.
+        The unpacked oracle routes through this too, so the two engines
+        can differ only in how they compute syndromes and parity.
         """
         zero_syndrome = syndrome == 0
         codes = np.empty(syndrome.shape[0], dtype=np.uint8)
@@ -499,27 +458,6 @@ class SecdedCode:
             data_words=words, error_codes=codes, corrected_bits=corrected
         )
 
-    def _decode_unpacked(self, block: np.ndarray) -> BatchDecodeResult:
-        """The original byte-per-bit decode path, kept as the oracle."""
-        hamming = block[:, :71].astype(np.int64)
-        overall_received = block[:, 71].astype(np.int64)
-
-        syndrome = ((hamming @ self._syndrome_matrix) & 1) @ self._syndrome_weights
-        overall_computed = hamming.sum(axis=1) & 1
-        parity_ok = overall_computed == overall_received
-
-        codes, corrected, in_code = self._classify(syndrome, parity_ok)
-
-        hamming_out = block[:, :71].copy()
-        flip_rows = np.flatnonzero(in_code)
-        if flip_rows.size:
-            hamming_out[flip_rows, syndrome[flip_rows] - 1] ^= 1
-
-        data_bits = hamming_out[:, self._data_positions - 1]
-        return BatchDecodeResult(
-            data_bits=data_bits, error_codes=codes, corrected_bits=corrected
-        )
-
     # -- batch API ---------------------------------------------------------
     def encode_batch(self, data: Union[np.ndarray, Iterable[int]]) -> np.ndarray:
         """Encode a batch of words into an ``(N, 72)`` codeword matrix.
@@ -527,18 +465,7 @@ class SecdedCode:
         ``data`` is either an ``(N,)`` array of 64-bit unsigned integers
         or an already unpacked ``(N, 64)`` LSB-first bit matrix.
         """
-        if self.packed:
-            return unpack_codewords(self.encode_packed(data))
-        bits = self._as_data_bits(data)
-        n = bits.shape[0]
-        hamming = np.zeros((n, 71), dtype=np.uint8)
-        hamming[:, self._data_positions - 1] = bits
-        parity = (bits.astype(np.int64) @ self._coverage_matrix) & 1
-        hamming[:, self._parity_positions - 1] = parity.astype(np.uint8)
-        codewords = np.empty((n, self.codeword_bits), dtype=np.uint8)
-        codewords[:, :71] = hamming
-        codewords[:, 71] = (hamming.sum(axis=1, dtype=np.int64) & 1).astype(np.uint8)
-        return codewords
+        return unpack_codewords(self.encode_packed(data))
 
     def encode_packed(self, data: Union[np.ndarray, Iterable[int]]) -> np.ndarray:
         """Encode a batch of words directly into ``(N, 2)`` uint64 lanes.
@@ -553,23 +480,18 @@ class SecdedCode:
 
         Also accepts ``(N, 2)`` uint64 lanes (see the module docstring),
         which is how the streaming cell array feeds its stored state
-        without ever unpacking.  Classification is identical between the
-        packed and unpacked engines, bit for bit.
+        without ever unpacking.
         """
         block = np.asarray(codewords)
         if block.ndim == 2 and block.shape[1] == 2 and block.dtype == np.uint64:
-            if self.packed:
-                return self._decode_lanes(block)
-            return self._decode_unpacked(unpack_codewords(block))
+            return self._decode_lanes(block)
         block = np.asarray(block, dtype=np.uint8)
         if block.ndim != 2 or block.shape[1] != self.codeword_bits:
             raise ConfigurationError(
                 f"codeword block must have shape (N, {self.codeword_bits}), "
                 f"got shape {block.shape}"
             )
-        if self.packed:
-            return self._decode_lanes(pack_bits(block))
-        return self._decode_unpacked(block)
+        return self._decode_lanes(pack_bits(block))
 
     # -- scalar API (thin wrappers over one-element batches) ----------------
     def encode(self, data: int) -> np.ndarray:
@@ -593,17 +515,3 @@ class SecdedCode:
         """Decode and return the data as an integer together with the class."""
         result = self.decode(codeword)
         return self._bits_to_int(result.data), result.error_class
-
-    def roundtrip_with_errors(
-        self, data: int, flip_positions: Iterable[int]
-    ) -> Tuple[int, ErrorClass]:
-        """Encode, flip the given codeword bit positions, decode.
-
-        Convenience used heavily in tests: returns (decoded data, class).
-        """
-        codeword = self.encode(data)
-        for position in flip_positions:
-            if not 0 <= position < self.codeword_bits:
-                raise ConfigurationError("flip position out of range")
-            codeword[position] ^= 1
-        return self.decode_to_int(codeword)

@@ -73,10 +73,6 @@ class DramGeometry:
         return self.num_dimms * self.ranks_per_dimm
 
     @property
-    def words_per_row(self) -> int:
-        return self.columns_per_row
-
-    @property
     def words_per_bank(self) -> int:
         return self.rows_per_bank * self.columns_per_row
 
@@ -87,10 +83,6 @@ class DramGeometry:
     @property
     def total_words(self) -> int:
         return self.num_ranks * self.words_per_rank
-
-    @property
-    def total_bytes(self) -> int:
-        return self.total_words * self.word_bytes
 
     # -- iteration / addressing --------------------------------------------
     def iter_ranks(self) -> Iterator[RankLocation]:

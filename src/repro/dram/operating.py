@@ -7,7 +7,7 @@ temperature imposed by the thermal testbed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro import units
 from repro.errors import ConfigurationError
@@ -40,32 +40,8 @@ class OperatingPoint:
                 f"[20, {units.MAX_TEMP_C}]"
             )
 
-    # -- convenience constructors ------------------------------------------
-    @classmethod
-    def nominal(cls) -> "OperatingPoint":
-        """JEDEC-nominal refresh and voltage at ambient temperature."""
-        return cls()
-
+    # -- convenience constructor -------------------------------------------
     @classmethod
     def relaxed(cls, trefp_s: float, temperature_c: float = 50.0) -> "OperatingPoint":
         """Scaled refresh period with the lowered VDD used throughout Sec. V."""
         return cls(trefp_s=trefp_s, vdd_v=units.MIN_VDD_V, temperature_c=temperature_c)
-
-    def with_temperature(self, temperature_c: float) -> "OperatingPoint":
-        return replace(self, temperature_c=temperature_c)
-
-    def with_trefp(self, trefp_s: float) -> "OperatingPoint":
-        return replace(self, trefp_s=trefp_s)
-
-    @property
-    def refresh_scaling(self) -> float:
-        """How many times longer than nominal the refresh period is."""
-        return self.trefp_s / units.NOMINAL_TREFP_S
-
-    @property
-    def is_relaxed(self) -> bool:
-        """True when either circuit parameter deviates from nominal."""
-        return (
-            self.trefp_s > units.NOMINAL_TREFP_S + 1e-12
-            or self.vdd_v < units.NOMINAL_VDD_V - 1e-12
-        )

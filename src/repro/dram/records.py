@@ -11,27 +11,18 @@ append a whole batch of events per sweep via :meth:`ErrorLog.append_batch`
 without constructing one :class:`ErrorRecord` object per event — the
 per-object cost used to dominate saturated sweeps where nearly every
 word errors.  ``ErrorRecord`` views are materialised lazily (and cached)
-only when a caller iterates the log or asks for ``records()``; the
-quantitative queries (counts, unique words, timelines) run straight off
-the columns.
+only when a caller iterates the log; the WER query (unique erroneous
+words) runs straight off the columns.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
-
-import numpy as np
+from typing import Iterator, List, Optional, Sequence, Set
 
 from repro.dram.ecc import ErrorClass
 from repro.dram.geometry import CellLocation, RankLocation
 from repro.errors import ConfigurationError
-
-#: Stable integer code per error class, for the vectorized count queries.
-_CLASS_CODES: Dict[ErrorClass, int] = {
-    cls: code for code, cls in enumerate(ErrorClass)
-}
 
 
 @dataclass(frozen=True)
@@ -58,10 +49,9 @@ class ErrorLog:
     """Append-only columnar log of ECC events with the queries the study needs.
 
     Events live in parallel columns; :class:`ErrorRecord` objects are
-    materialised lazily for record-returning APIs and cached until the
-    log grows.  Batch producers (the cell-array burst reads) use
-    :meth:`append_batch`, which validates once per batch instead of once
-    per event.
+    materialised lazily for iteration and cached until the log grows.
+    Producers (the cell-array reads) use :meth:`append_batch`, which
+    validates once per batch instead of once per event.
     """
 
     def __init__(self) -> None:
@@ -70,24 +60,6 @@ class ErrorLog:
         self._timestamps: List[float] = []
         self._workloads: List[str] = []
         self._materialized: Optional[List[ErrorRecord]] = None
-        self._class_codes: Optional[np.ndarray] = None
-
-    def _codes(self) -> np.ndarray:
-        """Cached integer-code view of the class column.
-
-        Appends only ever grow the log, so a length check invalidates
-        the cache; ``clear`` drops it explicitly (a cleared-and-refilled
-        log can reach the old length again).  Repeated count queries
-        over a grown log then run as one numpy comparison instead of a
-        Python scan per query.
-        """
-        if self._class_codes is None or len(self._class_codes) != len(self._classes):
-            self._class_codes = np.fromiter(
-                (_CLASS_CODES[cls] for cls in self._classes),
-                dtype=np.int8,
-                count=len(self._classes),
-            )
-        return self._class_codes
 
     def __len__(self) -> int:
         return len(self._classes)
@@ -96,7 +68,7 @@ class ErrorLog:
         return iter(self._all_records())
 
     def _all_records(self) -> List[ErrorRecord]:
-        if self._materialized is None or len(self._materialized) != len(self._classes):
+        if self._materialized is None:
             self._materialized = [
                 ErrorRecord(
                     error_class=cls, location=loc, timestamp_s=t, workload=wl
@@ -106,18 +78,6 @@ class ErrorLog:
                 )
             ]
         return self._materialized
-
-    def append(self, record: ErrorRecord) -> None:
-        self._classes.append(record.error_class)
-        self._locations.append(record.location)
-        self._timestamps.append(record.timestamp_s)
-        self._workloads.append(record.workload)
-        if self._materialized is not None:
-            self._materialized.append(record)
-
-    def extend(self, records: Iterable[ErrorRecord]) -> None:
-        for record in records:
-            self.append(record)
 
     def append_batch(
         self,
@@ -146,26 +106,6 @@ class ErrorLog:
         self._workloads.extend([workload] * len(locations))
         self._materialized = None
 
-    def clear(self) -> None:
-        self._classes.clear()
-        self._locations.clear()
-        self._timestamps.clear()
-        self._workloads.clear()
-        self._materialized = None
-        self._class_codes = None
-
-    # -- queries -----------------------------------------------------------
-    def records(self, error_class: Optional[ErrorClass] = None) -> List[ErrorRecord]:
-        """All records, optionally filtered by error class."""
-        if error_class is None:
-            return list(self._all_records())
-        return [r for r in self._all_records() if r.error_class is error_class]
-
-    def count(self, error_class: Optional[ErrorClass] = None) -> int:
-        if error_class is None:
-            return len(self._classes)
-        return int(np.count_nonzero(self._codes() == _CLASS_CODES[error_class]))
-
     def unique_word_locations(
         self, error_class: ErrorClass = ErrorClass.CORRECTED
     ) -> Set[CellLocation]:
@@ -179,81 +119,3 @@ class ErrorLog:
             for cls, loc in zip(self._classes, self._locations)
             if cls is error_class
         }
-
-    def unique_words_by_rank(
-        self, error_class: ErrorClass = ErrorClass.CORRECTED
-    ) -> Dict[RankLocation, int]:
-        """Number of distinct erroneous words per DIMM/rank (Fig. 8)."""
-        per_rank: Dict[RankLocation, Set[CellLocation]] = {}
-        for cls, loc in zip(self._classes, self._locations):
-            if cls is error_class:
-                per_rank.setdefault(loc.rank_location, set()).add(loc)
-        return {rank: len(words) for rank, words in per_rank.items()}
-
-    def counts_by_rank(self, error_class: ErrorClass) -> Dict[RankLocation, int]:
-        """Raw event counts per DIMM/rank."""
-        counter: Counter = Counter()
-        for cls, loc in zip(self._classes, self._locations):
-            if cls is error_class:
-                counter[loc.rank_location] += 1
-        return dict(counter)
-
-    def has_uncorrectable(self) -> bool:
-        """True when the log contains at least one UE (the run crashed)."""
-        return bool(
-            np.any(self._codes() == _CLASS_CODES[ErrorClass.UNCORRECTABLE])
-        )
-
-    def first_uncorrectable(self) -> Optional[ErrorRecord]:
-        """The earliest UE in the log, if any."""
-        best: Optional[int] = None
-        for i, cls in enumerate(self._classes):
-            if cls is ErrorClass.UNCORRECTABLE and (
-                best is None or self._timestamps[i] < self._timestamps[best]
-            ):
-                best = i
-        if best is None:
-            return None
-        return ErrorRecord(
-            error_class=self._classes[best],
-            location=self._locations[best],
-            timestamp_s=self._timestamps[best],
-            workload=self._workloads[best],
-        )
-
-    def timeline(
-        self, error_class: ErrorClass = ErrorClass.CORRECTED, bucket_s: float = 600.0
-    ) -> List[Tuple[float, int]]:
-        """Cumulative unique erroneous words over time.
-
-        Returns ``[(t, unique_words_up_to_t), ...]`` with one entry per
-        ``bucket_s`` interval — the raw material of Fig. 2 and Fig. 4.
-        """
-        if bucket_s <= 0:
-            raise ConfigurationError("bucket_s must be positive")
-        relevant = sorted(
-            (
-                (t, loc)
-                for cls, loc, t in zip(
-                    self._classes, self._locations, self._timestamps
-                )
-                if cls is error_class
-            ),
-            key=lambda pair: pair[0],
-        )
-        if not relevant:
-            return []
-        end = relevant[-1][0]
-        buckets: List[Tuple[float, int]] = []
-        seen: Set[CellLocation] = set()
-        index = 0
-        t = bucket_s
-        while t <= end + bucket_s:
-            while index < len(relevant) and relevant[index][0] <= t:
-                seen.add(relevant[index][1])
-                index += 1
-            buckets.append((t, len(seen)))
-            if t > end:
-                break
-            t += bucket_s
-        return buckets

@@ -35,55 +35,17 @@ def log_median_retention(
     )
 
 
-def median_retention_s(
-    temperature_c: float,
-    vdd_v: float = 1.5,
-    calibration: Optional[RetentionCalibration] = None,
-) -> float:
-    """Median cell retention time (seconds) at the operating point."""
-    return math.exp(log_median_retention(temperature_c, vdd_v, calibration))
-
-
 def _failure_z_score(
     effective_refresh_s: float,
     temperature_c: float,
     vdd_v: float,
     cal: RetentionCalibration,
 ) -> float:
-    """Standardised log-retention z-score of one operating point.
-
-    Shared by the scalar and grid failure-probability paths: both must
-    produce bit-identical values, so the guard and the ``math.log``
-    arithmetic exist exactly once.
-    """
+    """Standardised log-retention z-score of one operating point."""
     if effective_refresh_s <= 0:
         raise ConfigurationError("effective_refresh_s must be positive")
     mu = log_median_retention(temperature_c, vdd_v, cal)
     return (math.log(effective_refresh_s) - mu) / cal.log_sigma
-
-
-def bit_failure_probability(
-    effective_refresh_s: float,
-    temperature_c: float,
-    vdd_v: float = 1.5,
-    calibration: Optional[RetentionCalibration] = None,
-) -> float:
-    """Probability that a single cell's retention time is below the refresh interval.
-
-    This is the lognormal CDF evaluated at the effective refresh interval.
-    A longer refresh period, a higher temperature or a lower VDD all push
-    the operating point further into the retention-time tail, which is
-    what produces the exponential growth of WER with TREFP (Fig. 7f).
-    """
-    cal = calibration or DEFAULT_CALIBRATION.retention
-    z = _failure_z_score(effective_refresh_s, temperature_c, vdd_v, cal)
-    # This per-point function is the reference the batched grid is pinned
-    # and timed against, so it keeps its original ``norm.cdf`` call.
-    # scipy.stats is imported here, on first use, so that ``import repro``
-    # does not pay about a second for it.
-    from scipy import stats
-
-    return float(stats.norm.cdf(z))
 
 
 def bit_failure_probability_grid(
@@ -92,17 +54,19 @@ def bit_failure_probability_grid(
     vdd_v: Union[float, np.ndarray] = 1.5,
     calibration: Optional[RetentionCalibration] = None,
 ) -> np.ndarray:
-    """Vectorized :func:`bit_failure_probability` over a grid of points.
+    """Probability that a cell's retention time is below the refresh interval.
+
+    This is the lognormal CDF evaluated at the effective refresh interval.
+    A longer refresh period, a higher temperature or a lower VDD all push
+    the operating point further into the retention-time tail, which is
+    what produces the exponential growth of WER with TREFP (Fig. 7f).
 
     ``effective_refresh_s``, ``temperature_c`` and ``vdd_v`` are
-    broadcast against each other.  Each z-score is computed with the
-    same per-point scalar arithmetic as the scalar function (``math.log``
-    and ``math.exp`` differ from their numpy ufunc counterparts in the
-    last ulp, so the cheap per-point math stays scalar); only the
-    normal-CDF evaluation — the expensive part, one scipy call per grid
-    instead of per point — is batched.  It calls ``ndtr``, which is what
-    ``norm.cdf`` evaluates for a standard normal, elementwise.  Every entry
-    is therefore bit-identical to the scalar call.
+    broadcast against each other.  Each z-score is per-point scalar
+    arithmetic (``math.log`` differs from ``np.log`` in the last ulp);
+    only the normal-CDF evaluation — one scipy call per grid instead of
+    per point — is batched.  It calls ``ndtr``, which is what
+    ``norm.cdf`` evaluates for a standard normal, elementwise.
     """
     cal = calibration or DEFAULT_CALIBRATION.retention
     refresh, temps, vdds = np.broadcast_arrays(
@@ -132,9 +96,3 @@ def sample_retention_times(
     generator = rng or np.random.default_rng()
     mu = log_median_retention(temperature_c, vdd_v, cal)
     return np.exp(generator.normal(mu, cal.log_sigma, size=n_cells))
-
-
-def retention_halving_temperature(calibration: Optional[RetentionCalibration] = None) -> float:
-    """Temperature increase (deg C) that halves the median retention time."""
-    cal = calibration or DEFAULT_CALIBRATION.retention
-    return math.log(2.0) / cal.temperature_slope_per_c

@@ -20,16 +20,14 @@ Grid engine
 Campaign sweeps evaluate the model on a dense grid of operating points:
 ``sample_rank_wer_grid`` and ``sample_ue_events_grid`` take a sequence of
 operating points plus a (points x repetitions) matrix of RNG streams and
-sample every (point, repetition, rank) cell in batched numpy draws.  The
-scalar ``sample_rank_wer`` / ``sample_ue_event`` remain the reference
-implementations; the grid methods consume each cell's RNG stream in
-exactly the scalar order (one normal per rank, then one uniform, then —
-only on a crash — one categorical draw) and share the same ``np.exp``
-noise kernel, so a grid cell is bit-identical to the corresponding
-scalar call with the same generator.  The expensive deterministic
-factors (retention CDF, per-rank variation, idiosyncratic draws) are
-hoisted out of the per-cell work: they are computed once per operating
-point and once per rank instead of once per (point, repetition, rank).
+sample every (point, repetition, rank) cell in batched numpy draws.  Each
+cell consumes its RNG stream in the order of one scalar run (one normal
+per rank, then one uniform, then — only on a crash — one categorical
+draw), so a grid cell is bit-identical to the scalar reference run in
+``tests/oracles/characterization.py`` with the same generator.  The
+expensive deterministic factors (retention CDF, per-rank variation,
+idiosyncratic draws) are computed once per operating point and once per
+rank instead of once per (point, repetition, rank).
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ from repro import units
 from repro.dram.calibration import DEFAULT_CALIBRATION, DramCalibration
 from repro.dram.geometry import DramGeometry, RankLocation
 from repro.dram.operating import OperatingPoint
-from repro.dram.retention import bit_failure_probability, bit_failure_probability_grid
+from repro.dram.retention import bit_failure_probability_grid
 from repro.dram.variation import VariationProfile
 from repro.errors import ConfigurationError
 from repro.telemetry import get_telemetry
@@ -110,20 +108,13 @@ class StatisticalErrorModel:
     # ------------------------------------------------------------------
     # building blocks
     # ------------------------------------------------------------------
-    def retention_bit_failure_probability(self, op: OperatingPoint) -> float:
-        """Probability a bit's retention time is below the configured TREFP."""
-        return bit_failure_probability(
-            op.trefp_s, op.temperature_c, op.vdd_v, self.calibration.retention
-        )
-
     def retention_bit_failure_probability_grid(
         self, ops: Sequence[OperatingPoint]
     ) -> np.ndarray:
         """Per-point retention failure probabilities with one batched CDF call.
 
-        The normal-CDF evaluation dominates the scalar hot path (~40 us
-        of scipy dispatch per call, independent of size), so the grid
-        engine evaluates it once for all operating points.
+        One normal-CDF evaluation costs ~40 us of scipy dispatch
+        whatever its size, so it is made once for all operating points.
         """
         return bit_failure_probability_grid(
             [op.trefp_s for op in ops],
@@ -173,12 +164,7 @@ class StatisticalErrorModel:
     def _word_ce_probability_from_p_ret(
         self, p_ret: float, op: OperatingPoint, behavior: WorkloadBehavior
     ) -> float:
-        """CE probability given a precomputed retention failure probability.
-
-        Shared per-point arithmetic of the scalar and grid paths — both
-        must produce bit-identical values, so there is exactly one
-        implementation.
-        """
+        """CE probability of one point, given its retention failure probability."""
         cal = self.calibration.workload
         refresh_fraction = self.implicit_refresh_fraction(behavior, op)
         suppression = 1.0 - refresh_fraction * (1.0 - cal.implicit_refresh_residual)
@@ -190,14 +176,6 @@ class StatisticalErrorModel:
         # Unique CE words: at least one failing data bit (64 bits per word).
         p_word = 1.0 - (1.0 - p_bit) ** units.WORD_BITS
         return float(min(p_word, 1.0))
-
-    def word_ce_probability(
-        self, op: OperatingPoint, behavior: WorkloadBehavior
-    ) -> float:
-        """Probability that a 64-bit word manifests a (unique) CE in a run."""
-        return self._word_ce_probability_from_p_ret(
-            self.retention_bit_failure_probability(op), op, behavior
-        )
 
     def word_ce_probability_grid(
         self,
@@ -221,49 +199,11 @@ class StatisticalErrorModel:
             dtype=np.float64,
         )
 
-    def expected_rank_wer(
-        self,
-        op: OperatingPoint,
-        behavior: WorkloadBehavior,
-        rank: RankLocation,
-        workload: str = "",
-    ) -> float:
-        """Expected WER on one DIMM/rank (Fig. 8 granularity)."""
-        base = self.word_ce_probability(op, behavior)
-        factor = self.variation.wer_factor(rank)
-        return base * factor * self._idiosyncratic_factor(workload, rank)
-
     def expected_wer(
         self, op: OperatingPoint, behavior: WorkloadBehavior, workload: str = ""
     ) -> float:
         """Expected memory-wide WER (Eq. 2) averaged over all ranks."""
-        per_rank = [
-            self.expected_rank_wer(op, behavior, rank, workload)
-            for rank in self.geometry.iter_ranks()
-        ]
-        return float(np.mean(per_rank))
-
-    def sample_rank_wer(
-        self,
-        op: OperatingPoint,
-        behavior: WorkloadBehavior,
-        rank: RankLocation,
-        workload: str = "",
-        rng: Optional[np.random.Generator] = None,
-    ) -> float:
-        """One measured per-rank WER, with run-to-run (VRT) noise applied.
-
-        The noise kernel is ``np.exp`` (not ``math.exp``): the grid path
-        exponentiates whole arrays, and the two libms differ in the last
-        ulp for a few percent of arguments, so the scalar reference must
-        use the same implementation for grid cells to be bit-identical.
-        """
-        generator = rng or np.random.default_rng()
-        expected = self.expected_rank_wer(op, behavior, rank, workload)
-        noise = float(np.exp(
-            self.calibration.workload.run_to_run_sigma * generator.standard_normal()
-        ))
-        return expected * noise
+        return float(np.mean(self.expected_rank_wer_grid([op], behavior, workload)[0]))
 
     # ------------------------------------------------------------------
     # grid engine (batched operating points)
@@ -277,12 +217,11 @@ class StatisticalErrorModel:
     ) -> np.ndarray:
         """Expected per-rank WER for many operating points, as (points, ranks).
 
-        The workload/operating-point term (``word_ce_probability``, one
-        retention-CDF evaluation per point) and the per-rank terms
+        The workload/operating-point term (the CE probability, one
+        retention-CDF evaluation for all points) and the per-rank terms
         (variation factor, idiosyncratic factor) are each computed once
-        and combined by broadcasting — in the same multiplication order
-        as :meth:`expected_rank_wer`, so every entry is bit-identical to
-        the scalar call.
+        and combined by broadcasting as ``base * variation *
+        idiosyncratic``.
         """
         if not ops:
             raise ConfigurationError("ops must contain at least one operating point")
@@ -324,12 +263,12 @@ class StatisticalErrorModel:
 
         ``rngs`` is a (points x repetitions) matrix of generators — one
         independent stream per grid cell, typically keyed the way
-        :meth:`CharacterizationExperiment._run_rng` keys scalar runs.
-        Each cell draws its per-rank normals in one batched call, which
+        :meth:`CharacterizationExperiment._run_rng` keys one run.  Each
+        cell draws its per-rank normals in one batched call, which
         consumes the generator's stream exactly like ``ranks`` sequential
-        scalar draws; with the same streams the result is bit-identical
-        to looping :meth:`sample_rank_wer`.  Without ``rngs``, fresh
-        unseeded generators are used (``repetitions`` cells per point).
+        scalar draws.  The noise kernel is ``np.exp`` over the whole
+        array.  Without ``rngs``, fresh unseeded generators are used
+        (``repetitions`` cells per point).
         """
         telemetry = get_telemetry()
         with telemetry.span("statistical.wer_grid"):
@@ -365,8 +304,7 @@ class StatisticalErrorModel:
         """PUE (Eq. 3) for many operating points, as a (points,) array.
 
         The expected-count grid shares one batched retention-CDF call;
-        the final ``1 - exp(-lam)`` stays per-point scalar math so every
-        entry is bit-identical to :meth:`probability_of_ue`.
+        the final ``1 - exp(-lam)`` is per-point ``math.exp``.
         """
         if not ops:
             raise ConfigurationError("ops must contain at least one operating point")
@@ -387,12 +325,10 @@ class StatisticalErrorModel:
         """Sample UE outcomes for every grid cell, as (points, repetitions).
 
         PUE is computed once per operating point instead of once per
-        cell; each cell then consumes its stream exactly like
-        :meth:`sample_ue_event` (one uniform, plus one categorical draw
-        only when the run crashes).  Pass the same ``rngs`` matrix used
-        for :meth:`sample_rank_wer_grid` — after the per-rank normals
-        each generator sits at the position the scalar path's UE draw
-        would see, so outcomes are bit-identical.  Without ``rngs``,
+        cell; each cell then draws one uniform, plus one categorical
+        draw only when the run crashes.  Pass the same ``rngs`` matrix
+        used for :meth:`sample_rank_wer_grid`, so each generator draws
+        its UE outcome after its per-rank normals.  Without ``rngs``,
         fresh unseeded generators are used (``repetitions`` cells per
         point, mirroring :meth:`sample_rank_wer_grid`).
         """
@@ -440,15 +376,12 @@ class StatisticalErrorModel:
         p_ret: float,
         op: OperatingPoint,
         behavior: WorkloadBehavior,
-        workload: str = "",
-        idiosyncratic: Optional[float] = None,
+        idiosyncratic: float,
     ) -> float:
-        """Expected UE count given a precomputed retention failure probability.
+        """Expected UE count of one point from its retention failure probability.
 
-        Shared per-point arithmetic of the scalar and grid paths.  The
-        idiosyncratic factor is deterministic per workload, so the grid
-        path computes it once and passes it in; ``None`` means compute it
-        here (the scalar path).
+        ``idiosyncratic`` is the workload's memory-wide factor, which is
+        the same for every point of a grid.
         """
         cal = self.calibration.workload
         ue_cal = self.calibration.ue
@@ -467,8 +400,6 @@ class StatisticalErrorModel:
             * (op.temperature_c - ue_cal.temperature_reference_c)
         )
         p_word_multi = min(clustering * pairs * p_bit ** 2, 1.0)
-        if idiosyncratic is None:
-            idiosyncratic = self._idiosyncratic_factor(workload, None)
         lam = (
             p_word_multi
             * behavior.footprint_words
@@ -477,14 +408,6 @@ class StatisticalErrorModel:
         )
         return float(lam)
 
-    def expected_ue_count(
-        self, op: OperatingPoint, behavior: WorkloadBehavior, workload: str = ""
-    ) -> float:
-        """Expected number of detected multi-bit words in one 2-hour run."""
-        return self._expected_ue_count_from_p_ret(
-            self.retention_bit_failure_probability(op), op, behavior, workload
-        )
-
     def expected_ue_count_grid(
         self,
         ops: Sequence[OperatingPoint],
@@ -492,43 +415,17 @@ class StatisticalErrorModel:
         workload: str = "",
         p_ret: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Expected UE counts for many operating points, as a (points,) array."""
+        """Expected multi-bit word count of a 2-hour run, as a (points,) array."""
         if p_ret is None:
             p_ret = self.retention_bit_failure_probability_grid(ops)
         idiosyncratic = self._idiosyncratic_factor(workload, None)
         return np.array(
             [
-                self._expected_ue_count_from_p_ret(
-                    float(p), op, behavior, workload, idiosyncratic=idiosyncratic
-                )
+                self._expected_ue_count_from_p_ret(float(p), op, behavior, idiosyncratic)
                 for p, op in zip(p_ret, ops)
             ],
             dtype=np.float64,
         )
-
-    def probability_of_ue(
-        self, op: OperatingPoint, behavior: WorkloadBehavior, workload: str = ""
-    ) -> float:
-        """PUE (Eq. 3): probability that a run triggers at least one UE."""
-        lam = self.expected_ue_count(op, behavior, workload)
-        return float(1.0 - math.exp(-lam))
-
-    def sample_ue_event(
-        self,
-        op: OperatingPoint,
-        behavior: WorkloadBehavior,
-        workload: str = "",
-        rng: Optional[np.random.Generator] = None,
-    ) -> Optional[RankLocation]:
-        """Sample whether a run crashes with a UE and, if so, on which rank."""
-        generator = rng or np.random.default_rng()
-        if generator.random() >= self.probability_of_ue(op, behavior, workload):
-            return None
-        weights = self.variation.normalized_ue_weights()
-        ranks = list(weights.keys())
-        probabilities = np.array([weights[rank] for rank in ranks])
-        index = generator.choice(len(ranks), p=probabilities)
-        return ranks[index]
 
     # ------------------------------------------------------------------
     # time behaviour (Fig. 2 / Fig. 4)

@@ -101,12 +101,3 @@ class VariationProfile:
         if total <= 0:
             raise ConfigurationError("at least one rank must have a positive ue_weight")
         return {loc: p.ue_weight / total for loc, p in self.ranks.items()}
-
-    def mean_wer_factor(self) -> float:
-        """Average WER factor across ranks (used for whole-memory rates)."""
-        return float(np.mean([p.wer_factor for p in self.ranks.values()]))
-
-    def spread(self) -> float:
-        """Max/min ratio of rank WER factors (the "188x" of Fig. 8)."""
-        factors = [p.wer_factor for p in self.ranks.values()]
-        return max(factors) / min(factors)

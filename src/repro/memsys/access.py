@@ -54,10 +54,6 @@ class MemoryAccess:
         return self.access_type is AccessType.WRITE
 
     @property
-    def is_read(self) -> bool:
-        return self.access_type is AccessType.READ
-
-    @property
     def word_address(self) -> int:
         """Address rounded down to the 64-bit word the access touches."""
         return self.address & ~0x7

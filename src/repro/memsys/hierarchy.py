@@ -67,11 +67,6 @@ class HierarchyStats:
     def l2_miss_rate(self) -> float:
         return self.l2_misses / self.l2_accesses if self.l2_accesses else 0.0
 
-    @property
-    def dram_access_fraction(self) -> float:
-        """Fraction of program memory accesses that reach DRAM."""
-        return self.dram_accesses / self.total_accesses if self.total_accesses else 0.0
-
 
 def _run_heads(lines: np.ndarray, threads: np.ndarray) -> np.ndarray:
     """Rows whose line differs from the previous line of the same thread."""

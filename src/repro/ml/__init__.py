@@ -1,34 +1,20 @@
 """From-scratch machine-learning substrate used by the error model.
 
 This package provides the three model families the paper evaluates
-(KNN, SVM, Random Decision Forest) plus the scalers, cross-validation
-splitters and metrics needed for the accuracy evaluation, implemented
-on top of numpy/scipy because scikit-learn is not available offline.
+(KNN, SVM, Random Decision Forest) plus the scalers, the
+leave-one-workload-out splitter and the metrics needed for the accuracy
+evaluation, implemented on top of numpy/scipy because scikit-learn is
+not available offline.
 """
 
 from repro.ml.base import Estimator, Regressor, Transformer
-from repro.ml.cross_validation import (
-    KFold,
-    LeaveOneGroupOut,
-    cross_val_predict_groups,
-    group_scores,
-)
-from repro.ml.distances import pairwise_distances
+from repro.ml.cross_validation import LeaveOneGroupOut, cross_val_predict_groups
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.kernels import linear_kernel, polynomial_kernel, rbf_kernel
-from repro.ml.knn import KNeighborsClassifier, KNeighborsRegressor
-from repro.ml.metrics import (
-    mean_absolute_error,
-    mean_percentage_error,
-    pearson_correlation,
-    prediction_ratio,
-    r2_score,
-    root_mean_squared_error,
-    spearman_correlation,
-)
-from repro.ml.pipeline import Pipeline, make_model_pipeline
-from repro.ml.scaling import LogTransformer, MinMaxScaler, StandardScaler
-from repro.ml.selection import FeatureCorrelation, SpearmanFeatureRanker, select_top_features
+from repro.ml.knn import KNeighborsRegressor
+from repro.ml.metrics import mean_percentage_error, prediction_ratio
+from repro.ml.pipeline import Pipeline
+from repro.ml.scaling import StandardScaler
 from repro.ml.svm import SVR
 from repro.ml.tree import DecisionTreeRegressor
 
@@ -36,32 +22,17 @@ __all__ = [
     "Estimator",
     "Regressor",
     "Transformer",
-    "KFold",
     "LeaveOneGroupOut",
     "cross_val_predict_groups",
-    "group_scores",
-    "pairwise_distances",
     "RandomForestRegressor",
     "linear_kernel",
     "polynomial_kernel",
     "rbf_kernel",
-    "KNeighborsClassifier",
     "KNeighborsRegressor",
-    "mean_absolute_error",
     "mean_percentage_error",
-    "pearson_correlation",
     "prediction_ratio",
-    "r2_score",
-    "root_mean_squared_error",
-    "spearman_correlation",
     "Pipeline",
-    "make_model_pipeline",
-    "LogTransformer",
-    "MinMaxScaler",
     "StandardScaler",
-    "FeatureCorrelation",
-    "SpearmanFeatureRanker",
-    "select_top_features",
     "SVR",
     "DecisionTreeRegressor",
 ]

@@ -86,15 +86,6 @@ class Estimator:
                 params[key] = value
         return params
 
-    def set_params(self, **params: Any) -> "Estimator":
-        """Set constructor parameters; unknown names raise ``ValueError``."""
-        valid = self.get_params()
-        for key, value in params.items():
-            if key not in valid:
-                raise ValueError(f"Unknown parameter {key!r} for {type(self).__name__}")
-            setattr(self, key, value)
-        return self
-
     def clone(self) -> "Estimator":
         """Return an unfitted copy with identical constructor parameters."""
         new = type(self)(**copy.deepcopy(self.get_params()))
@@ -120,30 +111,15 @@ class Regressor(Estimator):
                 f"{type(self).__name__} must be fitted before calling predict()"
             )
 
-    def score(self, X: ArrayLike, y: ArrayLike) -> float:
-        """Coefficient of determination R^2 on the given data."""
-        y_true = as_1d_array(y)
-        y_pred = self.predict(X)
-        ss_res = float(np.sum((y_true - y_pred) ** 2))
-        ss_tot = float(np.sum((y_true - np.mean(y_true)) ** 2))
-        # A sum of squares is non-negative, so the ordered guard catches
-        # exactly the degenerate constant-target case without float ==.
-        if ss_tot <= 0.0:
-            return 0.0 if ss_res > 0 else 1.0
-        return 1.0 - ss_res / ss_tot
-
 
 class Transformer(Estimator):
-    """Base class for transformers (scalers, selectors)."""
+    """Base class for transformers (scalers and column transforms)."""
 
     def fit(self, X: ArrayLike, y: Optional[ArrayLike] = None) -> "Transformer":
         raise NotImplementedError
 
     def transform(self, X: ArrayLike) -> np.ndarray:
         raise NotImplementedError
-
-    def fit_transform(self, X: ArrayLike, y: Optional[ArrayLike] = None) -> np.ndarray:
-        return self.fit(X, y).transform(X)
 
 
 def validate_fit_args(X: ArrayLike, y: ArrayLike) -> Tuple[np.ndarray, np.ndarray]:

@@ -9,11 +9,11 @@ the group label is the workload name.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ConfigurationError, DataError
+from repro.errors import DataError
 from repro.ml.base import ArrayLike, Regressor
 from repro.telemetry import get_telemetry
 
@@ -40,45 +40,6 @@ class LeaveOneGroupOut:
             test_mask = codes == code
             yield indices[~test_mask], indices[test_mask]
 
-    def get_n_splits(self, groups: Sequence) -> int:
-        return int(np.unique(np.asarray(groups)).shape[0])
-
-
-class KFold:
-    """Standard K-fold splitter with optional shuffling."""
-
-    def __init__(
-        self, n_splits: int = 5, shuffle: bool = False,
-        random_state: Optional[int] = None,
-    ) -> None:
-        if n_splits < 2:
-            raise ConfigurationError("n_splits must be >= 2")
-        self.n_splits = n_splits
-        self.shuffle = shuffle
-        self.random_state = random_state
-
-    def split(self, X: Sequence) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        n_samples = len(X)
-        if n_samples < self.n_splits:
-            raise DataError(
-                f"Cannot split {n_samples} samples into {self.n_splits} folds"
-            )
-        indices = np.arange(n_samples)
-        if self.shuffle:
-            rng = np.random.default_rng(self.random_state)
-            rng.shuffle(indices)
-        fold_sizes = np.full(self.n_splits, n_samples // self.n_splits, dtype=int)
-        fold_sizes[: n_samples % self.n_splits] += 1
-        start = 0
-        for size in fold_sizes:
-            test = indices[start : start + size]
-            train = np.concatenate([indices[:start], indices[start + size :]])
-            yield train, test
-            start += size
-
-    def get_n_splits(self) -> int:
-        return self.n_splits
-
 
 def cross_val_predict_groups(
     estimator: Regressor, X: ArrayLike, y: ArrayLike, groups: Sequence
@@ -102,20 +63,3 @@ def cross_val_predict_groups(
                 if telemetry.enabled:
                     telemetry.incr("ml.cv_folds")
         return predictions
-
-
-def group_scores(
-    y_true: ArrayLike,
-    y_pred: ArrayLike,
-    groups: Sequence,
-    metric: Callable[[np.ndarray, np.ndarray], float],
-) -> List[Tuple[str, float]]:
-    """Apply ``metric`` per group and return ``[(group, score), ...]``."""
-    y_true = np.asarray(y_true, dtype=float)
-    y_pred = np.asarray(y_pred, dtype=float)
-    groups_arr = np.asarray(groups)
-    results = []
-    for group in np.unique(groups_arr):
-        mask = groups_arr == group
-        results.append((str(group), float(metric(y_true[mask], y_pred[mask]))))
-    return results

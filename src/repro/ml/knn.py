@@ -1,10 +1,13 @@
-"""K-nearest-neighbours regression and classification.
+"""K-nearest-neighbours regression.
 
 KNN is the model that achieves the best accuracy in the paper
 (Section VI.B): ~10 % mean percentage error for WER with input set 1
 and ~4 % for PUE with input set 2.
 
-Neighbour search is fully deterministic: the k nearest training rows
+Distances are scipy's Euclidean ``cdist``, which sums ``(a-b)^2`` in
+feature order for each pair from its own two rows alone, so a query's
+distances are the same in a one-row call and in any batch.  Neighbour
+search is fully deterministic: the k nearest training rows
 are the k smallest under the lexicographic ``(distance, training
 index)`` order, so equidistant neighbours always resolve to the
 lowest-index rows regardless of platform or numpy version.  The hot
@@ -25,6 +28,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from repro.errors import ConfigurationError, DataError
 from repro.ml.base import (
@@ -34,7 +38,6 @@ from repro.ml.base import (
     as_target_array,
     check_consistent_length,
 )
-from repro.ml.distances import pairwise_distances
 
 
 def stable_kneighbors(dist: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -98,13 +101,11 @@ class KNeighborsRegressor(Regressor):
         self,
         n_neighbors: int = 5,
         weights: str = "distance",
-        metric: str = "euclidean",
     ) -> None:
         if n_neighbors < 1:
             raise ConfigurationError("n_neighbors must be >= 1")
         self.n_neighbors = n_neighbors
         self.weights = weights
-        self.metric = metric
 
     def fit(self, X: ArrayLike, y: ArrayLike) -> "KNeighborsRegressor":
         X_arr, y_arr = as_2d_array(X), as_target_array(y)
@@ -126,8 +127,7 @@ class KNeighborsRegressor(Regressor):
         k = n_neighbors if n_neighbors is not None else self.n_neighbors
         k = min(k, self.X_train_.shape[0])
         X_arr = as_2d_array(X, allow_empty=True)
-        dist = pairwise_distances(X_arr, self.X_train_, metric=self.metric)
-        return stable_kneighbors(dist, k)
+        return stable_kneighbors(cdist(X_arr, self.X_train_), k)
 
     def predict(self, X: ArrayLike) -> np.ndarray:
         self._check_fitted("X_train_")
@@ -144,43 +144,3 @@ class KNeighborsRegressor(Regressor):
         targets_by_output = np.ascontiguousarray(self.y_train_.T)
         prediction = (w * targets_by_output[..., idx]).sum(axis=-1) / weight_sums
         return prediction.T
-
-
-class KNeighborsClassifier(Regressor):
-    """Brute-force KNN classifier (majority / weighted vote)."""
-
-    def __init__(
-        self,
-        n_neighbors: int = 5,
-        weights: str = "uniform",
-        metric: str = "euclidean",
-    ) -> None:
-        if n_neighbors < 1:
-            raise ConfigurationError("n_neighbors must be >= 1")
-        self.n_neighbors = n_neighbors
-        self.weights = weights
-        self.metric = metric
-
-    def fit(self, X: ArrayLike, y: ArrayLike) -> "KNeighborsClassifier":
-        X_arr = as_2d_array(X)
-        y_arr = np.asarray(y)
-        if X_arr.shape[0] != y_arr.shape[0]:
-            raise DataError("X and y have inconsistent sample counts")
-        self.classes_, encoded = np.unique(y_arr, return_inverse=True)
-        self.X_train_ = X_arr
-        self.y_train_ = encoded
-        return self
-
-    def predict(self, X: ArrayLike) -> np.ndarray:
-        self._check_fitted("X_train_")
-        X_arr = as_2d_array(X, allow_empty=True)
-        k = min(self.n_neighbors, self.X_train_.shape[0])
-        dist = pairwise_distances(X_arr, self.X_train_, metric=self.metric)
-        nearest, idx = stable_kneighbors(dist, k)
-        w = _neighbor_weights(nearest, self.weights)
-        votes = np.zeros((X_arr.shape[0], self.classes_.shape[0]))
-        rows = np.repeat(np.arange(X_arr.shape[0]), k)
-        np.add.at(votes, (rows, self.y_train_[idx].ravel()), w.ravel())
-        # argmax resolves vote ties to the smallest class index — the
-        # classes_ table is sorted, so ties go to the smallest label.
-        return self.classes_[np.argmax(votes, axis=1)]

@@ -1,12 +1,8 @@
 """Accuracy metrics used throughout the accuracy evaluation (Section VI).
 
 The paper reports the *mean percentage error* (MPE) of WER / PUE
-estimates; this module provides it together with standard regression
-metrics and the Spearman rank correlation used for feature selection.
-
-``scipy.stats`` is imported inside the two correlation helpers: it takes
-about a second to import, and nothing else that ``import repro`` loads
-needs it.
+estimates (Fig. 11/12) and the conventional model's multiplicative
+over/under-estimation factor (Fig. 13).
 """
 
 from __future__ import annotations
@@ -27,18 +23,6 @@ def _validate_pair(y_true: ArrayLike, y_pred: ArrayLike) -> Tuple[np.ndarray, np
     if a.shape[0] == 0:
         raise DataError("empty arrays passed to a metric")
     return a, b
-
-
-def mean_absolute_error(y_true: ArrayLike, y_pred: ArrayLike) -> float:
-    """Plain MAE."""
-    a, b = _validate_pair(y_true, y_pred)
-    return float(np.mean(np.abs(a - b)))
-
-
-def root_mean_squared_error(y_true: ArrayLike, y_pred: ArrayLike) -> float:
-    """RMSE."""
-    a, b = _validate_pair(y_true, y_pred)
-    return float(np.sqrt(np.mean((a - b) ** 2)))
 
 
 def mean_percentage_error(y_true: ArrayLike, y_pred: ArrayLike, floor: float = 0.0) -> float:
@@ -73,52 +57,3 @@ def prediction_ratio(y_true: ArrayLike, y_pred: ArrayLike) -> float:
         raise DataError("prediction_ratio requires strictly positive values")
     ratio = np.maximum(a / b, b / a)
     return float(np.mean(ratio))
-
-
-def r2_score(y_true: ArrayLike, y_pred: ArrayLike) -> float:
-    """Coefficient of determination."""
-    a, b = _validate_pair(y_true, y_pred)
-    ss_res = float(np.sum((a - b) ** 2))
-    ss_tot = float(np.sum((a - np.mean(a)) ** 2))
-    # A sum of squares is non-negative, so the ordered guard catches
-    # exactly the degenerate constant-target case without float ==.
-    if ss_tot <= 0.0:
-        return 0.0 if ss_res > 0 else 1.0
-    return 1.0 - ss_res / ss_tot
-
-
-def spearman_correlation(x: ArrayLike, y: ArrayLike) -> float:
-    """Spearman's rank correlation coefficient ``rs``.
-
-    Detects both linear and non-linear monotonic relationships, which is
-    why the paper uses it for feature selection (Section VI.A).
-
-    **Zero-variance contract:** a constant ``x`` or constant ``y`` carries
-    no ranking information, so the coefficient is defined as exactly
-    ``0.0`` — never NaN (scipy's ``spearmanr`` would return NaN, which
-    silently poisons any downstream mean, e.g. the per-operating-point
-    averaging in ``run_correlation_study``).  The vectorized study path
-    (``repro.core.correlation``) implements the same contract.
-    """
-    a, b = _validate_pair(x, y)
-    if np.all(a == a[0]) or np.all(b == b[0]):
-        return 0.0
-    from scipy import stats
-
-    rs, _pvalue = stats.spearmanr(a, b)
-    if np.isnan(rs):
-        return 0.0
-    return float(rs)
-
-
-def pearson_correlation(x: ArrayLike, y: ArrayLike) -> float:
-    """Pearson's linear correlation coefficient."""
-    a, b = _validate_pair(x, y)
-    if np.all(a == a[0]) or np.all(b == b[0]):
-        return 0.0
-    from scipy import stats
-
-    r, _pvalue = stats.pearsonr(a, b)
-    if np.isnan(r):
-        return 0.0
-    return float(r)

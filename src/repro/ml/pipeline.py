@@ -8,7 +8,7 @@ statistics are re-fitted on every training fold.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -48,10 +48,6 @@ class Pipeline(Regressor):
                 cloned_steps.append((name, step))
         return Pipeline(cloned_steps)
 
-    @property
-    def named_steps(self) -> dict:
-        return dict(self.steps)
-
     def _transform(self, X: ArrayLike) -> np.ndarray:
         data = X
         for _name, step in self.steps[:-1]:
@@ -78,12 +74,3 @@ class Pipeline(Regressor):
             if telemetry.enabled:
                 telemetry.incr("ml.predict_rows", int(np.shape(predictions)[0]))
             return predictions
-
-
-def make_model_pipeline(model: Regressor, scaler: Optional[object] = None) -> Pipeline:
-    """Convenience constructor: ``StandardScaler`` + model."""
-    from repro.ml.scaling import StandardScaler
-
-    steps: List[Tuple[str, object]] = [("scaler", scaler or StandardScaler())]
-    steps.append(("model", model))
-    return Pipeline(steps)

@@ -24,35 +24,27 @@ class StandardScaler(Transformer):
     any downstream model either way.
     """
 
-    def __init__(self, with_mean: bool = True, with_std: bool = True) -> None:
-        self.with_mean = with_mean
-        self.with_std = with_std
-
     def fit(self, X: ArrayLike, y: Optional[ArrayLike] = None) -> "StandardScaler":
         X_arr = as_2d_array(X)
-        mean = X_arr.mean(axis=0)
-        self.mean_ = mean if self.with_mean else np.zeros(X_arr.shape[1])
-        if self.with_std:
-            std = X_arr.std(axis=0)
-            # A constant column of non-representable values (e.g. 0.1) leaves
-            # a roundoff-sized std (~eps * |mean|); dividing the matching
-            # roundoff residual by it would turn "constant" into +/-1.  Treat
-            # any std at summation-noise scale as zero variance.  numpy's
-            # pairwise summation error grows ~log2(n) * eps relative to the
-            # mean; the factor of 8 is safety margin, and keeping the bound
-            # logarithmic (not linear) in n avoids clamping genuinely varying
-            # columns in large samples.
-            n = X_arr.shape[0]
-            noise_floor = (
-                8.0
-                * (1.0 + np.log2(n))
-                * np.finfo(X_arr.dtype).eps
-                * np.maximum(np.abs(mean), 1.0)
-            )
-            std[std <= noise_floor] = 1.0
-            self.scale_ = std
-        else:
-            self.scale_ = np.ones(X_arr.shape[1])
+        self.mean_ = X_arr.mean(axis=0)
+        std = X_arr.std(axis=0)
+        # A constant column of non-representable values (e.g. 0.1) leaves
+        # a roundoff-sized std (~eps * |mean|); dividing the matching
+        # roundoff residual by it would turn "constant" into +/-1.  Treat
+        # any std at summation-noise scale as zero variance.  numpy's
+        # pairwise summation error grows ~log2(n) * eps relative to the
+        # mean; the factor of 8 is safety margin, and keeping the bound
+        # logarithmic (not linear) in n avoids clamping genuinely varying
+        # columns in large samples.
+        n = X_arr.shape[0]
+        noise_floor = (
+            8.0
+            * (1.0 + np.log2(n))
+            * np.finfo(X_arr.dtype).eps
+            * np.maximum(np.abs(self.mean_), 1.0)
+        )
+        std[std <= noise_floor] = 1.0
+        self.scale_ = std
         return self
 
     def transform(self, X: ArrayLike) -> np.ndarray:
@@ -65,43 +57,6 @@ class StandardScaler(Transformer):
                 f"{self.mean_.shape[0]}"
             )
         return (X_arr - self.mean_) / self.scale_
-
-    def inverse_transform(self, X: ArrayLike) -> np.ndarray:
-        if not hasattr(self, "mean_"):
-            raise NotFittedError("StandardScaler is not fitted")
-        X_arr = as_2d_array(X)
-        return X_arr * self.scale_ + self.mean_
-
-
-class MinMaxScaler(Transformer):
-    """Scale features to the ``[0, 1]`` range (constant features map to 0)."""
-
-    def __init__(self) -> None:
-        pass
-
-    def fit(self, X: ArrayLike, y: Optional[ArrayLike] = None) -> "MinMaxScaler":
-        X_arr = as_2d_array(X)
-        self.min_ = X_arr.min(axis=0)
-        data_range = X_arr.max(axis=0) - self.min_
-        # Unlike StandardScaler's std, min/max select stored values without
-        # arithmetic, so a constant column yields an exactly zero range and
-        # the exact guard is sufficient.  A roundoff-scale *positive* range
-        # is a real (tiny) spread and still maps cleanly into [0, 1] because
-        # the numerator is bounded by the same range.
-        data_range[data_range == 0.0] = 1.0  # repro-lint: disable=REP004
-        self.range_ = data_range
-        return self
-
-    def transform(self, X: ArrayLike) -> np.ndarray:
-        if not hasattr(self, "min_"):
-            raise NotFittedError("MinMaxScaler is not fitted")
-        X_arr = as_2d_array(X)
-        if X_arr.shape[1] != self.min_.shape[0]:
-            raise ValueError(
-                f"X has {X_arr.shape[1]} features, scaler was fitted with "
-                f"{self.min_.shape[0]}"
-            )
-        return (X_arr - self.min_) / self.range_
 
 
 class ColumnLogTransformer(Transformer):
@@ -162,26 +117,3 @@ class ColumnWeightTransformer(Transformer):
         if X_arr.shape[1] != self.weights.shape[0]:
             raise ValueError("column count mismatch with fitted weights")
         return X_arr * self.weights
-
-
-class LogTransformer(Transformer):
-    """Apply ``log10`` to strictly positive targets/features.
-
-    DRAM error rates span five orders of magnitude across the TREFP and
-    temperature sweep (Fig. 7), so models are trained on ``log10(WER)``
-    and predictions are transformed back.
-    """
-
-    def __init__(self, epsilon: float = 1e-300) -> None:
-        self.epsilon = epsilon
-
-    def fit(self, X: ArrayLike, y: Optional[ArrayLike] = None) -> "LogTransformer":
-        return self
-
-    def transform(self, X: ArrayLike) -> np.ndarray:
-        arr = np.asarray(X, dtype=float)
-        return np.log10(np.maximum(arr, self.epsilon))
-
-    def inverse_transform(self, X: ArrayLike) -> np.ndarray:
-        arr = np.asarray(X, dtype=float)
-        return np.power(10.0, arr)

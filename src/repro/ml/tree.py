@@ -455,9 +455,6 @@ class DecisionTreeRegressor(Regressor):
         self.max_features = max_features
         self.random_state = random_state
 
-    def _n_split_features(self, n_features: int) -> int:
-        return n_split_features(self.max_features, n_features)
-
     def _set_flat(self, tree: FlatTree, n_features: int) -> "DecisionTreeRegressor":
         self.n_features_ = n_features
         (
@@ -490,22 +487,3 @@ class DecisionTreeRegressor(Regressor):
             self.feature_, self.threshold_, self.children_left_,
             self.children_right_, self.value_, X_arr,
         )
-
-    def depth(self) -> int:
-        """Maximum depth of the fitted tree (0 for a single leaf)."""
-        self._check_fitted("feature_")
-        level = np.zeros(1, dtype=np.int64)
-        depth = 0
-        while True:
-            internal = level[self.feature_[level] >= 0]
-            if not internal.size:
-                return depth
-            level = np.concatenate(
-                (self.children_left_[internal], self.children_right_[internal])
-            )
-            depth += 1
-
-    def node_count(self) -> int:
-        """Total number of nodes (internal + leaves) in the fitted tree."""
-        self._check_fitted("feature_")
-        return int(self.feature_.shape[0])

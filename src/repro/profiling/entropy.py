@@ -62,8 +62,3 @@ class DataEntropyEstimator:
             np.uint64((1 << self.value_bits) - 1)
         _, first_seen, counts = np.unique(samples, return_index=True, return_counts=True)
         return shannon_entropy_bits(counts[np.argsort(first_seen)])
-
-    @property
-    def max_entropy_bits(self) -> float:
-        """Upper bound of the estimator given the value width."""
-        return float(self.value_bits)

@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Sequence
-
-import numpy as np
+from typing import Dict
 
 from repro import units
 from repro.dram.statistical import WorkloadBehavior
@@ -42,14 +40,6 @@ class WorkloadProfile:
             return self.features[name]
         except KeyError:
             raise DataError(f"unknown feature {name!r}") from None
-
-    def feature_vector(self, names: Sequence[str]) -> np.ndarray:
-        """Features in the given order, as a numpy vector."""
-        return np.array([self.feature(name) for name in names], dtype=float)
-
-    @property
-    def num_features(self) -> int:
-        return len(self.features)
 
     # ------------------------------------------------------------------
     def behavior(self) -> WorkloadBehavior:

@@ -37,7 +37,6 @@ from repro.dram.geometry import RankLocation
 from repro.errors import RegistryError
 from repro.serving.serialization import (
     ArrayPayload,
-    EstimatorSpec,
     capture_estimator,
     restore_estimator,
 )
@@ -47,7 +46,9 @@ from repro.telemetry.report import environment_metadata
 #: Schema tag embedded in every bundle manifest; bump on breaking changes.
 #: v2: a predictor bundle holds one multi-output WER pipeline and its rank
 #: list instead of one WER pipeline per rank.
-MODEL_BUNDLE_SCHEMA = "repro.model_bundle/v2"
+#: v3: a KNN spec no longer carries a ``metric`` parameter (KNN is
+#: Euclidean only), and a StandardScaler spec carries no parameters.
+MODEL_BUNDLE_SCHEMA = "repro.model_bundle/v3"
 
 _MANIFEST_NAME = "manifest.json"
 _ARRAYS_NAME = "arrays.npz"
@@ -240,15 +241,6 @@ class ModelRegistry:
         return self.root / self._check_name(name)
 
     # ------------------------------------------------------------------
-    def models(self) -> List[str]:
-        """Registered model names, sorted."""
-        if not self.root.is_dir():
-            return []
-        return sorted(
-            entry.name for entry in self.root.iterdir()
-            if entry.is_dir() and self.versions(entry.name)
-        )
-
     def versions(self, name: str) -> List[str]:
         """Available versions of a model, ascending (``v1``, ``v2``, ...)."""
         model_dir = self._model_dir(name)

@@ -11,9 +11,8 @@ mapping (stored in one ``.npz`` by the registry);
 
 The persisted state is deliberately the *prediction* state, not the
 training state: a restored tree carries its flat node arrays (which is
-all a fitted tree is, so ``depth()`` and ``node_count()`` work too), a
-restored forest only the concatenated ensemble arrays, and a restored
-SVR support coefficients but no optimizer state.  Restored estimators
+all a fitted tree is), a restored forest only the concatenated ensemble
+arrays, and a restored SVR support coefficients but no optimizer state.  Restored estimators
 therefore predict — bit-identically — but do not expose training-only
 introspection such as ``RandomForestRegressor.estimators_``.
 Multi-output estimators round-trip the same way: an SVR's intercepts
@@ -36,7 +35,6 @@ from repro.ml.pipeline import Pipeline
 from repro.ml.scaling import (
     ColumnLogTransformer,
     ColumnWeightTransformer,
-    MinMaxScaler,
     StandardScaler,
 )
 from repro.ml.svm import SVR
@@ -67,7 +65,6 @@ _CODECS: Dict[str, _EstimatorCodec] = {
     codec.cls.__name__: codec
     for codec in (
         _EstimatorCodec(StandardScaler, fitted_arrays=("mean_", "scale_")),
-        _EstimatorCodec(MinMaxScaler, fitted_arrays=("min_", "range_")),
         _EstimatorCodec(ColumnLogTransformer),
         _EstimatorCodec(ColumnWeightTransformer, array_params=("weights",)),
         _EstimatorCodec(KNeighborsRegressor, fitted_arrays=("X_train_", "y_train_")),

@@ -24,7 +24,6 @@ from repro.telemetry.core import (
 )
 from repro.telemetry.report import (
     BENCH_ARTIFACT_NAME,
-    RUN_REPORT_ARTIFACT_NAME,
     RUN_REPORT_SCHEMA,
     RunReport,
     environment_metadata,
@@ -47,5 +46,4 @@ __all__ = [
     "environment_metadata",
     "RUN_REPORT_SCHEMA",
     "BENCH_ARTIFACT_NAME",
-    "RUN_REPORT_ARTIFACT_NAME",
 ]

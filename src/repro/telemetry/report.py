@@ -13,7 +13,6 @@ and renders it two ways:
 
 from __future__ import annotations
 
-import json
 import platform
 import subprocess
 import sys
@@ -30,9 +29,6 @@ RUN_REPORT_SCHEMA = "repro.run_report/v1"
 #: ``benchmarks/conftest.py`` and the CI workflow derive the default
 #: artifact path from (the ``BENCH_REPORT_JSON`` env var still overrides).
 BENCH_ARTIFACT_NAME = "BENCH_10.json"
-
-#: Default name of the tier-1 run-report artifact CI uploads.
-RUN_REPORT_ARTIFACT_NAME = "RUN_REPORT_7.json"
 
 
 def _git_sha() -> Optional[str]:
@@ -136,8 +132,3 @@ class RunReport:
             },
             "spans": [span.to_json_dict() for span in snapshot.spans],
         }
-
-    def write_json(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_json_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")

@@ -19,7 +19,7 @@ semantics:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 
 @dataclass(frozen=True)
@@ -72,12 +72,6 @@ class SpanSnapshot:
     min_s: float
     max_s: float
     children: List["SpanSnapshot"] = field(default_factory=list)
-
-    def child(self, name: str) -> Optional["SpanSnapshot"]:
-        for node in self.children:
-            if node.name == name:
-                return node
-        return None
 
     def merge(self, other: "SpanSnapshot") -> "SpanSnapshot":
         if other.name != self.name:
@@ -153,29 +147,3 @@ class TelemetrySnapshot:
             histograms=histograms,
             spans=_merge_span_lists(self.spans, other.spans),
         )
-
-    # -- lookup helpers ----------------------------------------------------
-    def find_span(self, path: str) -> Optional[SpanSnapshot]:
-        """Span node at a ``/``-separated path from the root, or ``None``."""
-        nodes = self.spans
-        found: Optional[SpanSnapshot] = None
-        for part in path.split("/"):
-            found = next((n for n in nodes if n.name == part), None)
-            if found is None:
-                return None
-            nodes = found.children
-        return found
-
-    def span_counts(self) -> Dict[str, int]:
-        """Flat ``{"a/b/c": count}`` view of the whole span tree."""
-        counts: Dict[str, int] = {}
-
-        def visit(node: SpanSnapshot, prefix: str) -> None:
-            path = f"{prefix}/{node.name}" if prefix else node.name
-            counts[path] = counts.get(path, 0) + node.count
-            for child in node.children:
-                visit(child, path)
-
-        for node in self.spans:
-            visit(node, "")
-        return counts

@@ -108,10 +108,3 @@ class ThermalTestbed:
 
     def temperatures(self) -> Dict[str, float]:
         return {channel.name: channel.temperature_c for channel in self.channels}
-
-    def max_temperature_error(self) -> float:
-        """Largest |setpoint - measured| across DIMMs."""
-        return max(
-            abs(channel.controller.setpoint - channel.temperature_c)
-            for channel in self.channels
-        )

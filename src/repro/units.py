@@ -1,4 +1,4 @@
-"""Physical constants, unit helpers and platform defaults.
+"""Physical constants and platform defaults.
 
 The values mirror the experimental platform used in the paper: an
 X-Gene2 ARMv8 server with four Micron DDR3 DIMMs (8 GB each, two ranks
@@ -11,8 +11,6 @@ from __future__ import annotations
 
 # --- time ------------------------------------------------------------------
 MS = 1e-3
-US = 1e-6
-NS = 1e-9
 MINUTE = 60.0
 HOUR = 3600.0
 
@@ -40,26 +38,11 @@ NUM_MCUS = 4
 DIMMS_PER_MCU = 1
 RANKS_PER_DIMM = 2
 CHIPS_PER_RANK = 9              #: 8 data chips + 1 ECC chip (x8 devices)
-DIMM_CAPACITY_BYTES = 8 * GIB
 BENCHMARK_FOOTPRINT_BYTES = 8 * GIB   #: every benchmark allocates 8 GB in the paper
 
 #: refresh periods (seconds) swept in the characterization campaign (Fig. 7)
 TREFP_SWEEP_S = (0.618, 1.173, 1.727, 2.283)
 #: refresh periods used for the UE study at 70C (Fig. 9)
 TREFP_UE_SWEEP_S = (1.450, 1.727, 2.283)
-#: DIMM temperatures used in the campaign
-TEMPERATURE_SWEEP_C = (50.0, 60.0, 70.0)
 
 CHARACTERIZATION_DURATION_S = 2 * HOUR   #: duration of one characterization run
-
-
-def celsius_to_kelvin(temp_c: float) -> float:
-    """Convert a temperature from Celsius to Kelvin."""
-    return temp_c + 273.15
-
-
-def words_in(num_bytes: int) -> int:
-    """Number of 64-bit words contained in ``num_bytes`` bytes."""
-    if num_bytes < 0:
-        raise ValueError("num_bytes must be non-negative")
-    return num_bytes // WORD_BYTES

@@ -10,7 +10,6 @@ from repro.workloads.base import (
     TraceRecorder,
     Workload,
     WorkloadMetadata,
-    float_to_word,
 )
 from repro.workloads.caching import MemcachedWorkload
 from repro.workloads.compute import (
@@ -21,7 +20,7 @@ from repro.workloads.compute import (
     SradWorkload,
 )
 from repro.workloads.lulesh import LuleshWorkload
-from repro.workloads.micro import DataPatternWorkload, random_data_pattern, solid_data_pattern
+from repro.workloads.micro import DataPatternWorkload
 from repro.workloads.registry import (
     ALL_WORKLOADS,
     CAMPAIGN_WORKLOADS,
@@ -39,7 +38,6 @@ __all__ = [
     "TraceRecorder",
     "Workload",
     "WorkloadMetadata",
-    "float_to_word",
     "MemcachedWorkload",
     "BackpropWorkload",
     "FmmWorkload",
@@ -48,8 +46,6 @@ __all__ = [
     "SradWorkload",
     "LuleshWorkload",
     "DataPatternWorkload",
-    "random_data_pattern",
-    "solid_data_pattern",
     "ALL_WORKLOADS",
     "CAMPAIGN_WORKLOADS",
     "EXTRA_WORKLOADS",

@@ -13,8 +13,7 @@ each access to five ``array.array`` buffers — address (``q``), is_write
 (``b``), the loaded/stored float (``d``), instruction index (``q``) and
 thread (``q``) — and :attr:`TraceRecorder.columns` turns them into one
 frozen :class:`~repro.memsys.access.AccessColumns` of numpy arrays.  The
-64-bit word that sits in DRAM is the float column viewed as ``uint64``
-(the columnar form of :func:`float_to_word`).
+64-bit word that sits in DRAM is the float column viewed as ``uint64``.
 
 ``InstrumentedArray.read``/``write`` record one access each; kernels
 that branch on the data they read (memcached probing, the bfs/bc
@@ -36,7 +35,6 @@ DESIGN.md.
 
 from __future__ import annotations
 
-import struct
 from abc import ABC, abstractmethod
 from array import array
 from dataclasses import dataclass
@@ -48,11 +46,6 @@ from numpy.typing import ArrayLike
 from repro import units
 from repro.errors import WorkloadError
 from repro.memsys.access import AccessColumns
-
-
-def float_to_word(value: float) -> int:
-    """Raw 64-bit pattern of a float — what actually sits in DRAM."""
-    return struct.unpack("<Q", struct.pack("<d", float(value)))[0]
 
 
 #: One access of a block-recorded loop body: its byte address, whether it
@@ -296,10 +289,6 @@ class WorkloadMetadata:
     threads: int = 1
     nominal_footprint_bytes: int = units.BENCHMARK_FOOTPRINT_BYTES
     description: str = ""
-
-    @property
-    def is_parallel(self) -> bool:
-        return self.threads > 1
 
 
 class Workload(ABC):

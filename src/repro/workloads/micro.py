@@ -10,8 +10,6 @@ pattern variant is included for data-pattern ablations.
 
 from __future__ import annotations
 
-from typing import Any
-
 import numpy as np
 
 from repro.workloads.base import TraceRecorder, Workload
@@ -60,15 +58,3 @@ class DataPatternWorkload(Workload):
             # decay; compute-only instructions model that idle period.
             recorder.compute(self.idle_instructions)
             recorder.record_block(sweep)
-
-
-def random_data_pattern(**kwargs: Any) -> DataPatternWorkload:
-    """The random data-pattern micro-benchmark used in Fig. 2 / Fig. 13."""
-    kwargs.setdefault("pattern", "random")
-    return DataPatternWorkload(**kwargs)
-
-
-def solid_data_pattern(**kwargs: Any) -> DataPatternWorkload:
-    """An all-zeros pattern: the least stressful data pattern."""
-    kwargs.setdefault("pattern", "solid")
-    return DataPatternWorkload(**kwargs)

@@ -7,6 +7,7 @@ so every test can share them without re-running the simulation.
 
 from __future__ import annotations
 
+import json
 import os
 
 import pytest
@@ -51,7 +52,9 @@ def small_campaign(small_profiles):
         result = campaign.run(include_ue_study=True)
     report_path = os.environ.get("RUN_REPORT_JSON")
     if report_path:
-        RunReport.capture(telemetry).write_json(report_path)
+        with open(report_path, "w", encoding="utf-8") as handle:
+            json.dump(RunReport.capture(telemetry).to_json_dict(), handle, indent=2, sort_keys=True)
+            handle.write("\n")
     return result
 
 

@@ -17,7 +17,7 @@ shuffled rank rows).
 
 :func:`reference_run_correlation_study` is the pre-vectorized body of
 ``run_correlation_study`` — one pass over the rows per dataset and one
-:func:`~repro.ml.metrics.spearman_correlation` call per (feature,
+:func:`spearman_correlation` call (scipy's ``spearmanr``) per (feature,
 operating-point group) — pinned against the group-code path to a 1e-9
 tolerance (reduction order differs, so agreement is tolerance- rather
 than bit-exact).
@@ -42,12 +42,34 @@ from repro.core.features import FeatureSet
 from repro.dram.geometry import RankLocation
 from repro.dram.operating import OperatingPoint
 from repro.errors import DataError
-from repro.ml.metrics import mean_percentage_error, prediction_ratio, spearman_correlation
+from repro.ml.metrics import mean_percentage_error, prediction_ratio
 from repro.profiling.counters import all_feature_names
 from repro.profiling.profile import WorkloadProfile
 from repro.profiling.profiler import profile_workload
 
 OpKey = Tuple[float, float, float]
+
+
+def spearman_correlation(x: Sequence[float], y: Sequence[float]) -> float:
+    """Spearman's rank correlation coefficient ``rs`` (scipy's ``spearmanr``).
+
+    **Zero-variance contract:** a constant ``x`` or constant ``y`` carries
+    no ranking information, so the coefficient is defined as exactly
+    ``0.0`` — never NaN (scipy would return NaN, which silently poisons
+    any downstream mean, e.g. the per-operating-point averaging of the
+    correlation study).  The library's group-code study path
+    (``repro.core.correlation``) implements the same contract.
+    """
+    a = np.asarray(x, dtype=float).ravel()
+    b = np.asarray(y, dtype=float).ravel()
+    if np.all(a == a[0]) or np.all(b == b[0]):
+        return 0.0
+    from scipy import stats
+
+    rs, _pvalue = stats.spearmanr(a, b)
+    if np.isnan(rs):
+        return 0.0
+    return float(rs)
 
 
 @dataclass(frozen=True)

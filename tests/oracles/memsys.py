@@ -2,7 +2,8 @@
 
 ``SetAssociativeCache`` keeps one ``OrderedDict`` per set (tag -> dirty
 flag, least recently used first), ``MemoryChannelSystem`` maps every
-DRAM command through ``AddressMapper.map_address`` one at a time, and
+DRAM command through :func:`map_address` (the full-coordinate scalar
+form of ``AddressMapper.rank_indices``) one at a time, and
 :func:`simulate_objects` walks an object trace through both exactly as
 the library did before it became columnar.
 """
@@ -20,6 +21,27 @@ from repro.errors import ConfigurationError
 from repro.memsys.access import MemoryAccess
 from repro.memsys.cache import CacheConfig, xgene2_l1_config, xgene2_l2_config
 from repro.memsys.hierarchy import HierarchyStats
+
+
+def map_address(mapper: AddressMapper, byte_address: int) -> CellLocation:
+    """Translate a physical byte address into DRAM word coordinates."""
+    if byte_address < 0:
+        raise ConfigurationError("byte_address must be non-negative")
+    geometry = mapper.geometry
+    word = (byte_address // units.WORD_BYTES) % geometry.total_words
+
+    chunk, offset = divmod(word, mapper.words_per_interleave)
+    rank_index = chunk % geometry.num_ranks
+    chunk_within_rank = chunk // geometry.num_ranks
+
+    word_within_rank = chunk_within_rank * mapper.words_per_interleave + offset
+    word_within_rank %= geometry.words_per_rank
+
+    bank, rest = divmod(word_within_rank, geometry.words_per_bank)
+    row, column = divmod(rest, geometry.columns_per_row)
+
+    rank = geometry.rank_from_index(rank_index)
+    return CellLocation(rank.dimm, rank.rank, bank, row, column)
 
 
 @dataclass
@@ -154,7 +176,7 @@ class MemoryChannelSystem:
 
     def access(self, address: int, is_write: bool) -> CellLocation:
         """Route one DRAM access; returns the DRAM coordinates it hit."""
-        location = self.mapper.map_address(address)
+        location = map_address(self.mapper, address)
         self.mcu_for_dimm(location.dimm).issue(is_write)
         self.rank_accesses[location.rank_location] += 1
         return location

@@ -26,6 +26,9 @@ paths, one row at a time:
 :class:`ReferenceKNeighborsRegressor` is a drop-in KNN subclass whose
 ``predict`` uses the loopy path, so ``cross_val_predict_groups`` can run
 the paper's leave-one-workload-out protocol through either path.
+
+:func:`tree_depth` and :func:`r2_score` are the introspection and
+accuracy measures the model tests assert on.
 """
 
 from __future__ import annotations
@@ -34,9 +37,9 @@ from dataclasses import dataclass
 from typing import List, NamedTuple, Optional
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from repro.ml.base import ArrayLike, as_2d_array
-from repro.ml.distances import pairwise_distances
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.knn import KNeighborsRegressor, _neighbor_weights
 from repro.ml.tree import DecisionTreeRegressor
@@ -266,6 +269,24 @@ def fit_forest_oracle(forest, X: np.ndarray, y: np.ndarray) -> FlatForest:
 # ---------------------------------------------------------------------------
 # Prediction, one query row at a time.
 # ---------------------------------------------------------------------------
+def tree_depth(tree: DecisionTreeRegressor, node: int = 0) -> int:
+    """Depth below ``node`` of a fitted tree's flat arrays (0 for a leaf)."""
+    if tree.feature_[node] < 0:
+        return 0
+    return 1 + max(
+        tree_depth(tree, tree.children_left_[node]),
+        tree_depth(tree, tree.children_right_[node]),
+    )
+
+
+def r2_score(model, X: ArrayLike, y: ArrayLike) -> float:
+    """Coefficient of determination R^2 of ``model``'s predictions on ``(X, y)``."""
+    y_true = np.asarray(y, dtype=float)
+    residual = np.sum((y_true - model.predict(X)) ** 2)
+    total = np.sum((y_true - y_true.mean()) ** 2)
+    return float(1.0 - residual / total)
+
+
 def reference_tree_predict(tree: DecisionTreeRegressor, X: ArrayLike) -> np.ndarray:
     """Walk the fitted node arrays one query row and one node at a time."""
     X_arr = as_2d_array(X, allow_empty=True)
@@ -303,7 +324,7 @@ def reference_kneighbors(
     k = n_neighbors if n_neighbors is not None else model.n_neighbors
     k = min(k, model.X_train_.shape[0])
     X_arr = as_2d_array(X, allow_empty=True)
-    dist = pairwise_distances(X_arr, model.X_train_, metric=model.metric)
+    dist = cdist(X_arr, model.X_train_)
     train_index = np.arange(model.X_train_.shape[0])
     indices = np.empty((X_arr.shape[0], k), dtype=np.int64)
     nearest = np.empty((X_arr.shape[0], k), dtype=np.float64)

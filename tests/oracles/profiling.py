@@ -1,7 +1,7 @@
 """Object-trace profiling: the oracle of the columnar profiling front end.
 
 :class:`ObjectTraceRecorder` stores one ``MemoryAccess`` per access (the
-stored float converted with the scalar ``float_to_word``) of the scalar
+stored float converted with the scalar :func:`float_to_word`) of the scalar
 oracle kernels in :mod:`tests.oracles.workloads`,
 :func:`reuse_statistics_objects` is the dict-based reuse loop,
 :func:`entropy_objects` the ``Counter`` estimate, and
@@ -11,6 +11,7 @@ the same 249-feature assembly the library uses.
 
 from __future__ import annotations
 
+import struct
 from collections import Counter
 from typing import Dict, Iterable, List, Optional
 
@@ -22,10 +23,15 @@ from repro.profiling.entropy import DataEntropyEstimator, shannon_entropy_bits
 from repro.profiling.profile import WorkloadProfile
 from repro.profiling.profiler import WorkloadProfiler, scaled_profiling_cache_configs
 from repro.profiling.reuse import ReuseStatistics
-from repro.workloads.base import TraceRecorder, Workload, float_to_word
+from repro.workloads.base import TraceRecorder, Workload
 
 from tests.oracles.memsys import simulate_objects
 from tests.oracles.workloads import run_scalar
+
+
+def float_to_word(value: float) -> int:
+    """Raw 64-bit pattern of a float — what actually sits in DRAM."""
+    return struct.unpack("<Q", struct.pack("<d", float(value)))[0]
 
 
 class ObjectTraceRecorder(TraceRecorder):

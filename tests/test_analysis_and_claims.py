@@ -66,11 +66,18 @@ class TestFigureHelpers:
 class TestPaperClaims:
     def test_wer_varies_across_workloads(self, small_campaign):
         """Section V.A: WER varies severalfold across workloads (8x in the paper)."""
-        assert small_campaign.workload_spread(2.283, 50.0) > 3.0
+        per_workload = small_campaign.wer_by_workload(2.283, 50.0)
+        positive = [wer for wer in per_workload.values() if wer > 0]
+        assert max(positive) / min(positive) > 3.0
 
     def test_wer_varies_strongly_across_ranks(self, small_campaign):
         """Section V.A / Fig. 8: up to ~188x variation across DIMM/ranks."""
-        assert small_campaign.rank_spread(2.283, 50.0) > 50.0
+        spreads = []
+        for per_rank in small_campaign.wer_by_rank(2.283, 50.0).values():
+            positive = [wer for wer in per_rank.values() if wer > 0]
+            if len(positive) >= 2:
+                spreads.append(max(positive) / min(positive))
+        assert max(spreads) > 50.0
 
     def test_no_ue_at_50c(self):
         """Section V.B: no uncorrectable errors at 50 C."""

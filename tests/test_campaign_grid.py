@@ -2,11 +2,11 @@
 
 The vectorized grid path (``StatisticalErrorModel.sample_rank_wer_grid``
 / ``sample_ue_events_grid`` / ``CharacterizationExperiment.run_grid``)
-must be *bit-identical* to the scalar reference path: the scalar model
-methods (``sample_rank_wer`` / ``sample_ue_event``) remain independent
-implementations, and ``reference_scalar_run`` (the pre-grid scalar
-``run`` body, shared with the throughput benchmark) reproduces a run on
-top of them.  Every comparison in this file is exact (``==`` on
+must be *bit-identical* to the scalar reference path: the scalar oracle
+functions (``sample_rank_wer`` / ``sample_ue_event`` in
+``tests/oracles/characterization.py``) are independent implementations,
+and ``reference_scalar_run`` (the pre-grid scalar ``run`` body, shared
+with the throughput benchmark) reproduces a run on top of them.  Every comparison in this file is exact (``==`` on
 floats), not approximate — that is the scalar-vs-batch API contract.
 """
 
@@ -27,7 +27,14 @@ from repro.dram.statistical import StatisticalErrorModel
 from repro.errors import CharacterizationError
 from repro.profiling.profiler import profile_workload
 
-from tests.oracles.characterization import reference_scalar_run
+from tests.oracles.characterization import (
+    expected_rank_wer,
+    probability_of_ue,
+    reference_scalar_run,
+    sample_rank_wer,
+    sample_ue_event,
+    word_ce_probability,
+)
 
 #: Palettes the property tests draw grid subsets from (all within the
 #: platform's configurable TREFP / temperature ranges).
@@ -36,7 +43,7 @@ TEMPERATURE_PALETTE = (30.0, 50.0, 60.0, 70.0)
 
 
 class TestModelGridEquivalence:
-    """Grid sampling on the statistical model vs the scalar methods."""
+    """Grid sampling on the statistical model vs the scalar oracle."""
 
     def setup_method(self):
         self.model = StatisticalErrorModel()
@@ -57,16 +64,16 @@ class TestModelGridEquivalence:
         grid = self.model.expected_rank_wer_grid(self.ops, self.behavior, "backprop")
         for p, op in enumerate(self.ops):
             for r, rank in enumerate(self.model.geometry.iter_ranks()):
-                assert grid[p, r] == self.model.expected_rank_wer(
-                    op, self.behavior, rank, "backprop"
+                assert grid[p, r] == expected_rank_wer(
+                    self.model, op, self.behavior, rank, "backprop"
                 )
 
     def test_ce_and_ue_probability_grids_match_scalar_exactly(self):
         ce = self.model.word_ce_probability_grid(self.ops, self.behavior)
         pue = self.model.probability_of_ue_grid(self.ops, self.behavior, "backprop")
         for p, op in enumerate(self.ops):
-            assert ce[p] == self.model.word_ce_probability(op, self.behavior)
-            assert pue[p] == self.model.probability_of_ue(op, self.behavior, "backprop")
+            assert ce[p] == word_ce_probability(self.model, op, self.behavior)
+            assert pue[p] == probability_of_ue(self.model, op, self.behavior, "backprop")
 
     def test_sampled_wer_grid_matches_scalar_stream_exactly(self):
         sampled = self.model.sample_rank_wer_grid(
@@ -77,8 +84,8 @@ class TestModelGridEquivalence:
             for k in range(3):
                 rng = reference[p][k]
                 for r, rank in enumerate(self.model.geometry.iter_ranks()):
-                    assert sampled[p, k, r] == self.model.sample_rank_wer(
-                        op, self.behavior, rank, "backprop", rng=rng
+                    assert sampled[p, k, r] == sample_rank_wer(
+                        self.model, op, self.behavior, rank, "backprop", rng=rng
                     )
 
     def test_sampled_ue_grid_matches_scalar_stream_exactly(self):
@@ -98,8 +105,8 @@ class TestModelGridEquivalence:
             for k in range(4):
                 rng = reference[p][k]
                 rng.standard_normal(num_ranks)
-                assert sampled[p][k] == self.model.sample_ue_event(
-                    op, self.behavior, "srad(par)", rng=rng
+                assert sampled[p][k] == sample_ue_event(
+                    self.model, op, self.behavior, "srad(par)", rng=rng
                 )
 
     def test_default_rng_grids_honour_repetitions(self):

@@ -10,7 +10,7 @@ from repro.dram.calibration import (
 )
 from repro.dram.cells import CellArrayConfig, CellArraySimulator
 from repro.dram.ecc import ErrorClass
-from repro.dram.geometry import CellLocation, DramGeometry, RankLocation, small_geometry
+from repro.dram.geometry import CellLocation, DramGeometry, small_geometry
 from repro.dram.records import ErrorLog, ErrorRecord
 from repro.errors import ConfigurationError, SimulationError
 
@@ -183,81 +183,27 @@ class TestBatchCellOps:
         with pytest.raises(ConfigurationError):
             sim.write(location, 1.5)
 
-    def test_batch_read_result_reports_error_locations(self):
-        sim = tiny_simulator()
-        locations = sim.fill([0xFFFFFFFFFFFFFFFF] * 1000)
-        sim.idle(600.0)
-        sweep = sim.read_batch(locations, workload="wl")
-        errors = sweep.error_locations()
-        assert len(errors) == sum(
-            count for cls, count in sweep.counts().items() if cls.value != "none"
-        )
-        assert len(errors) == len(sim.error_log)
-        logged = {record.location for record in sim.error_log}
-        assert set(errors) == logged
-
 
 class TestErrorLog:
-    def _record(self, dimm=0, rank=0, row=0, column=0, cls=ErrorClass.CORRECTED, t=1.0):
-        return ErrorRecord(cls, CellLocation(dimm, rank, 0, row, column), t, "wl")
-
     def test_unique_word_locations_deduplicates(self):
         log = ErrorLog()
-        log.append(self._record(row=1, t=1.0))
-        log.append(self._record(row=1, t=2.0))
-        log.append(self._record(row=2, t=3.0))
+        log.append_batch([ErrorClass.CORRECTED], [CellLocation(0, 0, 0, 1, 0)], 1.0)
+        log.append_batch([ErrorClass.CORRECTED], [CellLocation(0, 0, 0, 1, 0)], 2.0)
+        log.append_batch([ErrorClass.CORRECTED], [CellLocation(0, 0, 0, 2, 0)], 3.0)
         assert len(log.unique_word_locations(ErrorClass.CORRECTED)) == 2
-
-    def test_unique_words_by_rank(self):
-        log = ErrorLog()
-        log.append(self._record(dimm=0, rank=0, row=1))
-        log.append(self._record(dimm=2, rank=1, row=1))
-        log.append(self._record(dimm=2, rank=1, row=2))
-        by_rank = log.unique_words_by_rank()
-        assert by_rank[RankLocation(0, 0)] == 1
-        assert by_rank[RankLocation(2, 1)] == 2
-
-    def test_has_uncorrectable_and_first(self):
-        log = ErrorLog()
-        assert not log.has_uncorrectable()
-        log.append(self._record(cls=ErrorClass.UNCORRECTABLE, t=9.0))
-        log.append(self._record(cls=ErrorClass.UNCORRECTABLE, t=4.0, row=7))
-        assert log.has_uncorrectable()
-        assert log.first_uncorrectable().timestamp_s == pytest.approx(4.0)
-
-    def test_timeline_is_cumulative_and_monotone(self):
-        log = ErrorLog()
-        for i, t in enumerate([100.0, 700.0, 1300.0, 1400.0]):
-            log.append(self._record(row=i, t=t))
-        timeline = log.timeline(bucket_s=600.0)
-        counts = [count for _t, count in timeline]
-        assert counts == sorted(counts)
-        assert counts[-1] == 4
 
     def test_no_error_record_for_clean_reads(self):
         with pytest.raises(ConfigurationError):
             ErrorRecord(ErrorClass.NO_ERROR, CellLocation(0, 0, 0, 0, 0), 0.0)
 
-    def test_counts_by_rank(self):
-        log = ErrorLog()
-        log.append(self._record(dimm=1, rank=0))
-        log.append(self._record(dimm=1, rank=0, row=3))
-        counts = log.counts_by_rank(ErrorClass.CORRECTED)
-        assert counts[RankLocation(1, 0)] == 2
-
     def test_append_batch_matches_per_record_appends(self):
-        batched, scalar = ErrorLog(), ErrorLog()
+        log = ErrorLog()
         classes = [ErrorClass.CORRECTED, ErrorClass.UNCORRECTABLE, ErrorClass.CORRECTED]
         locations = [CellLocation(0, 0, 0, i, 0) for i in range(3)]
-        batched.append_batch(classes, locations, timestamp_s=5.0, workload="wl")
-        for cls, loc in zip(classes, locations):
-            scalar.append(ErrorRecord(cls, loc, 5.0, "wl"))
-        assert batched.records() == scalar.records()
-        assert list(batched) == list(scalar)
-        assert batched.counts_by_rank(ErrorClass.CORRECTED) == (
-            scalar.counts_by_rank(ErrorClass.CORRECTED)
-        )
-        assert batched.first_uncorrectable() == scalar.first_uncorrectable()
+        log.append_batch(classes, locations, timestamp_s=5.0, workload="wl")
+        assert list(log) == [
+            ErrorRecord(cls, loc, 5.0, "wl") for cls, loc in zip(classes, locations)
+        ]
 
     def test_append_batch_validates_like_error_record(self):
         log = ErrorLog()
@@ -270,51 +216,16 @@ class TestErrorLog:
             log.append_batch([ErrorClass.CORRECTED], [location, location], 1.0)
         assert len(log) == 0
 
-    def test_count_queries_stay_correct_as_log_grows(self):
-        # The class column is queried through a cached numpy code array;
-        # appends and clear must invalidate it (length heuristic).
+    def test_interleaved_appends_and_queries_stay_consistent(self):
         log = ErrorLog()
-        assert log.count(ErrorClass.CORRECTED) == 0
-        log.append(self._record(row=0))
-        assert log.count(ErrorClass.CORRECTED) == 1
+        log.append_batch([ErrorClass.CORRECTED], [CellLocation(0, 0, 0, 0, 0)], 1.0)
+        assert len(list(log)) == 1            # materialises the cache
         log.append_batch(
             [ErrorClass.CORRECTED, ErrorClass.UNCORRECTABLE],
             [CellLocation(0, 0, 0, 1, 0), CellLocation(0, 0, 0, 2, 0)],
-            timestamp_s=2.0, workload="wl",
+            timestamp_s=3.0, workload="wl",
         )
-        assert log.count(ErrorClass.CORRECTED) == 2
-        assert log.count(ErrorClass.UNCORRECTABLE) == 1
-        assert log.count() == 3
-        assert log.has_uncorrectable()
-        log.clear()
-        assert log.count(ErrorClass.CORRECTED) == 0
-        assert not log.has_uncorrectable()
-
-    def test_clear_then_refill_to_same_length_rebuilds_code_cache(self):
-        # Regression: clear() must drop the cached code array — a refill
-        # to the old length would otherwise satisfy the length heuristic
-        # and serve the pre-clear classes.
-        log = ErrorLog()
-        log.append(self._record(cls=ErrorClass.UNCORRECTABLE))
-        assert log.has_uncorrectable()            # builds the cache (len 1)
-        log.clear()
-        log.append(self._record(cls=ErrorClass.CORRECTED))
-        assert not log.has_uncorrectable()
-        assert log.count(ErrorClass.CORRECTED) == 1
-
-    def test_interleaved_appends_and_queries_stay_consistent(self):
-        log = ErrorLog()
-        log.append(self._record(row=0, t=1.0))
-        assert len(log.records()) == 1        # materialises the cache
-        log.append(self._record(row=1, t=2.0))
-        log.append_batch(
-            [ErrorClass.CORRECTED], [CellLocation(0, 0, 0, 2, 0)], timestamp_s=3.0,
-            workload="wl",
-        )
-        assert len(log.records()) == 3
-        assert log.count(ErrorClass.CORRECTED) == 3
-        log.clear()
-        assert len(log) == 0 and log.records() == []
+        assert [record.timestamp_s for record in log] == [1.0, 3.0, 3.0]
 
 
 class TestSaturatedSweepLogging:
@@ -347,12 +258,16 @@ class TestSaturatedSweepLogging:
         # Saturation: the vast majority of words must have errored.
         assert errors > 3000
         assert len(sim.error_log) == errors
-        assert set(sweep.error_locations()) == {
-            record.location for record in sim.error_log
+        errored = {
+            location
+            for location, code in zip(locations, sweep.decode.error_codes)
+            if code
         }
+        assert errored == {record.location for record in sim.error_log}
         # Per-class tallies of the log match the decode classification.
         for cls in (ErrorClass.CORRECTED, ErrorClass.UNCORRECTABLE, ErrorClass.SILENT):
-            assert sim.error_log.count(cls) == sweep.counts()[cls]
+            logged = sum(record.error_class is cls for record in sim.error_log)
+            assert logged == sweep.counts()[cls]
         assert all(record.workload == "saturated" for record in sim.error_log)
 
     def test_dense_sweep_matches_scalar_logging_exactly(self):

@@ -14,6 +14,8 @@ from repro.dram.ecc import (
 )
 from repro.errors import ConfigurationError
 
+from tests.oracles.ecc import roundtrip_with_errors
+
 
 @pytest.fixture(scope="module")
 def code():
@@ -77,14 +79,14 @@ class TestSecdedCode:
 
     def test_clean_round_trip(self, code):
         for data in (0, 1, 0xDEADBEEF, 2 ** 64 - 1, 0x0123456789ABCDEF):
-            decoded, cls = code.roundtrip_with_errors(data, [])
+            decoded, cls = roundtrip_with_errors(code, data, [])
             assert decoded == data
             assert cls is ErrorClass.NO_ERROR
 
     def test_single_bit_error_corrected_everywhere(self, code):
         data = 0xA5A5A5A5A5A5A5A5
         for position in range(72):
-            decoded, cls = code.roundtrip_with_errors(data, [position])
+            decoded, cls = roundtrip_with_errors(code, data, [position])
             assert cls is ErrorClass.CORRECTED
             assert decoded == data, f"data corrupted after correcting bit {position}"
 
@@ -93,19 +95,19 @@ class TestSecdedCode:
         rng = np.random.default_rng(5)
         for _ in range(50):
             positions = rng.choice(72, size=2, replace=False)
-            _decoded, cls = code.roundtrip_with_errors(data, positions.tolist())
+            _decoded, cls = roundtrip_with_errors(code, data, positions.tolist())
             assert cls is ErrorClass.UNCORRECTABLE
 
     def test_double_error_involving_parity_bit_still_detected(self, code):
         # One flip in the Hamming region plus the overall parity bit.
-        _decoded, cls = code.roundtrip_with_errors(0x1234, [3, 71])
+        _decoded, cls = roundtrip_with_errors(code, 0x1234, [3, 71])
         assert cls is ErrorClass.UNCORRECTABLE
 
     def test_triple_bit_error_is_not_reported_as_ue(self, code):
         # Odd-weight errors look like single errors to SECDED: they are either
         # (mis)corrected or silent, never flagged as UE - that is exactly why
         # the paper calls >2-bit corruption Silent Data Corruption.
-        _decoded, cls = code.roundtrip_with_errors(0xFFFF, [1, 9, 33])
+        _decoded, cls = roundtrip_with_errors(code, 0xFFFF, [1, 9, 33])
         assert cls in (ErrorClass.CORRECTED, ErrorClass.SILENT)
 
     def test_invalid_data_rejected(self, code):
@@ -127,10 +129,6 @@ class TestSecdedCode:
         assert isinstance(result, DecodeResult)
         assert result.error_class is ErrorClass.CORRECTED
         assert result.corrected_bit == 10
-
-    def test_flip_position_out_of_range_rejected(self, code):
-        with pytest.raises(ConfigurationError):
-            code.roundtrip_with_errors(1, [72])
 
 
 class TestWordBitHelpers:
@@ -223,9 +221,8 @@ class TestBatchCodec:
         assert counts[ErrorClass.CORRECTED] == 1
         assert counts[ErrorClass.UNCORRECTABLE] == 1
         assert counts[ErrorClass.SILENT] == 0
-        classes = batch.error_classes()
-        assert classes[0] is ErrorClass.NO_ERROR
-        assert classes[2] is ErrorClass.UNCORRECTABLE
+        assert ERROR_CLASS_ORDER[int(batch.error_codes[0])] is ErrorClass.NO_ERROR
+        assert ERROR_CLASS_ORDER[int(batch.error_codes[2])] is ErrorClass.UNCORRECTABLE
         assert len(batch) == 3
 
     def test_batch_result_view_matches_scalar_decode(self, code):

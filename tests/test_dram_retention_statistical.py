@@ -1,5 +1,6 @@
 """Tests for the retention physics, variation profile and statistical model."""
 
+import math
 import os
 import subprocess
 import sys
@@ -15,15 +16,20 @@ from repro.dram.operating import OperatingPoint
 from repro.dram.calibration import DEFAULT_CALIBRATION
 from repro.dram.retention import (
     _failure_z_score,
-    bit_failure_probability,
     bit_failure_probability_grid,
-    median_retention_s,
-    retention_halving_temperature,
+    log_median_retention,
     sample_retention_times,
 )
 from repro.dram.statistical import StatisticalErrorModel, WorkloadBehavior
 from repro.dram.variation import VariationProfile
 from repro.errors import ConfigurationError
+
+from tests.oracles.characterization import (
+    expected_rank_wer,
+    probability_of_ue,
+    sample_rank_wer,
+    sample_ue_event,
+)
 
 
 def behavior(accesses_per_cycle=0.01, reuse_time_s=1.0, entropy=10.0,
@@ -39,37 +45,39 @@ def behavior(accesses_per_cycle=0.01, reuse_time_s=1.0, entropy=10.0,
 
 class TestRetentionPhysics:
     def test_bit_failure_probability_increases_with_trefp(self):
-        p1 = bit_failure_probability(0.618, 50.0)
-        p2 = bit_failure_probability(2.283, 50.0)
+        p1 = bit_failure_probability_grid(0.618, 50.0)
+        p2 = bit_failure_probability_grid(2.283, 50.0)
         assert p2 > p1 > 0
 
     def test_bit_failure_probability_increases_with_temperature(self):
-        assert bit_failure_probability(2.283, 70.0) > bit_failure_probability(2.283, 50.0)
+        assert bit_failure_probability_grid(2.283, 70.0) > bit_failure_probability_grid(2.283, 50.0)
 
     def test_vdd_effect_is_small(self):
         # The paper found 1.5 V -> 1.428 V to have a negligible effect.
-        nominal = bit_failure_probability(2.283, 50.0, vdd_v=1.5)
-        lowered = bit_failure_probability(2.283, 50.0, vdd_v=1.428)
+        nominal = bit_failure_probability_grid(2.283, 50.0, vdd_v=1.5)
+        lowered = bit_failure_probability_grid(2.283, 50.0, vdd_v=1.428)
         assert lowered >= nominal
         assert lowered / nominal < 1.5
 
     def test_nominal_refresh_is_essentially_error_free(self):
-        assert bit_failure_probability(units.NOMINAL_TREFP_S, 70.0) < 1e-9
+        assert bit_failure_probability_grid(units.NOMINAL_TREFP_S, 70.0) < 1e-9
 
     def test_retention_halves_roughly_every_nine_degrees(self):
-        assert retention_halving_temperature() == pytest.approx(8.7, abs=1.0)
+        slope = DEFAULT_CALIBRATION.retention.temperature_slope_per_c
+        assert math.log(2.0) / slope == pytest.approx(8.7, abs=1.0)
 
     def test_median_retention_decreases_with_temperature(self):
-        assert median_retention_s(70.0) < median_retention_s(50.0)
+        assert log_median_retention(70.0, 1.5) < log_median_retention(50.0, 1.5)
 
     def test_sample_retention_times_match_median(self):
         rng = np.random.default_rng(1)
         samples = sample_retention_times(200_000, 50.0, rng=rng)
-        assert np.median(samples) == pytest.approx(median_retention_s(50.0), rel=0.05)
+        median = math.exp(log_median_retention(50.0, 1.5))
+        assert np.median(samples) == pytest.approx(median, rel=0.05)
 
     def test_invalid_refresh_interval_rejected(self):
         with pytest.raises(ConfigurationError):
-            bit_failure_probability(0.0, 50.0)
+            bit_failure_probability_grid(0.0, 50.0)
 
     def test_failure_probability_is_the_normal_cdf_bit_for_bit(self):
         from scipy import stats
@@ -81,8 +89,6 @@ class TestRetentionPhysics:
         z = np.array([[_failure_z_score(r, t, 1.428, cal) for r in refresh]
                       for t in temperatures])
         assert np.array_equal(grid, stats.norm.cdf(z))
-        assert bit_failure_probability(2.283, 60.0) == \
-            float(stats.norm.cdf(_failure_z_score(2.283, 60.0, 1.5, cal)))
 
     def test_import_repro_does_not_load_scipy_stats(self):
         code = "import sys, repro; print('scipy.stats' in sys.modules)"
@@ -96,8 +102,8 @@ class TestRetentionPhysics:
 
 class TestVariationProfile:
     def test_default_profile_has_188x_spread(self):
-        profile = VariationProfile.default()
-        assert profile.spread() == pytest.approx(188.0, rel=0.05)
+        factors = [p.wer_factor for p in VariationProfile.default().ranks.values()]
+        assert max(factors) / min(factors) == pytest.approx(188.0, rel=0.05)
 
     def test_default_profile_covers_all_ranks(self):
         profile = VariationProfile.default()
@@ -180,21 +186,21 @@ class TestStatisticalErrorModel:
         op = OperatingPoint.relaxed(2.283, 50.0)
         strongest = RankLocation(3, 1)
         weakest = RankLocation(2, 0)
-        ratio = model.expected_rank_wer(op, behavior(), weakest) / \
-            model.expected_rank_wer(op, behavior(), strongest)
+        ratio = expected_rank_wer(model, op, behavior(), weakest) / \
+            expected_rank_wer(model, op, behavior(), strongest)
         assert ratio > 100
 
     def test_pue_zero_at_low_temperature(self, model):
         op = OperatingPoint.relaxed(2.283, 50.0)
-        assert model.probability_of_ue(op, behavior()) < 0.01
+        assert probability_of_ue(model, op, behavior()) < 0.01
 
     def test_pue_saturates_at_max_trefp_and_70c(self, model):
         op = OperatingPoint.relaxed(2.283, 70.0)
-        assert model.probability_of_ue(op, behavior()) > 0.95
+        assert probability_of_ue(model, op, behavior()) > 0.95
 
     def test_pue_monotone_in_trefp_at_70c(self, model):
         values = [
-            model.probability_of_ue(OperatingPoint.relaxed(t, 70.0), behavior())
+            probability_of_ue(model, OperatingPoint.relaxed(t, 70.0), behavior())
             for t in units.TREFP_UE_SWEEP_S
         ]
         assert values[0] < values[1] < values[2]
@@ -204,17 +210,17 @@ class TestStatisticalErrorModel:
         rank = RankLocation(0, 0)
         rng = np.random.default_rng(0)
         samples = [
-            model.sample_rank_wer(op, behavior(), rank, rng=rng) for _ in range(200)
+            sample_rank_wer(model, op, behavior(), rank, rng=rng) for _ in range(200)
         ]
-        expected = model.expected_rank_wer(op, behavior(), rank)
+        expected = expected_rank_wer(model, op, behavior(), rank)
         assert np.mean(samples) == pytest.approx(expected, rel=0.05)
 
     def test_idiosyncratic_factor_is_deterministic(self, model):
         op = OperatingPoint.relaxed(2.283, 50.0)
         rank = RankLocation(1, 0)
-        a = model.expected_rank_wer(op, behavior(), rank, workload="backprop")
-        b = model.expected_rank_wer(op, behavior(), rank, workload="backprop")
-        c = model.expected_rank_wer(op, behavior(), rank, workload="memcached")
+        a = expected_rank_wer(model, op, behavior(), rank, workload="backprop")
+        b = expected_rank_wer(model, op, behavior(), rank, workload="backprop")
+        c = expected_rank_wer(model, op, behavior(), rank, workload="memcached")
         assert a == pytest.approx(b)
         assert a != pytest.approx(c)
 
@@ -222,7 +228,7 @@ class TestStatisticalErrorModel:
         op = OperatingPoint.relaxed(2.283, 70.0)
         rng = np.random.default_rng(42)
         ranks = [
-            model.sample_ue_event(op, behavior(), rng=rng) for _ in range(300)
+            sample_ue_event(model, op, behavior(), rng=rng) for _ in range(300)
         ]
         observed = [r for r in ranks if r is not None]
         assert observed, "expected UEs at the most aggressive operating point"

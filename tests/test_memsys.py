@@ -15,7 +15,7 @@ from repro.memsys.access import AccessColumns, AccessType, MemoryAccess
 from repro.memsys.cache import CacheConfig, lru_pass, xgene2_l1_config
 from repro.memsys.hierarchy import MemoryHierarchy
 
-from tests.oracles.memsys import MemoryChannelSystem, SetAssociativeCache
+from tests.oracles.memsys import MemoryChannelSystem, SetAssociativeCache, map_address
 
 
 def make_access(address, write=False, index=0, thread=0):
@@ -38,7 +38,7 @@ class TestMemoryAccess:
 
     def test_read_write_flags(self):
         assert make_access(0, write=True).is_write
-        assert make_access(0, write=False).is_read
+        assert not make_access(0, write=False).is_write
 
 
 class TestAccessColumns:
@@ -103,9 +103,9 @@ class TestAddressMapperColumns:
     def test_rank_indices_match_scalar_mapping(self, geometry):
         mapper = AddressMapper(geometry)
         rng = np.random.default_rng(3)
-        addresses = rng.integers(0, 4 * geometry.total_bytes, size=500)
+        addresses = rng.integers(0, 4 * geometry.total_words * geometry.word_bytes, size=500)
         expected = [
-            geometry.rank_index(mapper.map_address(int(a)).rank_location) for a in addresses
+            geometry.rank_index(map_address(mapper, int(a)).rank_location) for a in addresses
         ]
         assert mapper.rank_indices(addresses).tolist() == expected
 

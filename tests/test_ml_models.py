@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, DataError, NotFittedError
-from repro.ml.distances import pairwise_distances
+from repro.ml.distances import euclidean_distances
 from repro.ml.forest import RandomForestRegressor
-from repro.ml.knn import KNeighborsClassifier, KNeighborsRegressor
+from repro.ml.knn import KNeighborsRegressor
 from repro.ml.svm import SVR
-from repro.ml.tree import DecisionTreeRegressor
+from repro.ml.tree import DecisionTreeRegressor, n_split_features
+
+from tests.oracles.ml import r2_score, tree_depth
 
 
 def _toy_regression(n=120, noise=0.05, seed=3):
@@ -22,23 +24,13 @@ class TestDistances:
     def test_euclidean_matches_numpy(self):
         A = np.array([[0.0, 0.0], [1.0, 1.0]])
         B = np.array([[3.0, 4.0]])
-        D = pairwise_distances(A, B, "euclidean")
+        D = euclidean_distances(A, B)
         assert D[0, 0] == pytest.approx(5.0)
         assert D[1, 0] == pytest.approx(np.hypot(2.0, 3.0))
 
-    def test_manhattan_and_chebyshev(self):
-        A = np.array([[0.0, 0.0]])
-        B = np.array([[2.0, -3.0]])
-        assert pairwise_distances(A, B, "manhattan")[0, 0] == pytest.approx(5.0)
-        assert pairwise_distances(A, B, "chebyshev")[0, 0] == pytest.approx(3.0)
-
-    def test_unknown_metric_raises(self):
-        with pytest.raises(ConfigurationError):
-            pairwise_distances(np.zeros((1, 2)), np.zeros((1, 2)), "cosine")
-
     def test_self_distance_is_zero(self):
         A = np.random.default_rng(0).normal(size=(5, 4))
-        D = pairwise_distances(A, A)
+        D = euclidean_distances(A, A)
         # The expanded |a|^2 + |b|^2 - 2ab form has ~1e-8 floating-point slack.
         assert np.allclose(np.diag(D), 0.0, atol=1e-6)
 
@@ -64,7 +56,7 @@ class TestKnnRegressor:
     def test_accuracy_on_smooth_function(self):
         X, y = _toy_regression(n=600)
         model = KNeighborsRegressor(n_neighbors=5, weights="distance").fit(X[:500], y[:500])
-        assert model.score(X[500:], y[500:]) > 0.7
+        assert r2_score(model, X[500:], y[500:]) > 0.7
 
     def test_predict_before_fit_raises(self):
         with pytest.raises(NotFittedError):
@@ -78,13 +70,6 @@ class TestKnnRegressor:
         with pytest.raises(DataError):
             KNeighborsRegressor().fit([[1.0], [2.0]], [1.0])
 
-    def test_classifier_majority_vote(self):
-        X = [[0.0], [0.1], [1.0], [1.1]]
-        y = ["a", "a", "b", "b"]
-        model = KNeighborsClassifier(n_neighbors=3).fit(X, y)
-        assert model.predict([[0.05]])[0] == "a"
-        assert model.predict([[1.05]])[0] == "b"
-
 
 class TestSvr:
     def test_fits_linear_function(self):
@@ -92,12 +77,12 @@ class TestSvr:
         X = rng.uniform(-1, 1, size=(60, 2))
         y = 3.0 * X[:, 0] - 2.0 * X[:, 1] + 1.0
         model = SVR(kernel="linear", C=50.0, epsilon=0.01).fit(X, y)
-        assert model.score(X, y) > 0.98
+        assert r2_score(model, X, y) > 0.98
 
     def test_rbf_fits_nonlinear_function(self):
         X, y = _toy_regression(n=150)
         model = SVR(kernel="rbf", C=50.0, epsilon=0.01, gamma=1.0).fit(X[:120], y[:120])
-        assert model.score(X[120:], y[120:]) > 0.8
+        assert r2_score(model, X[120:], y[120:]) > 0.8
 
     def test_predict_before_fit_raises(self):
         with pytest.raises(NotFittedError):
@@ -127,19 +112,19 @@ class TestDecisionTree:
         X, y = _toy_regression(n=200)
         shallow = DecisionTreeRegressor(max_depth=2).fit(X, y)
         deep = DecisionTreeRegressor(max_depth=8).fit(X, y)
-        assert shallow.depth() <= 2
-        assert deep.node_count() > shallow.node_count()
+        assert tree_depth(shallow) <= 2
+        assert deep.feature_.shape[0] > shallow.feature_.shape[0]
 
     def test_min_samples_leaf_respected(self):
         X, y = _toy_regression(n=40)
         model = DecisionTreeRegressor(min_samples_leaf=10).fit(X, y)
         # With a 10-sample minimum per leaf a 40-sample set can have at most
         # 4 leaves, i.e. at most 7 nodes.
-        assert model.node_count() <= 7
+        assert model.feature_.shape[0] <= 7
 
     def test_constant_target_yields_single_leaf(self):
         model = DecisionTreeRegressor().fit([[1.0], [2.0], [3.0]], [5.0, 5.0, 5.0])
-        assert model.depth() == 0
+        assert tree_depth(model) == 0
         assert model.predict([[10.0]])[0] == pytest.approx(5.0)
 
     def test_feature_count_mismatch_raises(self):
@@ -150,29 +135,29 @@ class TestDecisionTree:
     def test_accuracy_on_smooth_function(self):
         X, y = _toy_regression(n=300)
         model = DecisionTreeRegressor(min_samples_leaf=5).fit(X[:250], y[:250])
-        assert model.score(X[250:], y[250:]) > 0.6
+        assert r2_score(model, X[250:], y[250:]) > 0.6
 
 
 class TestSplitFeatureCount:
     def test_float_one_uses_all_features(self):
-        assert DecisionTreeRegressor(max_features=1.0)._n_split_features(8) == 8
+        assert n_split_features(1.0, 8) == 8
 
     def test_small_float_clamps_to_one(self):
-        assert DecisionTreeRegressor(max_features=0.01)._n_split_features(8) == 1
+        assert n_split_features(0.01, 8) == 1
 
     def test_sqrt_and_log2_on_single_feature(self):
-        assert DecisionTreeRegressor(max_features="sqrt")._n_split_features(1) == 1
-        assert DecisionTreeRegressor(max_features="log2")._n_split_features(1) == 1
+        assert n_split_features("sqrt", 1) == 1
+        assert n_split_features("log2", 1) == 1
 
     def test_integer_larger_than_feature_count_is_clamped(self):
-        assert DecisionTreeRegressor(max_features=100)._n_split_features(8) == 8
+        assert n_split_features(100, 8) == 8
 
     def test_unknown_string_rejected(self):
         with pytest.raises(ConfigurationError):
-            DecisionTreeRegressor(max_features="cube")._n_split_features(8)
+            DecisionTreeRegressor(max_features="cube")
 
     def test_none_uses_all_features(self):
-        assert DecisionTreeRegressor()._n_split_features(5) == 5
+        assert n_split_features(None, 5) == 5
 
 
 class TestEmptyQueries:
@@ -185,8 +170,6 @@ class TestEmptyQueries:
     def test_predict_with_zero_rows(self):
         model = KNeighborsRegressor(n_neighbors=2).fit([[0.0], [1.0], [2.0]], [1.0, 2.0, 3.0])
         assert model.predict(np.empty((0, 1))).shape == (0,)
-        classifier = KNeighborsClassifier(n_neighbors=2).fit([[0.0], [1.0]], ["a", "b"])
-        assert classifier.predict(np.empty((0, 1))).shape == (0,)
 
     def test_fit_still_rejects_empty(self):
         with pytest.raises(DataError):
@@ -199,7 +182,7 @@ class TestRandomForest:
         train, test = slice(0, 250), slice(250, 300)
         tree = DecisionTreeRegressor(random_state=0).fit(X[train], y[train])
         forest = RandomForestRegressor(n_estimators=30, random_state=0).fit(X[train], y[train])
-        assert forest.score(X[test], y[test]) >= tree.score(X[test], y[test]) - 0.02
+        assert r2_score(forest, X[test], y[test]) >= r2_score(tree, X[test], y[test]) - 0.02
 
     def test_prediction_is_average_of_trees(self):
         X, y = _toy_regression(n=80)

@@ -17,8 +17,9 @@ from repro.profiling.counters import (
 from repro.profiling.entropy import DataEntropyEstimator, shannon_entropy_bits
 from repro.profiling.profiler import WorkloadProfiler, profile_workload
 from repro.profiling.reuse import ReuseTimeEstimator, reuse_statistics
-from repro.workloads.base import float_to_word
 from repro.workloads.compute import BackpropWorkload
+
+from tests.oracles.profiling import float_to_word
 
 
 def access(address, index, write=False, value=0):
@@ -135,7 +136,7 @@ class TestCounterCatalogue:
 
 class TestWorkloadProfiler:
     def test_profile_contains_all_features(self, backprop_profile):
-        assert backprop_profile.num_features == 249
+        assert len(backprop_profile.features) == 249
         assert set(backprop_profile.features) == set(all_feature_names())
 
     def test_rates_are_finite_and_consistent(self, backprop_profile):
@@ -180,11 +181,6 @@ class TestWorkloadProfiler:
         profile = profiler.profile(BackpropWorkload(threads=1))
         assert profile.workload == "backprop"
         assert profile is not profile_workload("backprop")
-
-    def test_feature_vector_ordering(self, backprop_profile):
-        vector = backprop_profile.feature_vector(["treuse", "hdp"])
-        assert vector[0] == pytest.approx(backprop_profile.feature("treuse"))
-        assert vector[1] == pytest.approx(backprop_profile.feature("hdp"))
 
     def test_unknown_feature_rejected(self, backprop_profile):
         with pytest.raises(DataError):

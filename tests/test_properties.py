@@ -8,11 +8,15 @@ from hypothesis import strategies as st
 from repro.dram.ecc import ErrorClass, SecdedCode
 from repro.dram.geometry import DramGeometry, small_geometry
 from repro.dram.operating import OperatingPoint
-from repro.dram.retention import bit_failure_probability
+from repro.dram.retention import bit_failure_probability_grid
 from repro.dram.statistical import StatisticalErrorModel, WorkloadBehavior
-from repro.ml.metrics import mean_percentage_error, prediction_ratio, spearman_correlation
+from repro.ml.metrics import mean_percentage_error, prediction_ratio
 from repro.ml.scaling import StandardScaler
 from repro.profiling.entropy import shannon_entropy_bits
+
+from tests.oracles.characterization import probability_of_ue
+from tests.oracles.dataset import spearman_correlation
+from tests.oracles.ecc import roundtrip_with_errors
 
 CODE = SecdedCode()
 MODEL = StatisticalErrorModel()
@@ -24,7 +28,7 @@ MODEL = StatisticalErrorModel()
 @given(data=st.integers(min_value=0, max_value=2 ** 64 - 1))
 @settings(max_examples=60, deadline=None)
 def test_ecc_clean_round_trip_property(data):
-    decoded, cls = CODE.roundtrip_with_errors(data, [])
+    decoded, cls = roundtrip_with_errors(CODE, data, [])
     assert decoded == data
     assert cls is ErrorClass.NO_ERROR
 
@@ -35,7 +39,7 @@ def test_ecc_clean_round_trip_property(data):
 )
 @settings(max_examples=80, deadline=None)
 def test_ecc_corrects_any_single_bit_flip(data, position):
-    decoded, cls = CODE.roundtrip_with_errors(data, [position])
+    decoded, cls = roundtrip_with_errors(CODE, data, [position])
     assert cls is ErrorClass.CORRECTED
     assert decoded == data
 
@@ -46,7 +50,7 @@ def test_ecc_corrects_any_single_bit_flip(data, position):
 )
 @settings(max_examples=80, deadline=None)
 def test_ecc_detects_any_double_bit_flip(data, positions):
-    _decoded, cls = CODE.roundtrip_with_errors(data, sorted(positions))
+    _decoded, cls = roundtrip_with_errors(CODE, data, sorted(positions))
     assert cls is ErrorClass.UNCORRECTABLE
 
 
@@ -121,8 +125,8 @@ def test_geometry_counts_are_consistent(dimms, ranks, banks):
 )
 @settings(max_examples=60, deadline=None)
 def test_bit_failure_probability_is_monotone_in_refresh_period(t1, scale, temperature):
-    p_short = bit_failure_probability(t1, temperature)
-    p_long = bit_failure_probability(t1 * scale, temperature)
+    p_short = bit_failure_probability_grid(t1, temperature)
+    p_long = bit_failure_probability_grid(t1 * scale, temperature)
     assert 0.0 <= p_short <= p_long <= 1.0
 
 
@@ -144,7 +148,7 @@ def test_statistical_model_outputs_are_valid_probabilities(accesses, reuse, entr
     )
     op = OperatingPoint.relaxed(trefp, temperature)
     wer = MODEL.expected_wer(op, behavior)
-    pue = MODEL.probability_of_ue(op, behavior)
+    pue = probability_of_ue(MODEL, op, behavior)
     assert 0.0 <= wer <= 1.0
     assert 0.0 <= pue <= 1.0
     fraction = MODEL.implicit_refresh_fraction(behavior, op)
@@ -176,7 +180,7 @@ def test_more_frequent_reuse_never_increases_wer(reuse_short, factor):
 @settings(max_examples=50, deadline=None)
 def test_standard_scaler_output_is_centred(values):
     X = np.asarray(values, dtype=float)
-    Z = StandardScaler().fit_transform(X)
+    Z = StandardScaler().fit(X).transform(X)
     assert np.allclose(Z.mean(axis=0), 0.0, atol=1e-6)
     assert np.all(Z.std(axis=0) <= 1.0 + 1e-6)
 

@@ -8,7 +8,7 @@ Pinned here:
 * **The predictor equals the per-rank oracle.**  For all three model
   families, ``predict_batch``, ``predict_grid`` and ``evaluate_wer``
   give the same bits as one independently fitted ``DramErrorModel`` per
-  rank (``tests/oracles/predictor.py``), and a v2 registry bundle
+  rank (``tests/oracles/predictor.py``), and a registry bundle
   round-trips bit-identically.
 * **Misaligned ranks fail loudly.**  A dataset where one rank lacks a
   row raises :class:`DataError` from ``rank_matrices``,

@@ -39,7 +39,6 @@ from repro.ml.pipeline import Pipeline
 from repro.ml.scaling import (
     ColumnLogTransformer,
     ColumnWeightTransformer,
-    MinMaxScaler,
     StandardScaler,
 )
 from repro.ml.svm import SVR
@@ -146,14 +145,6 @@ def test_pipeline_round_trip_is_exact(family, tmp_path):
     assert np.array_equal(restored.predict(X_query), expected)
 
 
-def test_minmax_scaler_round_trip(tmp_path):
-    X, _ = _training_data()
-    scaler = MinMaxScaler().fit(X)
-    save_estimator(scaler, tmp_path / "scaler")
-    restored = load_estimator(tmp_path / "scaler")
-    assert np.array_equal(restored.transform(X), scaler.transform(X))
-
-
 def test_unfitted_estimator_is_rejected(tmp_path):
     with pytest.raises(NotFittedError):
         save_estimator(DecisionTreeRegressor(), tmp_path / "bundle")
@@ -218,6 +209,19 @@ def test_truncated_arrays_raise(tmp_path):
         load_estimator(path)
 
 
+def test_knn_spec_with_metric_parameter_raises(tmp_path):
+    # KNN is Euclidean only: a spec still carrying the old ``metric``
+    # parameter cannot construct the estimator.
+    X, y = _training_data()
+    knn = KNeighborsRegressor(n_neighbors=3).fit(X, y)
+    path = save_estimator(knn, tmp_path / "bundle")
+    manifest = json.loads((path / "manifest.json").read_text(encoding="utf-8"))
+    manifest["payload"]["estimator"]["params"]["metric"] = "euclidean"
+    (path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    with pytest.raises(RegistryError, match="cannot construct KNeighborsRegressor"):
+        load_estimator(path)
+
+
 def test_manifest_is_environment_stamped(tmp_path):
     path = _fitted_tree_bundle(tmp_path)
     manifest = json.loads((path / "manifest.json").read_text(encoding="utf-8"))
@@ -248,25 +252,24 @@ def test_model_round_trip_is_exact(predictor, tmp_path):
 
 
 def test_v1_predictor_bundle_is_rejected(predictor, tmp_path):
-    # v1 bundles held one WER pipeline per rank; v2 holds one multi-output
-    # pipeline and the rank list, so a v1 bundle cannot be read as v2.
+    # v1 bundles held one WER pipeline per rank; v2 and later hold one
+    # multi-output pipeline and the rank list, so a v1 bundle cannot be
+    # read as the current schema.
     path = save_model(predictor, tmp_path / "bundle")
     manifest = json.loads((path / "manifest.json").read_text(encoding="utf-8"))
-    assert manifest["schema"] == MODEL_BUNDLE_SCHEMA == "repro.model_bundle/v2"
+    assert manifest["schema"] == MODEL_BUNDLE_SCHEMA == "repro.model_bundle/v3"
     manifest["schema"] = "repro.model_bundle/v1"
     (path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
     with pytest.raises(RegistryError) as excinfo:
         load_model(path)
     assert "repro.model_bundle/v1" in str(excinfo.value)
-    assert "repro.model_bundle/v2" in str(excinfo.value)
+    assert "repro.model_bundle/v3" in str(excinfo.value)
 
 
 def test_registry_versioning(predictor, tmp_path):
     registry = ModelRegistry(tmp_path)
-    assert registry.models() == []
     assert registry.save("wer", predictor) == "v1"
     assert registry.save("wer", predictor) == "v2"
-    assert registry.models() == ["wer"]
     assert registry.versions("wer") == ["v1", "v2"]
     assert registry.latest_version("wer") == "v2"
     assert registry.path("wer").name == "v2"
@@ -319,8 +322,6 @@ def test_predict_grid_matches_per_point_reference(predictor, per_rank):
     np.testing.assert_allclose(grid.wer, ref_wer, rtol=1e-9)
     assert grid.pue is not None and ref_pue is not None
     np.testing.assert_allclose(grid.pue, ref_pue, rtol=1e-9)
-    # wer_for slices the per-rank surface.
-    assert np.array_equal(grid.wer_for(predictor.ranks[0]), grid.wer[0])
 
 
 def test_predict_grid_validates_axes(predictor):

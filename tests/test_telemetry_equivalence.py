@@ -18,6 +18,8 @@ from repro.core.dataset import build_wer_dataset
 from repro.profiling.profiler import profile_workload
 from repro.telemetry import RunReport, telemetry_session
 
+from tests.oracles.telemetry import find_span, span_counts
+
 WORKLOADS = ("backprop", "kmeans", "bfs", "memcached")
 
 
@@ -71,11 +73,11 @@ def test_parallel_bit_identical_and_report_matches(
     _, seq_snapshot = sequential_on
     # One sweep path: the merged parallel tree equals the in-process one
     # span for span, not only under the per-workload prefixes.
-    seq_counts = seq_snapshot.span_counts()
+    seq_counts = span_counts(seq_snapshot)
     for sweep in ("campaign.wer_sweep", "campaign.ue_sweep"):
         for workload in WORKLOADS:
             assert f"campaign.run/{sweep}/workload:{workload}" in seq_counts
-    assert snapshot.span_counts() == seq_counts
+    assert span_counts(snapshot) == seq_counts
 
     # Work counters describe the same computation either way.
     assert snapshot.counters == {
@@ -103,4 +105,4 @@ def test_dataset_build_unaffected_by_telemetry(sequential_off):
     )
     snapshot = telemetry.snapshot()
     assert snapshot.counters["dataset.wer_rows"] == len(baseline)
-    assert snapshot.find_span("dataset.build_wer").count == 1
+    assert find_span(snapshot, "dataset.build_wer").count == 1

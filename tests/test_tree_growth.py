@@ -5,8 +5,7 @@ presorted columns.  These tests pin its flat node arrays — per tree and
 concatenated — against the recursive one-tree-at-a-time builder in
 ``tests/oracles/ml.py``, across shapes with tied and constant columns,
 constant targets and every ``max_features`` form; they also cover the
-constructor-time validation, ``depth()`` on registry-restored trees and
-the ``ml.forest_*`` telemetry counters.
+constructor-time validation and the ``ml.forest_*`` telemetry counters.
 """
 
 import numpy as np
@@ -18,7 +17,6 @@ from repro.errors import ConfigurationError, DataError
 from repro.ml import tree as tree_module
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.tree import DecisionTreeRegressor
-from repro.serving import load_estimator, save_estimator
 from repro.telemetry import telemetry_session
 
 from tests.oracles.ml import fit_forest_oracle, fit_tree_oracle
@@ -36,15 +34,6 @@ def _assert_same_arrays(actual, expected):
     for got, want in zip(actual, expected):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
-
-
-def _walk_depth(feature, left, right, node=0):
-    if feature[node] < 0:
-        return 0
-    return 1 + max(
-        _walk_depth(feature, left, right, left[node]),
-        _walk_depth(feature, left, right, right[node]),
-    )
 
 
 @st.composite
@@ -112,9 +101,6 @@ class TestGrowerMatchesRecursiveBuilder:
         assert len(forest.estimators_) == len(oracle.trees)
         for tree, oracle_tree in zip(forest.estimators_, oracle.trees):
             _assert_same_arrays(_tree_arrays(tree), oracle_tree)
-            assert tree.depth() == _walk_depth(
-                oracle_tree.feature, oracle_tree.left, oracle_tree.right
-            )
         per_tree = np.stack([tree.predict(X) for tree in forest.estimators_])
         assert np.array_equal(per_tree.mean(axis=0), forest.predict(X))
 
@@ -219,7 +205,7 @@ class TestConstructorValidation:
     def test_valid_forms_accepted(self, max_features):
         X = np.arange(12.0).reshape(6, 2)
         tree = DecisionTreeRegressor(max_features=max_features, max_depth=0).fit(X, X[:, 0])
-        assert tree.node_count() == 1
+        assert tree.feature_.shape == (1,)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -231,15 +217,6 @@ def test_split_that_moves_no_row_raises(column):
         DecisionTreeRegressor().fit(np.array(column)[:, None], [0.0, 1.0])
 
 
-def test_restored_tree_reports_depth(tmp_path):
-    rng = np.random.default_rng(4)
-    X = rng.normal(size=(80, 3))
-    tree = DecisionTreeRegressor(max_depth=5, random_state=2).fit(X, rng.normal(size=80))
-    restored = load_estimator(save_estimator(tree, tmp_path / "bundle"))
-    assert restored.depth() == tree.depth() == 5
-    assert restored.node_count() == tree.node_count()
-
-
 def test_forest_telemetry_counts_nodes_and_steps():
     rng = np.random.default_rng(8)
     X = rng.normal(size=(60, 4))
@@ -248,7 +225,7 @@ def test_forest_telemetry_counts_nodes_and_steps():
         forest = RandomForestRegressor(
             n_estimators=7, max_depth=6, random_state=1
         ).fit(X, y)
-    counts = [tree.node_count() for tree in forest.estimators_]
+    counts = [tree.feature_.shape[0] for tree in forest.estimators_]
     counters = telemetry.snapshot().counters
     assert counters["ml.forest_nodes"] == sum(counts)
     # Each step grows one node of every unfinished tree.

@@ -1,4 +1,4 @@
-"""Tests for the platform constants and unit helpers."""
+"""Tests for the platform constants."""
 
 import pytest
 
@@ -29,19 +29,6 @@ class TestUnits:
         assert units.NOMINAL_VDD_V == pytest.approx(1.5)
         # The paper scales VDD down by ~5 %.
         assert (1 - units.MIN_VDD_V / units.NOMINAL_VDD_V) == pytest.approx(0.048, abs=0.01)
-
-    def test_celsius_to_kelvin(self):
-        assert units.celsius_to_kelvin(0.0) == pytest.approx(273.15)
-        assert units.celsius_to_kelvin(70.0) == pytest.approx(343.15)
-
-    def test_words_in(self):
-        assert units.words_in(0) == 0
-        assert units.words_in(8) == 1
-        assert units.words_in(units.GIB) == units.GIB // 8
-
-    def test_words_in_rejects_negative(self):
-        with pytest.raises(ValueError):
-            units.words_in(-1)
 
     def test_characterization_duration_is_two_hours(self):
         assert units.CHARACTERIZATION_DURATION_S == pytest.approx(7200.0)

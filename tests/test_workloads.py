@@ -21,7 +21,6 @@ from repro.workloads.analytics import (
 )
 from repro.workloads.base import (
     TraceRecorder,
-    float_to_word,
     interleave,
     running_sums,
     sequence,
@@ -35,7 +34,7 @@ from repro.workloads.compute import (
     SradWorkload,
 )
 from repro.workloads.lulesh import LuleshWorkload
-from repro.workloads.micro import DataPatternWorkload, random_data_pattern, solid_data_pattern
+from repro.workloads.micro import DataPatternWorkload
 from repro.workloads.registry import (
     ALL_WORKLOADS,
     CAMPAIGN_WORKLOADS,
@@ -44,6 +43,7 @@ from repro.workloads.registry import (
     create_workload,
 )
 
+from tests.oracles.profiling import float_to_word
 from tests.oracles.workloads import KeepingRecorder, run_scalar, schedule, thread_chunks
 
 
@@ -355,8 +355,8 @@ class TestKernels:
             LuleshWorkload(optimization="O3")
 
     def test_data_pattern_variants(self):
-        random_trace = random_data_pattern(words=256, sweeps=1).record_trace()
-        solid_trace = solid_data_pattern(words=256, sweeps=1).record_trace()
+        random_trace = DataPatternWorkload(words=256, sweeps=1, pattern="random").record_trace()
+        solid_trace = DataPatternWorkload(words=256, sweeps=1, pattern="solid").record_trace()
         random_columns, solid_columns = random_trace.columns, solid_trace.columns
         random_values = set(random_columns.value[random_columns.is_write].tolist())
         solid_values = set(solid_columns.value[solid_columns.is_write].tolist())
