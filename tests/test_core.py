@@ -6,7 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.conventional import ConventionalErrorModel
-from repro.core.correlation import run_correlation_study
+from repro.core.correlation import (
+    CorrelationStudy,
+    FeatureCorrelationPoint,
+    run_correlation_study,
+)
 from repro.core.dataset import build_pue_dataset, build_wer_dataset
 from repro.core.evaluation import AccuracyEvaluator, best_configuration
 from repro.core.features import (
@@ -226,6 +230,27 @@ class TestCorrelationStudy:
                                       feature_names=["treuse", "hdp"])
         with pytest.raises(DataError):
             study.rs_wer("ipc")
+
+    def test_top_wer_features_orders_by_strength(self):
+        study = CorrelationStudy(points=[
+            FeatureCorrelationPoint("weak", rs_wer=0.3, rs_pue=0.9),
+            FeatureCorrelationPoint("negative", rs_wer=-0.9, rs_pue=0.0),
+            FeatureCorrelationPoint("strong", rs_wer=0.7, rs_pue=-0.2),
+        ])
+        ranked = [point.feature for point in study.top_wer_features()]
+        assert ranked == ["negative", "strong", "weak"]
+        assert [p.feature for p in study.top_wer_features(1)] == ["negative"]
+
+    def test_empty_study_rejected(self):
+        with pytest.raises(DataError):
+            CorrelationStudy(points=[])
+
+    def test_named_feature_summary_skips_absent_features(self):
+        study = CorrelationStudy(points=[
+            FeatureCorrelationPoint("hdp", rs_wer=0.4, rs_pue=0.1),
+            FeatureCorrelationPoint("l2_miss_rate", rs_wer=0.2, rs_pue=0.3),
+        ])
+        assert study.named_feature_summary() == {"hdp": (0.4, 0.1)}
 
     def test_constant_feature_correlates_to_exactly_zero(self):
         # Zero-variance contract: a feature that never varies across

@@ -1,5 +1,7 @@
 """Tests for the explicit cell-array simulator and the ECC error log."""
 
+from collections import Counter
+
 import pytest
 
 from repro.dram.calibration import (
@@ -10,7 +12,7 @@ from repro.dram.calibration import (
 )
 from repro.dram.cells import CellArrayConfig, CellArraySimulator
 from repro.dram.ecc import ErrorClass
-from repro.dram.geometry import CellLocation, DramGeometry, small_geometry
+from repro.dram.geometry import CellLocation, DramGeometry, RankLocation, small_geometry
 from repro.dram.records import ErrorLog, ErrorRecord
 from repro.errors import ConfigurationError, SimulationError
 
@@ -183,6 +185,16 @@ class TestBatchCellOps:
         with pytest.raises(ConfigurationError):
             sim.write(location, 1.5)
 
+    def test_batch_read_codes_name_the_logged_locations(self):
+        sim = tiny_simulator()
+        locations = sim.fill([0xFFFFFFFFFFFFFFFF] * 1000)
+        sim.idle(600.0)
+        sweep = sim.read_batch(locations, workload="wl")
+        errored = [loc for loc, code in zip(locations, sweep.decode.error_codes) if code]
+        assert len(errored) == sum(
+            count for cls, count in sweep.counts().items() if cls is not ErrorClass.NO_ERROR
+        )
+        assert errored == [record.location for record in sim.error_log]
 
 class TestErrorLog:
     def test_unique_word_locations_deduplicates(self):
@@ -191,6 +203,48 @@ class TestErrorLog:
         log.append_batch([ErrorClass.CORRECTED], [CellLocation(0, 0, 0, 1, 0)], 2.0)
         log.append_batch([ErrorClass.CORRECTED], [CellLocation(0, 0, 0, 2, 0)], 3.0)
         assert len(log.unique_word_locations(ErrorClass.CORRECTED)) == 2
+
+    def test_unique_words_are_distinct_across_ranks(self):
+        log = ErrorLog()
+        log.append_batch(
+            [ErrorClass.CORRECTED] * 3,
+            [CellLocation(0, 0, 0, 1, 0), CellLocation(2, 1, 0, 1, 0),
+             CellLocation(2, 1, 0, 2, 0)],
+            timestamp_s=1.0,
+        )
+        by_rank = Counter(loc.rank_location for loc in log.unique_word_locations())
+        assert by_rank == {RankLocation(0, 0): 1, RankLocation(2, 1): 2}
+
+    def test_unique_locations_filter_by_class(self):
+        log = ErrorLog()
+        log.append_batch([ErrorClass.UNCORRECTABLE], [CellLocation(0, 0, 0, 7, 0)], 9.0)
+        log.append_batch([ErrorClass.UNCORRECTABLE], [CellLocation(0, 0, 0, 3, 0)], 4.0)
+        assert log.unique_word_locations(ErrorClass.CORRECTED) == set()
+        assert log.unique_word_locations(ErrorClass.UNCORRECTABLE) == {
+            CellLocation(0, 0, 0, 7, 0), CellLocation(0, 0, 0, 3, 0)
+        }
+        assert [record.timestamp_s for record in log] == [9.0, 4.0]
+
+    def test_records_keep_append_order_and_timestamps(self):
+        log = ErrorLog()
+        for i, t in enumerate([100.0, 700.0, 1300.0, 1400.0]):
+            log.append_batch([ErrorClass.CORRECTED], [CellLocation(0, 0, 0, i, 0)], t)
+        assert [record.timestamp_s for record in log] == [100.0, 700.0, 1300.0, 1400.0]
+        assert [record.location.row for record in log] == [0, 1, 2, 3]
+
+    def test_records_group_by_rank(self):
+        log = ErrorLog()
+        log.append_batch(
+            [ErrorClass.CORRECTED, ErrorClass.CORRECTED, ErrorClass.SILENT],
+            [CellLocation(1, 0, 0, 0, 0), CellLocation(1, 0, 0, 3, 0),
+             CellLocation(0, 1, 0, 0, 0)],
+            timestamp_s=2.0,
+        )
+        corrected = Counter(
+            record.rank_location for record in log
+            if record.error_class is ErrorClass.CORRECTED
+        )
+        assert corrected == {RankLocation(1, 0): 2}
 
     def test_no_error_record_for_clean_reads(self):
         with pytest.raises(ConfigurationError):
@@ -215,6 +269,31 @@ class TestErrorLog:
         with pytest.raises(ConfigurationError):
             log.append_batch([ErrorClass.CORRECTED], [location, location], 1.0)
         assert len(log) == 0
+
+    def test_unique_word_query_stays_correct_as_log_grows(self):
+        log = ErrorLog()
+        assert log.unique_word_locations() == set()
+        log.append_batch([ErrorClass.CORRECTED], [CellLocation(0, 0, 0, 0, 0)], 1.0)
+        assert len(log.unique_word_locations()) == 1
+        log.append_batch(
+            [ErrorClass.CORRECTED, ErrorClass.UNCORRECTABLE],
+            [CellLocation(0, 0, 0, 1, 0), CellLocation(0, 0, 0, 2, 0)],
+            timestamp_s=2.0, workload="wl",
+        )
+        assert len(log.unique_word_locations(ErrorClass.CORRECTED)) == 2
+        assert len(log.unique_word_locations(ErrorClass.UNCORRECTABLE)) == 1
+        assert len(log) == 3
+
+    def test_append_after_iteration_rebuilds_records(self):
+        # Iterating materialises the record cache; a later append must
+        # drop it, or the next iteration would serve the stale records.
+        log = ErrorLog()
+        log.append_batch([ErrorClass.UNCORRECTABLE], [CellLocation(0, 0, 0, 0, 0)], 1.0)
+        assert [r.error_class for r in log] == [ErrorClass.UNCORRECTABLE]
+        log.append_batch([ErrorClass.CORRECTED], [CellLocation(0, 0, 0, 1, 0)], 2.0)
+        assert [r.error_class for r in log] == [
+            ErrorClass.UNCORRECTABLE, ErrorClass.CORRECTED
+        ]
 
     def test_interleaved_appends_and_queries_stay_consistent(self):
         log = ErrorLog()

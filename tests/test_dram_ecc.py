@@ -122,6 +122,12 @@ class TestSecdedCode:
         with pytest.raises(ConfigurationError):
             code.decode(np.zeros(71, dtype=np.uint8))
 
+    def test_overlong_codeword_rejected(self, code):
+        with pytest.raises(ConfigurationError):
+            code.decode(np.zeros(73, dtype=np.uint8))
+        with pytest.raises(ConfigurationError):
+            code.decode_batch(np.zeros((2, 73), dtype=np.uint8))
+
     def test_decode_result_reports_corrected_position(self, code):
         codeword = code.encode(42)
         codeword[10] ^= 1

@@ -1,5 +1,7 @@
 """Tests for DRAM geometry, address mapping and the operating point."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from repro import units
 from repro.dram.address_map import AddressMapper
 from repro.dram.geometry import CellLocation, DramGeometry, RankLocation, small_geometry
 from repro.dram.operating import OperatingPoint
+from repro.dram.retention import bit_failure_probability_grid
 from repro.errors import ConfigurationError
 
 
@@ -63,6 +66,13 @@ class TestDramGeometry:
         with pytest.raises(ConfigurationError):
             DramGeometry().validate_rank(RankLocation(9, 0))
 
+    def test_negative_indices_rejected(self):
+        geometry = small_geometry()
+        with pytest.raises(ConfigurationError):
+            geometry.cell_from_word_index(-1)
+        with pytest.raises(ConfigurationError):
+            geometry.rank_from_index(-1)
+
     def test_non_positive_dimension_rejected(self):
         with pytest.raises(ConfigurationError):
             DramGeometry(num_dimms=0)
@@ -74,6 +84,21 @@ class TestAddressMapper:
         mapper = AddressMapper(geometry, interleave_bytes=256)
         ranks = mapper.rank_indices(np.arange(8) * 256)
         assert len(set(ranks.tolist())) == 8
+
+    def test_one_interleave_chunk_shares_a_rank(self):
+        mapper = AddressMapper(DramGeometry(), interleave_bytes=256)
+        # Every byte of the first chunk, sub-word offsets included.
+        assert set(mapper.rank_indices(np.arange(256)).tolist()) == {0}
+        assert mapper.rank_indices(np.array([256]))[0] == 1
+
+    def test_footprint_spread_is_even(self):
+        mapper = AddressMapper(DramGeometry())
+        for footprint_bytes in (units.MIB, units.MIB + 40):
+            words = footprint_bytes // units.WORD_BYTES
+            ranks = mapper.rank_indices(np.arange(words) * units.WORD_BYTES)
+            counts = np.bincount(ranks, minlength=mapper.geometry.num_ranks)
+            assert counts.max() - counts.min() <= mapper.words_per_interleave
+            assert counts.sum() == words
 
     def test_interleave_must_be_word_multiple(self):
         with pytest.raises(ConfigurationError):
@@ -103,3 +128,21 @@ class TestOperatingPoint:
     def test_out_of_range_temperature_rejected(self):
         with pytest.raises(ConfigurationError):
             OperatingPoint(temperature_c=95.0)
+
+    def test_longer_refresh_raises_bit_failure_probability(self):
+        nominal, relaxed = (
+            OperatingPoint.relaxed(trefp, 50.0) for trefp in (0.064, 0.64)
+        )
+        p_nominal, p_relaxed = (
+            float(bit_failure_probability_grid(op.trefp_s, op.temperature_c, op.vdd_v))
+            for op in (nominal, relaxed)
+        )
+        assert relaxed.trefp_s / units.NOMINAL_TREFP_S == pytest.approx(10.0)
+        assert 0.0 <= p_nominal < p_relaxed < 1.0
+
+    def test_replace_keeps_other_fields_and_revalidates(self):
+        op = OperatingPoint.relaxed(1.173, 50.0)
+        hotter = dataclasses.replace(op, temperature_c=70.0)
+        assert (hotter.trefp_s, hotter.vdd_v) == (op.trefp_s, op.vdd_v)
+        with pytest.raises(ConfigurationError):
+            dataclasses.replace(op, trefp_s=3.0)

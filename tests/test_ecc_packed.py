@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro import units
 from repro.dram.calibration import DramCalibration, RetentionCalibration
-from repro.dram.cells import CellArrayConfig, CellArraySimulator
+from repro.dram.cells import BatchReadResult, CellArrayConfig, CellArraySimulator
 from repro.dram.ecc import (
     BatchDecodeResult,
     ErrorClass,
@@ -105,6 +105,15 @@ class TestPackHelpers:
         with pytest.raises(ConfigurationError):
             unpack_codewords(np.zeros((3, 2), dtype=np.int64))
 
+
+    def test_non_bit_entries_rejected(self):
+        bits = np.zeros((2, 64), dtype=np.uint8)
+        bits[1, 5] = 2
+        for code in (PACKED, ORACLE):
+            with pytest.raises(ConfigurationError):
+                code.encode_batch(bits)
+            with pytest.raises(ConfigurationError):
+                code.encode_packed(bits)
 
 class TestEmptyBatches:
     """Regression: N=0 batches used to trip shape/validation errors."""
@@ -248,6 +257,45 @@ class TestBlockStreaming:
     def test_invalid_block_words_rejected(self):
         with pytest.raises(ConfigurationError):
             tiny_config(block_words=0)
+
+
+class TestBatchReadLocations:
+    def test_list_backed_read_keeps_cell_locations(self):
+        sim = CellArraySimulator(tiny_config())
+        locations = sim.fill([0xFFFFFFFFFFFFFFFF] * 800)
+        sim.idle(600.0)
+        sweep = sim.read_batch(locations, workload="wl")
+        assert list(sweep.locations) == locations
+        errored = [loc for loc, code in zip(locations, sweep.decode.error_codes) if code]
+        assert errored
+        assert errored == [record.location for record in sim.error_log]
+
+    def test_ndarray_backed_read_keeps_word_indices(self):
+        sim = CellArraySimulator(tiny_config())
+        n = 800
+        words = np.arange(n)
+        sim.write_batch(words, np.full(n, 0xFFFFFFFFFFFFFFFF, dtype=np.uint64))
+        sim.idle(600.0)
+        sweep = sim.read_batch(words, workload="wl")
+        assert isinstance(sweep.locations, np.ndarray)
+        errored = sweep.locations[sweep.decode.error_codes != 0]
+        assert errored.size > 0
+        # The logged CellLocations correspond to exactly these word indices.
+        as_cells = [sim.geometry.cell_from_word_index(int(word)) for word in errored]
+        assert as_cells == [record.location for record in sim.error_log]
+
+    def test_synthetic_result_counts_every_class(self):
+        decode = BatchDecodeResult(
+            data_words=np.zeros(3, dtype=np.uint64),
+            error_codes=np.array([0, 1, 2], dtype=np.uint8),
+            corrected_bits=np.full(3, -1, dtype=np.int64),
+        )
+        result = BatchReadResult(locations=np.array([10, 20, 30]), decode=decode)
+        assert len(result) == 3
+        assert result.counts() == {
+            ErrorClass.NO_ERROR: 1, ErrorClass.CORRECTED: 1,
+            ErrorClass.UNCORRECTABLE: 1, ErrorClass.SILENT: 0,
+        }
 
 
 class TestMemoryBudget:

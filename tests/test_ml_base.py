@@ -12,6 +12,8 @@ from repro.ml.base import (
 )
 from repro.ml.knn import KNeighborsRegressor
 
+from tests.oracles.ml import r2_score
+
 
 class TestArrayValidation:
     def test_as_2d_array_accepts_lists(self):
@@ -71,3 +73,21 @@ class TestEstimatorProtocol:
         text = repr(KNeighborsRegressor(n_neighbors=3))
         assert "KNeighborsRegressor" in text
         assert "n_neighbors=3" in text
+
+    def test_params_rebuild_an_equal_estimator(self):
+        model = KNeighborsRegressor(n_neighbors=9, weights="uniform")
+        rebuilt = KNeighborsRegressor(**model.get_params())
+        assert rebuilt.get_params() == model.get_params()
+
+    def test_unknown_constructor_parameter_rejected(self):
+        # The model registry rebuilds estimators from their stored params,
+        # so a stale parameter must fail construction, not be ignored.
+        with pytest.raises(TypeError):
+            KNeighborsRegressor(bogus=1)
+
+    def test_fitted_state_is_not_a_param(self):
+        model = KNeighborsRegressor(n_neighbors=1)
+        before = model.get_params()
+        model.fit([[0.0], [1.0]], [1.0, 2.0])
+        assert model.get_params() == before
+        assert r2_score(model, [[0.0], [1.0]], [1.0, 2.0]) == pytest.approx(1.0)

@@ -40,6 +40,19 @@ class TestMetrics:
     def test_spearman_constant_input_is_zero(self):
         assert spearman_correlation([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]) == 0.0
 
+    def test_mean_percentage_error_floor_damps_tiny_targets(self):
+        # Without a floor a 1e-9 target off by 1e-9 is a 100 % error; a
+        # floor far above the target turns it into a negligible one.
+        assert mean_percentage_error([1e-9], [2e-9]) == pytest.approx(100.0)
+        assert mean_percentage_error([1e-9], [2e-9], floor=1e-6) < 0.1
+
+    def test_prediction_ratio_averages_per_sample_factors(self):
+        assert prediction_ratio([1.0, 1.0], [2.0, 0.25]) == pytest.approx(3.0)
+
+    def test_metrics_flatten_column_vectors(self):
+        y_true = np.array([[1.0], [2.0]])
+        assert mean_percentage_error(y_true, [1.1, 1.8]) == pytest.approx(10.0)
+
     def test_length_mismatch_raises(self):
         with pytest.raises(DataError):
             mean_percentage_error([1.0], [1.0, 2.0])
@@ -72,6 +85,34 @@ class TestSplitters:
         for (train_n, test_n), (train_c, test_c) in zip(by_name, by_code):
             assert train_n.tolist() == train_c.tolist()
             assert test_n.tolist() == test_c.tolist()
+
+    def test_leave_one_group_out_partitions_everything_once(self):
+        groups = ["b", "a", "c", "a", "b", "c", "c"]
+        seen = []
+        for train, test in LeaveOneGroupOut().split(range(7), groups):
+            assert sorted(train.tolist() + test.tolist()) == list(range(7))
+            seen.extend(test.tolist())
+        assert sorted(seen) == list(range(7))
+
+    def test_leave_one_group_out_rejects_mismatched_groups(self):
+        with pytest.raises(DataError):
+            list(LeaveOneGroupOut().split(range(3), ["a", "b"]))
+
+    def test_leave_one_group_out_folds_in_sorted_group_order(self):
+        folds = list(LeaveOneGroupOut().split(range(3), ["c", "a", "b"]))
+        assert [test.tolist() for _train, test in folds] == [[1], [2], [0]]
+
+    def test_cross_val_predict_groups_matches_manual_folds(self):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(12, 2))
+        y = rng.normal(size=12)
+        groups = np.repeat(["a", "b", "c"], 4)
+        model = KNeighborsRegressor(n_neighbors=3)
+        preds = cross_val_predict_groups(model, X, y, groups)
+        assert preds.shape == y.shape
+        for train, test in LeaveOneGroupOut().split(X, groups):
+            fold = model.clone().fit(X[train], y[train])
+            assert np.array_equal(preds[test], fold.predict(X[test]))
 
     def test_cross_val_predict_groups_never_uses_own_group(self):
         # Targets are constant within a group; with 1-NN, a leaked prediction

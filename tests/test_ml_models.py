@@ -35,6 +35,13 @@ class TestDistances:
         assert np.allclose(np.diag(D), 0.0, atol=1e-6)
 
 
+    def test_distances_are_symmetric(self):
+        rng = np.random.default_rng(1)
+        A = rng.normal(size=(6, 3))
+        B = rng.normal(size=(4, 3))
+        assert np.allclose(euclidean_distances(A, B), euclidean_distances(B, A).T)
+
+
 class TestKnnRegressor:
     def test_exact_match_returns_training_target(self):
         X = [[0.0], [1.0], [2.0]]
@@ -57,6 +64,18 @@ class TestKnnRegressor:
         X, y = _toy_regression(n=600)
         model = KNeighborsRegressor(n_neighbors=5, weights="distance").fit(X[:500], y[:500])
         assert r2_score(model, X[500:], y[500:]) > 0.7
+
+    def test_distance_weights_favour_the_closer_neighbour(self):
+        model = KNeighborsRegressor(n_neighbors=2, weights="distance").fit(
+            [[0.0], [1.0]], [0.0, 3.0]
+        )
+        # Weights 1/0.25 and 1/0.75: (0 * 4 + 3 * 4/3) / (4 + 4/3) = 0.75.
+        assert model.predict([[0.25]])[0] == pytest.approx(0.75)
+
+    def test_unknown_weighting_raises(self):
+        model = KNeighborsRegressor(weights="cosine").fit([[0.0], [1.0]], [0.0, 1.0])
+        with pytest.raises(ConfigurationError):
+            model.predict([[0.5]])
 
     def test_predict_before_fit_raises(self):
         with pytest.raises(NotFittedError):

@@ -24,6 +24,12 @@ class TestStandardScaler:
         assert np.all(np.isfinite(Z))
         assert np.allclose(Z[:, 0], 0.0)
 
+    def test_transform_uses_fitted_statistics(self):
+        scaler = StandardScaler().fit([[1.0, 10.0], [3.0, 30.0]])
+        Z = scaler.transform([[2.0, 20.0], [3.0, 30.0]])
+        assert np.allclose(Z[0], 0.0)
+        assert np.allclose(Z[1], 1.0)
+
     def test_constant_nonzero_column_is_centred_to_zero(self):
         # Regression (hypothesis counterexample): the mean of three copies of
         # 0.1 is one ulp off 0.1, leaving std ~ 1e-17 instead of exactly 0;
@@ -78,6 +84,12 @@ class TestColumnLogTransformer:
         Z = ColumnLogTransformer(columns=[0], offset=1e-6).fit([[0.0]]).transform([[0.0]])
         assert Z[0, 0] == pytest.approx(-6.0)
 
+    def test_power_of_ten_recovers_the_input(self):
+        X = np.array([[1e-9, 5.0], [1e-5, 6.0], [1.0, 7.0]])
+        Z = ColumnLogTransformer(columns=[0], offset=1e-12).fit(X).transform(X)
+        assert np.allclose(10.0 ** Z[:, 0] - 1e-12, X[:, 0], rtol=1e-9)
+        assert np.array_equal(Z[:, 1], X[:, 1])
+
     def test_out_of_range_column_raises(self):
         with pytest.raises(ValueError):
             ColumnLogTransformer(columns=[5]).fit([[1.0, 2.0]])
@@ -96,3 +108,13 @@ class TestColumnWeightTransformer:
     def test_rejects_mismatched_width(self):
         with pytest.raises(ValueError):
             ColumnWeightTransformer([1.0]).fit([[1.0, 2.0]])
+
+    def test_clone_keeps_weights(self):
+        X = np.array([[1.0, 2.0], [3.0, 4.0]])
+        transformer = ColumnWeightTransformer([0.5, 4.0])
+        expected = transformer.fit(X).transform(X)
+        assert np.array_equal(transformer.clone().fit(X).transform(X), expected)
+
+    def test_transform_rejects_mismatched_width(self):
+        with pytest.raises(ValueError):
+            ColumnWeightTransformer([1.0, 1.0]).transform([[1.0, 2.0, 3.0]])

@@ -141,6 +141,14 @@ class TestStableKneighborsEquivalence:
         _dist, idx = model.kneighbors([[0.0, 0.0], [1.0, 1.0]])
         assert idx.tolist() == [[0, 1, 2], [4, 5, 6]]
 
+    def test_uniform_prediction_is_mean_over_stable_neighbours(self):
+        rng = np.random.default_rng(11)
+        X = np.repeat(rng.normal(size=(15, 2)), 3, axis=0)
+        y = rng.normal(size=45)
+        model = KNeighborsRegressor(n_neighbors=5, weights="uniform").fit(X, y)
+        _dist, idx = reference_kneighbors(model, X[:10])
+        assert np.allclose(model.predict(X[:10]), y[idx].mean(axis=1), rtol=1e-12)
+
     def test_oracle_estimator_is_interchangeable(self):
         rng = np.random.default_rng(2)
         X, y = _regression_data(rng, 40, 3, duplicates=20)
@@ -184,6 +192,12 @@ class TestChunkedDistances:
         # Every row alone gives the same bits as in the batch.
         for row in range(n):
             assert np.array_equal(cdist(A[row:row + 1], B)[0], full[row])
+
+    def test_expanded_euclidean_agrees_with_direct_form(self):
+        rng = np.random.default_rng(4)
+        A = rng.normal(size=(37, 5))
+        B = rng.normal(size=(23, 5))
+        assert np.allclose(euclidean_distances(A, B), cdist(A, B), rtol=1e-9, atol=1e-12)
 
     def test_euclidean_exact_match_is_exact_zero(self):
         # Large-magnitude coordinates make the expanded form cancel

@@ -182,6 +182,15 @@ class TestWorkloadProfiler:
         assert profile.workload == "backprop"
         assert profile is not profile_workload("backprop")
 
+    def test_summary_reports_headline_features(self, backprop_profile):
+        summary = backprop_profile.summary()
+        assert list(summary) == [
+            "treuse", "hdp", "memory_accesses_per_cycle", "wait_cycles", "ipc",
+            "l2_miss_rate",
+        ]
+        for name, value in summary.items():
+            assert value == backprop_profile.feature(name)
+
     def test_unknown_feature_rejected(self, backprop_profile):
         with pytest.raises(DataError):
             backprop_profile.feature("bogus_counter")

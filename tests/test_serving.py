@@ -145,6 +145,18 @@ def test_pipeline_round_trip_is_exact(family, tmp_path):
     assert np.array_equal(restored.predict(X_query), expected)
 
 
+def test_column_transformers_round_trip(tmp_path):
+    X, _ = _training_data()
+    X = np.abs(X)
+    for name, transformer in (
+        ("log", ColumnLogTransformer(columns=[0, 2], offset=1e-9)),
+        ("weights", ColumnWeightTransformer(np.linspace(0.5, 2.0, X.shape[1]))),
+    ):
+        transformer.fit(X)
+        restored = load_estimator(save_estimator(transformer, tmp_path / name))
+        assert np.array_equal(restored.transform(X), transformer.transform(X))
+
+
 def test_unfitted_estimator_is_rejected(tmp_path):
     with pytest.raises(NotFittedError):
         save_estimator(DecisionTreeRegressor(), tmp_path / "bundle")

@@ -220,6 +220,15 @@ class TestSnapshots:
         parent.merge_snapshot(None)
         assert parent.snapshot() == TelemetrySnapshot()
 
+    def test_empty_snapshot_is_the_merge_identity(self):
+        tel = Telemetry()
+        tel.incr("c", 3)
+        with tel.span("a"):
+            pass
+        snap = tel.snapshot()
+        assert TelemetrySnapshot().merge(snap) == snap
+        assert snap.merge(TelemetrySnapshot()) == snap
+        assert find_span(TelemetrySnapshot(), "a") is None
 
 class TestRunReport:
     def _sample_report(self):

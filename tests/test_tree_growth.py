@@ -17,9 +17,10 @@ from repro.errors import ConfigurationError, DataError
 from repro.ml import tree as tree_module
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.tree import DecisionTreeRegressor
+from repro.serving import load_estimator, save_estimator
 from repro.telemetry import telemetry_session
 
-from tests.oracles.ml import fit_forest_oracle, fit_tree_oracle
+from tests.oracles.ml import fit_forest_oracle, fit_tree_oracle, tree_depth
 
 
 def _tree_arrays(tree):
@@ -215,6 +216,16 @@ def test_split_that_moves_no_row_raises(column):
     # split keeps every row on one side; recursing on it never ends.
     with pytest.raises(DataError, match="cannot split"):
         DecisionTreeRegressor().fit(np.array(column)[:, None], [0.0, 1.0])
+
+
+def test_restored_tree_keeps_depth_and_arrays(tmp_path):
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(80, 3))
+    tree = DecisionTreeRegressor(max_depth=5, random_state=2).fit(X, rng.normal(size=80))
+    restored = load_estimator(save_estimator(tree, tmp_path / "bundle"))
+    assert tree_depth(restored) == tree_depth(tree) == 5
+    _assert_same_arrays(_tree_arrays(restored), _tree_arrays(tree))
+    assert np.array_equal(restored.predict(X), tree.predict(X))
 
 
 def test_forest_telemetry_counts_nodes_and_steps():

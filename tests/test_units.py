@@ -30,5 +30,20 @@ class TestUnits:
         # The paper scales VDD down by ~5 %.
         assert (1 - units.MIN_VDD_V / units.NOMINAL_VDD_V) == pytest.approx(0.048, abs=0.01)
 
+    def test_capacity_units_are_binary(self):
+        assert units.KIB == 2 ** 10
+        assert units.MIB == 2 ** 20
+        assert units.GIB == 2 ** 30
+        assert units.BENCHMARK_FOOTPRINT_BYTES == 8 * units.GIB
+
+    def test_time_units(self):
+        assert units.MS == pytest.approx(1e-3)
+        assert units.HOUR == 60 * units.MINUTE
+
+    def test_sweeps_lie_inside_the_configurable_range(self):
+        for trefp in units.TREFP_SWEEP_S + units.TREFP_UE_SWEEP_S:
+            assert units.NOMINAL_TREFP_S < trefp <= units.MAX_TREFP_S
+        assert units.NOMINAL_TEMP_C < units.MAX_TEMP_C == pytest.approx(70.0)
+
     def test_characterization_duration_is_two_hours(self):
         assert units.CHARACTERIZATION_DURATION_S == pytest.approx(7200.0)
