@@ -14,7 +14,7 @@ same way the ECC, dataset and ML benchmarks pin their batch engines —
   columns of one model and KNN answers them with one neighbour search;
 * :class:`repro.serving.PredictionService` throughput: a warm service
   answers a request sweep at least 10x faster than fresh scalar
-  ``predict`` calls (the cache and request coalescing at work), with an
+  ``predict`` calls (the cache and burst batching at work), with an
   absolute predictions-per-second floor.
 
 Every floor lands in the benchmark artifact (``BENCH_10.json``).
@@ -139,7 +139,7 @@ def test_service_throughput_floor(bench_report, full_campaign,
     # batching); service side: ``repeats`` warm predict_many sweeps.
     repeats = 4
     scalar_s, batch_s = [], []
-    with PredictionService(predictor, batch_window_s=0.001) as service:
+    with PredictionService(predictor) as service:
         service.predict_many(requests)          # warm: populate the cache
         for _ in range(SERVICE_ROUNDS):
             start = time.perf_counter()

@@ -11,12 +11,11 @@ the serving layer that keeps it alive past the training process:
 3. sweep a whole operating-point grid in one batched ``predict_grid``
    call (the columnar path, >=10x the per-point oracle);
 4. stand up a :class:`~repro.serving.PredictionService` over the loaded
-   model: an LRU cache answers repeated operating points, concurrent
-   misses coalesce into one batched model call.
+   model: an LRU cache answers repeated operating points, and each
+   burst's distinct misses share one batched model call.
 """
 
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -71,18 +70,17 @@ def main() -> None:
             for trefp in TREFPS
             for temp in TEMPERATURES
         ]
-        with PredictionService(loaded, batch_window_s=0.002) as service:
-            # A concurrent cold burst: every miss coalesces into few
-            # batched model calls.
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                cold = list(pool.map(service.predict_many, [requests] * 2))
-            print(f"  cold burst: {service.stats().requests} requests -> "
-                  f"{service.stats().batches} model call(s) "
-                  f"(max batch {service.stats().max_batch_size})")
+        with PredictionService(loaded) as service:
+            # A cold burst that asks for every point twice: its distinct
+            # misses share one batched model call.
+            cold = service.predict_many(requests + requests)
+            stats = service.stats()
+            print(f"  cold burst: {stats.requests} requests -> "
+                  f"{stats.batches} model call over {stats.predictions} distinct points")
             # A warm pass over the same points: the LRU cache answers.
             warm = service.predict_many(requests)
             stats = service.stats()
-        assert cold[0][0].wer == cold[1][0].wer == warm[0].wer
+        assert cold[0].wer == cold[len(requests)].wer == warm[0].wer
         print(f"  warm pass: all {len(warm)} answered from cache "
               f"(hit rate now {stats.hit_rate:.0%}, "
               f"{stats.predictions} model predictions total)")

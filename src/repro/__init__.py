@@ -21,7 +21,7 @@ The prediction API is batch-first: ``predict`` is a thin wrapper over
 ``predict_batch`` (arrays in, a frozen result batch out) and
 ``predict_grid`` sweeps whole operating-point grids columnarly.  Fitted
 predictors persist to a versioned on-disk registry and serve behind a
-cached, request-batching facade::
+cached facade that batches each burst's cache misses::
 
     from repro import ModelRegistry, PredictionService
 

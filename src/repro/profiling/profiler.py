@@ -15,6 +15,7 @@ its time between the three phases.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -213,21 +214,29 @@ class WorkloadProfiler:
 
 # ---------------------------------------------------------------------------
 # Profile cache: profiling is deterministic, so every caller shares results.
+# A per-name lock makes concurrent first touches of one workload (e.g. two
+# serving clients) profile it once and share the same object.
 # ---------------------------------------------------------------------------
 _PROFILE_CACHE: Dict[str, WorkloadProfile] = {}
+_PROFILE_LOCKS: Dict[str, threading.Lock] = {}
+_PROFILE_LOCKS_GUARD = threading.Lock()
 
 
 def profile_workload(name: str, profiler: Optional[WorkloadProfiler] = None) -> WorkloadProfile:
     """Profile a registered workload by name, with caching."""
     from repro.workloads.registry import create_workload
 
-    if name in _PROFILE_CACHE and profiler is None:
+    if profiler is not None:
+        return profiler.profile(create_workload(name))
+    cached = _PROFILE_CACHE.get(name)
+    if cached is not None:
+        return cached
+    with _PROFILE_LOCKS_GUARD:
+        lock = _PROFILE_LOCKS.setdefault(name, threading.Lock())
+    with lock:
+        if name not in _PROFILE_CACHE:
+            _PROFILE_CACHE[name] = WorkloadProfiler().profile(create_workload(name))
         return _PROFILE_CACHE[name]
-    active_profiler = profiler or WorkloadProfiler()
-    profile = active_profiler.profile(create_workload(name))
-    if profiler is None:
-        _PROFILE_CACHE[name] = profile
-    return profile
 
 
 def clear_profile_cache() -> None:

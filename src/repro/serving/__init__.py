@@ -13,7 +13,8 @@ scale:
   block) with :func:`save_model` / :func:`load_model` round-trips pinned
   bit-identical on predictions;
 * :mod:`repro.serving.service` — :class:`PredictionService`, the cached
-  and request-batching facade over a registry-loaded
+  facade (one batched model call per burst of misses, on the caller's
+  thread) over a registry-loaded
   :class:`~repro.core.predictor.WorkloadAwarePredictor`.
 """
 

@@ -1,4 +1,4 @@
-"""In-process prediction service: LRU cache + request-batching facade.
+"""In-process prediction service: an LRU cache in front of ``predict_batch``.
 
 :class:`PredictionService` wraps a fitted (typically registry-loaded)
 :class:`~repro.core.predictor.WorkloadAwarePredictor` behind a
@@ -8,10 +8,14 @@ request/response API shaped like a serving front-end:
   ``(workload, TREFP, VDD, temperature)``;
 * an LRU operating-point cache answers repeated requests without
   touching the model;
-* cache misses are queued and a single worker thread coalesces every
-  request that arrives within ``batch_window_s`` into **one**
-  :meth:`~repro.core.predictor.WorkloadAwarePredictor.predict_batch`
-  call (the web-app-plus-worker split, folded into one process);
+* everything runs on the caller's thread, with no worker and no batching
+  window: :meth:`PredictionService.predict_many` takes one locked pass
+  over the cache, then answers the burst's distinct missing keys with
+  **one** :meth:`~repro.core.predictor.WorkloadAwarePredictor.predict_batch`
+  call made with the lock released, so concurrent callers never wait on
+  each other's model calls;
+* if that call raises, each missing key is retried alone, so a failing
+  key fails only its own requests;
 * telemetry records spans (``serving.batch``), counters (requests,
   hits, misses, batches, predictions) and the batch-size histogram.
 
@@ -23,11 +27,12 @@ points (pinned under concurrent load by ``tests/test_serving.py``).
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from concurrent.futures import Future
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple, Union, cast, overload
+
+import numpy as np
 
 from repro.core.predictor import WorkloadAwarePredictor
 from repro.dram.geometry import RankLocation
@@ -36,11 +41,11 @@ from repro.errors import ConfigurationError, WorkloadError
 from repro.telemetry import get_telemetry
 from repro.workloads.registry import ALL_WORKLOADS
 
-#: Cache / coalescing key of one request.
+#: Cache key of one request.
 RequestKey = Tuple[str, float, float, float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PredictRequest:
     """One prediction request: a workload name at an operating point."""
 
@@ -53,7 +58,7 @@ class PredictRequest:
         if not isinstance(self.workload, str) or not self.workload:
             raise ConfigurationError("request workload must be a registry name")
         # Rejected here, on the caller's thread: an unknown name reaching a
-        # coalesced batch would fail every other request in it.
+        # batched model call would make every other key in it retry alone.
         if self.workload not in ALL_WORKLOADS:
             raise WorkloadError(f"unknown workload {self.workload!r}")
         # Constructing the operating point validates the parameter ranges.
@@ -80,13 +85,20 @@ class PredictRequest:
         return (self.workload, self.trefp_s, self.vdd_v, self.temperature_c)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PredictResponse:
-    """One prediction: per-rank WER, PUE, and how the service answered."""
+    """One prediction: per-rank WER, PUE, and how the service answered.
+
+    The per-rank WERs are stored packed as float64 bytes (~100 B against
+    ~310 B for a tuple of floats), since callers often keep every
+    response; :attr:`wer` unpacks them.  A cache hit returns the cached
+    response of its key itself, so its ``request`` equals the caller's
+    request but need not be the same object.
+    """
 
     request: PredictRequest
     ranks: Tuple[RankLocation, ...]
-    wer: Tuple[float, ...]
+    packed_wer: bytes = field(repr=False)
     pue: Optional[float]
     #: answered from the LRU cache (no model call)
     cached: bool
@@ -94,12 +106,20 @@ class PredictResponse:
     batch_size: int
 
     @property
+    def wer(self) -> Tuple[float, ...]:
+        return tuple(memoryview(self.packed_wer).cast("d"))
+
+    @property
     def memory_wer(self) -> float:
-        return sum(self.wer) / len(self.wer)
+        return sum(self.wer) / len(self.ranks)
 
     @property
     def wer_by_rank(self) -> Dict[RankLocation, float]:
         return dict(zip(self.ranks, self.wer))
+
+
+#: A request's answer, or the exception its model call raised.
+Outcome = Union[PredictResponse, Exception]
 
 
 @dataclass(frozen=True)
@@ -120,7 +140,7 @@ class ServiceStats:
 
 
 class PredictionService:
-    """Cached, batching serving facade over a fitted predictor.
+    """Cached serving facade over a fitted predictor.
 
     Parameters
     ----------
@@ -130,39 +150,21 @@ class PredictionService:
     cache_size:
         Maximum number of (workload, operating point) responses kept in
         the LRU cache; ``0`` disables caching.
-    batch_window_s:
-        How long the worker waits after the first queued request for
-        more to coalesce into the same model call; ``0`` batches only
-        what is already queued.
-    max_batch_size:
-        Upper bound on requests drained into one model call.
     """
 
     def __init__(
-        self,
-        predictor: WorkloadAwarePredictor,
-        *,
-        cache_size: int = 4096,
-        batch_window_s: float = 0.002,
-        max_batch_size: int = 256,
+        self, predictor: WorkloadAwarePredictor, *, cache_size: int = 4096
     ) -> None:
         if cache_size < 0:
             raise ConfigurationError("cache_size must be >= 0")
-        if batch_window_s < 0:
-            raise ConfigurationError("batch_window_s must be >= 0")
-        if max_batch_size < 1:
-            raise ConfigurationError("max_batch_size must be >= 1")
         if not predictor.is_fitted:
             raise ConfigurationError(
                 "PredictionService requires a fitted WorkloadAwarePredictor"
             )
         self.predictor = predictor
         self.cache_size = cache_size
-        self.batch_window_s = batch_window_s
-        self.max_batch_size = max_batch_size
 
-        self._cond = threading.Condition()
-        self._pending: List[Tuple[PredictRequest, "Future[PredictResponse]"]] = []
+        self._lock = threading.Lock()
         self._cache: "OrderedDict[RequestKey, PredictResponse]" = OrderedDict()
         self._closed = False
         self._requests = 0
@@ -171,10 +173,6 @@ class PredictionService:
         self._batches = 0
         self._predictions = 0
         self._max_batch = 0
-        self._worker = threading.Thread(
-            target=self._run, name="repro-prediction-service", daemon=True
-        )
-        self._worker.start()
 
     # ------------------------------------------------------------------
     def __enter__(self) -> "PredictionService":
@@ -184,72 +182,53 @@ class PredictionService:
         self.close()
 
     def close(self) -> None:
-        """Drain pending requests, stop the worker and reject new work."""
-        with self._cond:
-            if self._closed:
-                return
+        """Reject new work; calls already running finish normally."""
+        with self._lock:
             self._closed = True
-            self._cond.notify_all()
-        self._worker.join()
-
-    # ------------------------------------------------------------------
-    def _cache_get(self, key: RequestKey) -> Optional[PredictResponse]:
-        """LRU lookup; caller must hold the lock."""
-        response = self._cache.get(key)
-        if response is not None:
-            self._cache.move_to_end(key)
-        return response
-
-    def _cache_put(self, key: RequestKey, response: PredictResponse) -> None:
-        """LRU insert + eviction; caller must hold the lock."""
-        if self.cache_size == 0:
-            return
-        self._cache[key] = response
-        self._cache.move_to_end(key)
-        while len(self._cache) > self.cache_size:
-            self._cache.popitem(last=False)
 
     # ------------------------------------------------------------------
     def submit(self, request: PredictRequest) -> "Future[PredictResponse]":
-        """Enqueue one request; cache hits resolve immediately."""
-        telemetry = get_telemetry()
+        """Answer one request now; the returned future is already resolved."""
+        outcome = self._serve([request])[0]
         future: "Future[PredictResponse]" = Future()
-        with self._cond:
-            if self._closed:
-                raise ConfigurationError("PredictionService is closed")
-            self._requests += 1
-            cached = self._cache_get(request.key)
-            if cached is not None:
-                self._hits += 1
-                if telemetry.enabled:
-                    telemetry.incr("serving.requests")
-                    telemetry.incr("serving.cache_hits")
-                future.set_result(replace(cached, request=request, cached=True))
-                return future
-            self._misses += 1
-            if telemetry.enabled:
-                telemetry.incr("serving.requests")
-                telemetry.incr("serving.cache_misses")
-            self._pending.append((request, future))
-            self._cond.notify_all()
+        if isinstance(outcome, Exception):
+            future.set_exception(outcome)
+        else:
+            future.set_result(outcome)
         return future
 
     def predict(
         self, workload: str, operating_point: OperatingPoint
     ) -> PredictResponse:
         """Blocking convenience wrapper: one request, one response."""
-        return self.submit(PredictRequest.at(workload, operating_point)).result()
+        return self.predict_many([PredictRequest.at(workload, operating_point)])[0]
+
+    @overload
+    def predict_many(self, requests: Sequence[PredictRequest]) -> List[PredictResponse]: ...
+    @overload
+    def predict_many(
+        self, requests: Sequence[PredictRequest], *, return_exceptions: bool
+    ) -> List[Outcome]: ...
 
     def predict_many(
-        self, requests: Sequence[PredictRequest]
-    ) -> List[PredictResponse]:
-        """Submit a burst of requests, then wait for every response."""
-        futures = [self.submit(request) for request in requests]
-        return [future.result() for future in futures]
+        self, requests: Sequence[PredictRequest], *, return_exceptions: bool = False
+    ) -> Union[List[PredictResponse], List[Outcome]]:
+        """Answer a burst: cache hits, then one model call for the misses.
+
+        Every request is answered before anything is raised, so valid
+        keys are cached even when another key fails.  Then the first
+        failure is raised, or, with ``return_exceptions``, each failed
+        request's slot holds its exception.
+        """
+        outcomes = self._serve(requests)
+        for outcome in outcomes:
+            if isinstance(outcome, Exception) and not return_exceptions:
+                raise outcome
+        return outcomes
 
     def stats(self) -> ServiceStats:
         """Counters of this service's lifetime (thread-safe snapshot)."""
-        with self._cond:
+        with self._lock:
             return ServiceStats(
                 requests=self._requests,
                 cache_hits=self._hits,
@@ -260,75 +239,92 @@ class PredictionService:
             )
 
     # ------------------------------------------------------------------
-    def _run(self) -> None:
-        while True:
-            with self._cond:
-                while not self._pending and not self._closed:
-                    self._cond.wait()
-                if not self._pending:
-                    return      # closed and drained
-            # Coalescing window: let concurrent callers pile onto this batch.
-            if self.batch_window_s > 0:
-                time.sleep(self.batch_window_s)
-            with self._cond:
-                batch = self._pending[: self.max_batch_size]
-                del self._pending[: self.max_batch_size]
-            if batch:
-                self._process(batch)
-
-    def _process(
-        self, batch: Sequence[Tuple[PredictRequest, "Future[PredictResponse]"]]
-    ) -> None:
+    def _serve(self, requests: Sequence[PredictRequest]) -> List[Outcome]:
+        outcomes: List[Optional[Outcome]] = [None] * len(requests)
+        # Positions of each distinct missing key, in first-seen order.
+        missing: Dict[RequestKey, List[int]] = {}
+        with self._lock:
+            if self._closed:
+                raise ConfigurationError("PredictionService is closed")
+            for index, request in enumerate(requests):
+                key = request.key
+                cached = self._cache.get(key)
+                if cached is None:
+                    missing.setdefault(key, []).append(index)
+                else:
+                    self._cache.move_to_end(key)
+                    outcomes[index] = cached
+            misses = sum(len(positions) for positions in missing.values())
+            self._requests += len(requests)
+            self._hits += len(requests) - misses
+            self._misses += misses
         telemetry = get_telemetry()
-        # Coalesce duplicate keys: one model row answers every waiter.
-        waiters: "OrderedDict[RequestKey, List[Future[PredictResponse]]]" = OrderedDict()
-        requests: Dict[RequestKey, PredictRequest] = {}
-        for request, future in batch:
-            waiters.setdefault(request.key, []).append(future)
-            requests.setdefault(request.key, request)
-        keys = list(waiters)
-        try:
-            with telemetry.span("serving.batch"):
-                result = self.predictor.predict_batch(
-                    [requests[key].workload for key in keys],
-                    [requests[key].operating_point() for key in keys],
-                )
-                if telemetry.enabled:
-                    telemetry.incr("serving.batches")
-                    telemetry.incr("serving.predictions", len(keys))
-                    telemetry.observe("serving.batch_size", len(keys))
-        except Exception as error:   # surface model failures to every waiter
-            for futures in waiters.values():
-                for future in futures:
-                    future.set_exception(error)
-            return
+        if telemetry.enabled:
+            telemetry.incr("serving.requests", len(requests))
+            telemetry.incr("serving.cache_hits", len(requests) - misses)
+            telemetry.incr("serving.cache_misses", misses)
+        if missing:
+            firsts = [requests[positions[0]] for positions in missing.values()]
+            for positions, outcome in zip(missing.values(), self._predict(firsts)):
+                for index in positions:
+                    outcomes[index] = outcome
+        return cast(List[Outcome], outcomes)     # every slot is filled
 
-        responses: List[PredictResponse] = []
-        for index, key in enumerate(keys):
-            responses.append(PredictResponse(
-                request=requests[key],
-                ranks=result.ranks,
-                wer=tuple(float(v) for v in result.wer[:, index]),
-                pue=float(result.pue[index]) if result.pue is not None else None,
-                cached=False,
-                batch_size=len(keys),
-            ))
-        with self._cond:
+    def _predict(self, requests: List[PredictRequest]) -> List[Outcome]:
+        """One model call for distinct keys; if it raises, each key alone."""
+        try:
+            return list(self._predict_batch(requests))
+        except Exception as error:
+            if len(requests) == 1:
+                return [error]
+        return [outcome for request in requests for outcome in self._predict([request])]
+
+    def _predict_batch(self, requests: List[PredictRequest]) -> List[PredictResponse]:
+        telemetry = get_telemetry()
+        count = len(requests)
+        with telemetry.span("serving.batch"):
+            result = self.predictor.predict_batch(
+                [request.workload for request in requests],
+                [request.operating_point() for request in requests],
+            )
+            if telemetry.enabled:
+                telemetry.incr("serving.batches")
+                telemetry.incr("serving.predictions", count)
+                telemetry.observe("serving.batch_size", count)
+        # One row of float64 per request, sliced from one packed block.
+        wer = np.ascontiguousarray(result.wer.T, dtype=np.float64).tobytes()
+        width = len(result.ranks) * 8
+        pue: List[Optional[float]] = (
+            [None] * count if result.pue is None
+            else [float(value) for value in result.pue]
+        )
+        responses = [
+            PredictResponse(
+                request=request, ranks=result.ranks,
+                packed_wer=wer[index * width: (index + 1) * width],
+                pue=pue[index], cached=False, batch_size=count,
+            )
+            for index, request in enumerate(requests)
+        ]
+        with self._lock:
             self._batches += 1
-            self._predictions += len(keys)
-            if len(keys) > self._max_batch:
-                self._max_batch = len(keys)
-            for key, response in zip(keys, responses):
-                self._cache_put(key, response)
-        for key, response in zip(keys, responses):
-            for future in waiters[key]:
-                future.set_result(response)
+            self._predictions += count
+            self._max_batch = max(self._max_batch, count)
+            if self.cache_size:
+                for r in responses:
+                    key = r.request.key
+                    self._cache[key] = PredictResponse(
+                        r.request, r.ranks, r.packed_wer, r.pue, cached=True, batch_size=count
+                    )
+                    self._cache.move_to_end(key)
+                while len(self._cache) > self.cache_size:
+                    self._cache.popitem(last=False)
+        return responses
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:
         stats = self.stats()
         return (
             f"PredictionService(cache_size={self.cache_size}, "
-            f"batch_window_s={self.batch_window_s}, "
             f"requests={stats.requests}, hit_rate={stats.hit_rate:.2f})"
         )

@@ -1,11 +1,15 @@
 """Tests for the profiling substrate: reuse time, entropy, counters, profiler."""
 
 import math
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.errors import DataError
 from repro.memsys.access import AccessType, MemoryAccess
+from repro.profiling import profiler as profiler_module
 from repro.profiling.counters import (
     CORE_COUNTER_FEATURES,
     NOVEL_FEATURES,
@@ -175,6 +179,28 @@ class TestWorkloadProfiler:
 
     def test_profile_cache_returns_same_object(self):
         assert profile_workload("backprop") is profile_workload("backprop")
+
+    def test_concurrent_first_touches_profile_once(self, monkeypatch):
+        monkeypatch.delitem(profiler_module._PROFILE_CACHE, "backprop", raising=False)
+        real_profile = WorkloadProfiler.profile
+        calls = []
+
+        def counted_profile(self, workload):
+            calls.append(workload.name)
+            time.sleep(0.05)    # hold the first touch open for the second
+            return real_profile(self, workload)
+
+        monkeypatch.setattr(WorkloadProfiler, "profile", counted_profile)
+        barrier = threading.Barrier(2)
+
+        def touch(_):
+            barrier.wait()
+            return profile_workload("backprop")
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            first, second = pool.map(touch, range(2))
+        assert calls == ["backprop"]
+        assert first is second is profile_workload("backprop")
 
     def test_custom_profiler_bypasses_cache(self):
         profiler = WorkloadProfiler()

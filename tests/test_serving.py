@@ -13,12 +13,15 @@ Three contracts are pinned here:
   tolerance (the SVM's BLAS batch shape may differ in the last ulps).
 * **The facade is transparent.**  Cached and batched
   :class:`~repro.serving.PredictionService` responses equal direct
-  ``predict_batch`` output, including under concurrent load.
+  ``predict_batch`` output, including under concurrent load; a burst
+  predicts each distinct key once, and a failing key fails only its own
+  requests.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -353,7 +356,7 @@ def test_service_requires_fitted_predictor():
 
 def test_service_matches_direct_predictions(predictor):
     direct = predictor.predict_batch(WORKLOADS, [OP])
-    with PredictionService(predictor, batch_window_s=0.0) as service:
+    with PredictionService(predictor) as service:
         for index, name in enumerate(WORKLOADS):
             response = service.predict(name, OP)
             assert response.ranks == direct.ranks
@@ -362,7 +365,7 @@ def test_service_matches_direct_predictions(predictor):
 
 
 def test_service_cache_hits_and_stats(predictor):
-    with PredictionService(predictor, batch_window_s=0.0) as service:
+    with PredictionService(predictor) as service:
         first = service.predict("memcached", OP)
         second = service.predict("memcached", OP)
         stats = service.stats()
@@ -375,32 +378,66 @@ def test_service_cache_hits_and_stats(predictor):
     assert 0.0 < stats.hit_rate < 1.0
 
 
-def test_service_concurrent_load_is_consistent(predictor):
-    requests = [
+def _grid_requests():
+    return [
         PredictRequest.at(name, OperatingPoint.relaxed(trefp, temp))
         for name in WORKLOADS
         for trefp in TREFPS
         for temp in TEMPERATURES
     ]
-    direct = predictor.predict_batch(
+
+
+def _direct(predictor, requests):
+    return predictor.predict_batch(
         [r.workload for r in requests], [r.operating_point() for r in requests]
     )
-    with PredictionService(predictor, batch_window_s=0.002) as service:
-        with ThreadPoolExecutor(max_workers=6) as pool:
-            rounds = list(pool.map(service.predict_many, [requests] * 4))
+
+
+def test_service_burst_predicts_each_distinct_key_once(predictor):
+    requests = _grid_requests()
+    direct = _direct(predictor, requests)
+    with PredictionService(predictor) as service:
+        responses = service.predict_many(requests + requests[::-1])
         stats = service.stats()
+    # One model call over the distinct keys answers every duplicate.
+    assert stats.batches == 1
+    assert stats.predictions == len(requests)
+    assert stats.max_batch_size == len(requests)
+    assert stats.requests == stats.cache_misses == 2 * len(requests)
+    for index, response in enumerate(responses[: len(requests)]):
+        assert response.request == requests[index]
+        assert not response.cached and response.batch_size == len(requests)
+        assert np.array_equal(np.array(response.wer), direct.wer[:, index])
+        assert response.pue == float(direct.pue[index])
+    assert responses[len(requests):] == responses[: len(requests)][::-1]
+
+
+def test_service_concurrent_load_is_consistent(predictor):
+    requests = _grid_requests()
+    direct = _direct(predictor, requests)
+    # More callers than cores and a tiny switch interval, so a lost update
+    # of the shared cache or counters would show in the stats.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with PredictionService(predictor) as service:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                rounds = list(pool.map(service.predict_many, [requests] * 6, timeout=60))
+            stats = service.stats()
+    finally:
+        sys.setswitchinterval(interval)
     for responses in rounds:
         for index, response in enumerate(responses):
+            assert response.request == requests[index]
             assert np.array_equal(np.array(response.wer), direct.wer[:, index])
             assert response.pue == float(direct.pue[index])
-    assert stats.requests == 4 * len(requests)
-    # Duplicate keys coalesce: far fewer model calls than requests.
-    assert stats.predictions < stats.requests
-    assert stats.max_batch_size >= 1
+    assert stats.requests == 6 * len(requests)
+    assert stats.cache_hits + stats.cache_misses == stats.requests
+    assert len(requests) <= stats.predictions <= stats.cache_misses
 
 
 def test_service_cache_disabled(predictor):
-    with PredictionService(predictor, cache_size=0, batch_window_s=0.0) as service:
+    with PredictionService(predictor, cache_size=0) as service:
         first = service.predict("memcached", OP)
         second = service.predict("memcached", OP)
         stats = service.stats()
@@ -410,7 +447,7 @@ def test_service_cache_disabled(predictor):
 
 
 def test_service_lru_evicts_oldest(predictor):
-    with PredictionService(predictor, cache_size=2, batch_window_s=0.0) as service:
+    with PredictionService(predictor, cache_size=2) as service:
         ops = [OperatingPoint.relaxed(t, c) for t in TREFPS for c in TEMPERATURES]
         for op in ops[:3]:
             service.predict("memcached", op)
@@ -421,7 +458,7 @@ def test_service_lru_evicts_oldest(predictor):
 
 
 def test_service_close_rejects_new_work(predictor):
-    service = PredictionService(predictor, batch_window_s=0.0)
+    service = PredictionService(predictor)
     service.predict("memcached", OP)
     service.close()
     service.close()   # idempotent
@@ -434,17 +471,17 @@ def test_service_propagates_model_errors(predictor, monkeypatch):
         raise DataError("model failure")
 
     monkeypatch.setattr(predictor, "predict_batch", failing_predict_batch)
-    with PredictionService(predictor, batch_window_s=0.0) as service:
+    with PredictionService(predictor) as service:
         future = service.submit(PredictRequest.at("memcached", OP))
         with pytest.raises(DataError, match="model failure"):
             future.result(timeout=10.0)
 
 
 def test_unknown_workload_fails_only_its_own_request(predictor):
-    # Regression: an unknown name used to reach the coalesced batch and
-    # fail every waiter in it, including unrelated valid requests.
+    # An unknown name is rejected when its request is built, so it never
+    # reaches a model call shared with valid requests.
     direct = predictor.predict_batch(["bfs"], [OP])
-    with PredictionService(predictor, batch_window_s=0.05) as service:
+    with PredictionService(predictor) as service:
         valid = service.submit(PredictRequest.at("bfs", OP))
         with pytest.raises(WorkloadError):
             service.submit(PredictRequest.at("no-such-workload", OP))
@@ -453,6 +490,36 @@ def test_unknown_workload_fails_only_its_own_request(predictor):
     assert np.array_equal(np.array(response.wer), direct.wer[:, 0])
     assert stats.requests == 1 and stats.cache_misses == 1
     assert stats.predictions == 1
+
+
+def test_failing_key_fails_only_its_own_requests(predictor, monkeypatch):
+    real_predict_batch = predictor.predict_batch
+
+    def predict_batch(workloads, operating_points):
+        if "kmeans" in workloads:
+            raise DataError("kmeans model failure")
+        return real_predict_batch(workloads, operating_points)
+
+    monkeypatch.setattr(predictor, "predict_batch", predict_batch)
+    requests = _grid_requests()
+    with PredictionService(predictor) as service:
+        outcomes = service.predict_many(requests, return_exceptions=True)
+        with pytest.raises(DataError, match="kmeans"):
+            service.predict_many(requests)
+        stats = service.stats()
+    valid = [r for r in requests if r.workload != "kmeans"]
+    direct = _direct(predictor, valid)
+    for request, outcome in zip(requests, outcomes):
+        if request.workload == "kmeans":
+            assert isinstance(outcome, DataError)
+            continue
+        index = valid.index(request)
+        assert outcome.request == request
+        assert np.array_equal(np.array(outcome.wer), direct.wer[:, index])
+        assert outcome.pue == float(direct.pue[index])
+    # The valid keys were cached on the first burst; kmeans never was.
+    assert stats.cache_hits == len(valid)
+    assert stats.predictions == len(valid)
 
 
 def test_request_validation():
