@@ -214,12 +214,11 @@ class WorkloadProfiler:
 
 # ---------------------------------------------------------------------------
 # Profile cache: profiling is deterministic, so every caller shares results.
-# A per-name lock makes concurrent first touches of one workload (e.g. two
-# serving clients) profile it once and share the same object.
+# A lock around cold profiles makes concurrent first touches of one workload
+# (e.g. two serving clients) profile it once and share the same object.
 # ---------------------------------------------------------------------------
 _PROFILE_CACHE: Dict[str, WorkloadProfile] = {}
-_PROFILE_LOCKS: Dict[str, threading.Lock] = {}
-_PROFILE_LOCKS_GUARD = threading.Lock()
+_PROFILE_LOCK = threading.Lock()
 
 
 def profile_workload(name: str, profiler: Optional[WorkloadProfiler] = None) -> WorkloadProfile:
@@ -231,9 +230,7 @@ def profile_workload(name: str, profiler: Optional[WorkloadProfiler] = None) -> 
     cached = _PROFILE_CACHE.get(name)
     if cached is not None:
         return cached
-    with _PROFILE_LOCKS_GUARD:
-        lock = _PROFILE_LOCKS.setdefault(name, threading.Lock())
-    with lock:
+    with _PROFILE_LOCK:
         if name not in _PROFILE_CACHE:
             _PROFILE_CACHE[name] = WorkloadProfiler().profile(create_workload(name))
         return _PROFILE_CACHE[name]

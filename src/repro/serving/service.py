@@ -30,7 +30,7 @@ import threading
 from collections import OrderedDict
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union, cast, overload
+from typing import Dict, List, Optional, Sequence, Tuple, Union, cast
 
 import numpy as np
 
@@ -118,8 +118,8 @@ class PredictResponse:
         return dict(zip(self.ranks, self.wer))
 
 
-#: A request's answer, or the exception its model call raised.
-Outcome = Union[PredictResponse, Exception]
+# A request's answer, or the exception its model call raised.
+_Outcome = Union[PredictResponse, Exception]
 
 
 @dataclass(frozen=True)
@@ -203,28 +203,20 @@ class PredictionService:
         """Blocking convenience wrapper: one request, one response."""
         return self.predict_many([PredictRequest.at(workload, operating_point)])[0]
 
-    @overload
-    def predict_many(self, requests: Sequence[PredictRequest]) -> List[PredictResponse]: ...
-    @overload
-    def predict_many(
-        self, requests: Sequence[PredictRequest], *, return_exceptions: bool
-    ) -> List[Outcome]: ...
-
-    def predict_many(
-        self, requests: Sequence[PredictRequest], *, return_exceptions: bool = False
-    ) -> Union[List[PredictResponse], List[Outcome]]:
+    def predict_many(self, requests: Sequence[PredictRequest]) -> List[PredictResponse]:
         """Answer a burst: cache hits, then one model call for the misses.
 
-        Every request is answered before anything is raised, so valid
-        keys are cached even when another key fails.  Then the first
-        failure is raised, or, with ``return_exceptions``, each failed
-        request's slot holds its exception.
+        Every request is answered, and every valid key cached, before the
+        first failure is raised.  The burst's distinct misses go to the
+        model in one call, whose memory grows with their number (KNN
+        builds a misses x training-rows distance matrix), so very large
+        sweeps should be sent in chunks or through ``predict_grid``.
         """
         outcomes = self._serve(requests)
         for outcome in outcomes:
-            if isinstance(outcome, Exception) and not return_exceptions:
+            if isinstance(outcome, Exception):
                 raise outcome
-        return outcomes
+        return cast(List[PredictResponse], outcomes)
 
     def stats(self) -> ServiceStats:
         """Counters of this service's lifetime (thread-safe snapshot)."""
@@ -239,8 +231,8 @@ class PredictionService:
             )
 
     # ------------------------------------------------------------------
-    def _serve(self, requests: Sequence[PredictRequest]) -> List[Outcome]:
-        outcomes: List[Optional[Outcome]] = [None] * len(requests)
+    def _serve(self, requests: Sequence[PredictRequest]) -> List[_Outcome]:
+        outcomes: List[Optional[_Outcome]] = [None] * len(requests)
         # Positions of each distinct missing key, in first-seen order.
         missing: Dict[RequestKey, List[int]] = {}
         with self._lock:
@@ -268,9 +260,9 @@ class PredictionService:
             for positions, outcome in zip(missing.values(), self._predict(firsts)):
                 for index in positions:
                     outcomes[index] = outcome
-        return cast(List[Outcome], outcomes)     # every slot is filled
+        return cast(List[_Outcome], outcomes)     # every slot is filled
 
-    def _predict(self, requests: List[PredictRequest]) -> List[Outcome]:
+    def _predict(self, requests: List[PredictRequest]) -> List[_Outcome]:
         """One model call for distinct keys; if it raises, each key alone."""
         try:
             return list(self._predict_batch(requests))

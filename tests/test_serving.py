@@ -502,24 +502,23 @@ def test_failing_key_fails_only_its_own_requests(predictor, monkeypatch):
 
     monkeypatch.setattr(predictor, "predict_batch", predict_batch)
     requests = _grid_requests()
+    valid = [r for r in requests if r.workload != "kmeans"]
     with PredictionService(predictor) as service:
-        outcomes = service.predict_many(requests, return_exceptions=True)
         with pytest.raises(DataError, match="kmeans"):
             service.predict_many(requests)
+        # The mixed burst answered and cached every valid key: asking for
+        # them again is all cache hits and makes no model call.
+        before = service.stats()
+        responses = service.predict_many(valid)
         stats = service.stats()
-    valid = [r for r in requests if r.workload != "kmeans"]
     direct = _direct(predictor, valid)
-    for request, outcome in zip(requests, outcomes):
-        if request.workload == "kmeans":
-            assert isinstance(outcome, DataError)
-            continue
-        index = valid.index(request)
-        assert outcome.request == request
-        assert np.array_equal(np.array(outcome.wer), direct.wer[:, index])
-        assert outcome.pue == float(direct.pue[index])
-    # The valid keys were cached on the first burst; kmeans never was.
-    assert stats.cache_hits == len(valid)
-    assert stats.predictions == len(valid)
+    for index, (request, response) in enumerate(zip(valid, responses)):
+        assert response.cached
+        assert response.request == request
+        assert np.array_equal(np.array(response.wer), direct.wer[:, index])
+        assert response.pue == float(direct.pue[index])
+    assert stats.cache_hits - before.cache_hits == len(valid)
+    assert stats.predictions == before.predictions == len(valid)
 
 
 def test_request_validation():
