@@ -107,7 +107,7 @@ def test_ablation_knn_hyperparameters(benchmark, full_campaign, campaign_profile
             for k in (1, 2, 3, 5, 7):
                 model_module._build_estimator = (
                     lambda family, rs, num_inputs=10, _k=k:
-                    KNeighborsRegressor(n_neighbors=_k, weights="distance")
+                    KNeighborsRegressor(n_neighbors=_k)
                     if family == "knn" else original(family, rs, num_inputs)
                 )
                 report = evaluator.evaluate_wer(dataset, "knn", "set1", ranks=[rank])

@@ -56,8 +56,8 @@ def _campaign_shaped_regression(seed=7):
 
 def test_knn_cv_at_least_5x_oracle(bench_report):
     X, y, groups = _campaign_shaped_regression()
-    vectorized = KNeighborsRegressor(n_neighbors=5, weights="distance")
-    oracle = ReferenceKNeighborsRegressor(n_neighbors=5, weights="distance")
+    vectorized = KNeighborsRegressor(n_neighbors=5)
+    oracle = ReferenceKNeighborsRegressor(n_neighbors=5)
 
     # Warm both paths (imports, BLAS thread pools) on a two-group slice.
     warm = groups < 2

@@ -72,9 +72,7 @@ from repro.core import (
     run_correlation_study,
 )
 from repro.dram import (
-    CellArraySimulator,
     OperatingPoint,
-    SecdedCode,
     StatisticalErrorModel,
     VariationProfile,
     WorkloadBehavior,
@@ -126,9 +124,7 @@ __all__ = [
     "PredictResponse",
     "load_model",
     "save_model",
-    "CellArraySimulator",
     "OperatingPoint",
-    "SecdedCode",
     "StatisticalErrorModel",
     "VariationProfile",
     "WorkloadBehavior",

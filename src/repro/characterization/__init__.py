@@ -11,7 +11,6 @@ from repro.characterization.metrics import (
     PueSummary,
     UeObservation,
     WerColumnStore,
-    WerMeasurement,
     probability_of_uncorrectable,
     rank_ue_distribution,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "PueSummary",
     "UeObservation",
     "WerColumnStore",
-    "WerMeasurement",
     "probability_of_uncorrectable",
     "rank_ue_distribution",
     "XGene2Server",

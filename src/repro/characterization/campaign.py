@@ -14,10 +14,10 @@ expected-WER surface, run-to-run noise, maturity scaling and UE sampling
 are evaluated as array operations instead of per-run Python work, and
 the sampled surfaces stream straight into columnar
 :class:`~repro.characterization.metrics.WerColumnStore` blocks — no
-``ExperimentResult`` / ``WerMeasurement`` objects are built during a
-sweep.  The scalar-vs-batch contract: a grid cell is bit-identical to
-the scalar ``experiment.run`` call with the same seed and repetition
-index (the scalar path *is* a one-point grid), and
+per-run ``ExperimentResult`` objects are built during a sweep.  The
+scalar-vs-batch contract: a grid cell is bit-identical to the scalar
+``experiment.run`` call with the same seed and repetition index (the
+scalar path *is* a one-point grid), and
 ``tests/test_campaign_grid.py`` pins that equivalence plus
 campaign-level determinism.  ``benchmarks/test_campaign_throughput.py``
 pins the speedup floor of the batched sweep over the scalar loop.
@@ -31,8 +31,7 @@ over an ``n``-worker ``concurrent.futures`` process pool.  Either way the
 parent merges the returned columnar blocks in workload order, so the
 result is bit-identical for any worker count (pinned by
 ``tests/test_campaign_parallel.py``).  :class:`CampaignResult` holds the
-merged blocks as its one :class:`WerColumnStore` and materializes the
-flat ``WerMeasurement`` records only as a read-only tuple.
+merged blocks as its one :class:`WerColumnStore`.
 
 Telemetry
 ---------
@@ -63,7 +62,6 @@ from repro.characterization.metrics import (
     PueSummary,
     UeObservation,
     WerColumnStore,
-    WerMeasurement,
     rank_ue_distribution,
 )
 from repro.characterization.server import XGene2Server
@@ -128,35 +126,23 @@ class CampaignResult:
     """All measurements of one campaign, with the aggregations the figures use.
 
     The WER record is one columnar :class:`WerColumnStore`: sweeps merge
-    their blocks into it via :meth:`extend_wer_columns`, and
-    ``wer_measurements`` is a read-only tuple of records materialized
-    from it on demand.  Records passed to the constructor are packed into
-    the store once.
+    their blocks into it via :meth:`extend_wer_columns`.
     """
 
     def __init__(
         self,
         config: CampaignConfig,
-        wer_measurements: Optional[Sequence[WerMeasurement]] = None,
         pue_summaries: Optional[List[PueSummary]] = None,
     ) -> None:
         self.config = config
         self.pue_summaries: List[PueSummary] = (
             pue_summaries if pue_summaries is not None else []
         )
-        self._wer_store = WerColumnStore(wer_measurements or [])
-        self._wer_records: Optional[Tuple[WerMeasurement, ...]] = None
-
-    @property
-    def wer_measurements(self) -> Tuple[WerMeasurement, ...]:
-        """The flat measurement record, materialized from the store (read-only)."""
-        if self._wer_records is None:
-            self._wer_records = tuple(self._wer_store.to_measurements())
-        return self._wer_records
+        self._wer_store = WerColumnStore.empty()
 
     @property
     def num_wer_measurements(self) -> int:
-        """Number of WER records, without materializing them."""
+        """Number of per-rank WER measurements."""
         return len(self._wer_store)
 
     def wer_columns(self) -> WerColumnStore:
@@ -168,7 +154,6 @@ class CampaignResult:
         blocks = [block for block in blocks if len(block)]
         if blocks:
             self._wer_store = WerColumnStore.concat([self._wer_store, *blocks])
-            self._wer_records = None
 
     # -- WER aggregations ------------------------------------------------------
     def wer_by_workload(self, trefp_s: float, temperature_c: float) -> Dict[str, float]:

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from repro import units
-from repro.characterization.metrics import WerColumnStore, WerMeasurement
+from repro.characterization.metrics import WerColumnStore
 from repro.dram.geometry import RankLocation
 from repro.dram.operating import OperatingPoint
 from repro.dram.statistical import WorkloadBehavior
@@ -63,21 +63,6 @@ class ExperimentResult:
         """True when the run hit an uncorrectable error (which crashes the node)."""
         return self.ue_rank is not None
 
-    def wer_measurements(self) -> List[WerMeasurement]:
-        """Per-rank measurements in the flat record format the dataset uses."""
-        op = self.operating_point
-        return [
-            WerMeasurement(
-                workload=self.workload,
-                trefp_s=op.trefp_s,
-                vdd_v=op.vdd_v,
-                temperature_c=op.temperature_c,
-                rank=rank,
-                wer=wer,
-            )
-            for rank, wer in sorted(self.rank_wer.items(), key=lambda kv: kv[0].label)
-        ]
-
 
 @dataclass
 class GridColumns:
@@ -89,7 +74,7 @@ class GridColumns:
     per-run measurements) and UE outcomes stay the per-cell rank grid.
     :meth:`wer_block` packs the surface into a
     :class:`~repro.characterization.metrics.WerColumnStore` block that a
-    campaign merges without materializing ``WerMeasurement`` lists.
+    campaign merges.
     """
 
     workload: str
@@ -264,8 +249,8 @@ class CharacterizationExperiment:
         values are bit-identical — but returns the WER surface and UE
         grid as arrays, ready to stream into a campaign's
         ``WerColumnStore`` / the dataset builders.  The rank axis is
-        reordered to label order, matching the order the scalar sweep's
-        ``wer_measurements()`` emitted rows.
+        reordered to label order, the order the scalar sweep emitted its
+        per-rank measurements.
         """
         configured, _behavior, wer_grid, ue_grid = self._grid_arrays(
             workload, ops, repetitions, duration_s, profile

@@ -1,11 +1,9 @@
 """DRAM error metrics: WER (Eq. 2) and PUE (Eq. 3).
 
-Besides the scalar metric definitions and the flat per-run record types,
-this module hosts :class:`WerColumnStore` — the columnar backing store a
-:class:`~repro.characterization.campaign.CampaignResult` builds over its
-``WerMeasurement`` list so the figure-level aggregations (per-workload,
-per-rank, spreads) run as masked vector reductions instead of Python
-list scans.
+Besides the scalar metric definitions and the UE record types, this
+module hosts :class:`WerColumnStore` — the one representation of a
+campaign's per-rank WER measurements, on which the figure-level
+aggregations (per-workload, per-rank) run as masked vector reductions.
 """
 
 from __future__ import annotations
@@ -26,22 +24,6 @@ def probability_of_uncorrectable(ue_runs: int, total_runs: int) -> float:
     if not 0 <= ue_runs <= total_runs:
         raise DataError("ue_runs must lie in [0, total_runs]")
     return ue_runs / total_runs
-
-
-@dataclass
-class WerMeasurement:
-    """A per-rank WER measurement of one characterization run."""
-
-    workload: str
-    trefp_s: float
-    vdd_v: float
-    temperature_c: float
-    rank: RankLocation
-    wer: float
-
-    def __post_init__(self) -> None:
-        if self.wer < 0:
-            raise DataError("WER cannot be negative")
 
 
 @dataclass
@@ -90,21 +72,18 @@ class PueSummary:
 
 
 class WerColumnStore:
-    """Columnar view of a sequence of :class:`WerMeasurement` records.
+    """Per-rank WER measurements as columns.
 
-    Measurements are packed once into a structured numpy array (workload
-    and rank dictionary-encoded as integer codes, operating point and WER
-    as float64 columns); every aggregation is then a masked vector
-    reduction.  Group means are taken with ``np.mean`` over the masked
-    values in record order, so they match the old list-scan
-    implementations bit for bit, and group keys are emitted in first-
-    appearance order — the order the list scans produced.
+    ``rows`` is one structured numpy array: workload and rank
+    dictionary-encoded as integer codes into :attr:`workloads` and
+    :attr:`ranks`, operating point and WER as float64 columns.  Every
+    aggregation is a masked vector reduction.  Group means are taken with
+    ``np.mean`` over the masked values in row order, and group keys are
+    emitted in first-appearance order.
 
-    Besides wrapping an existing record list, a store can be built
-    straight from the grid engine's sample arrays (:meth:`from_grid`) and
-    merged block-wise (:meth:`concat`), so a campaign sweep never has to
-    materialize per-record objects; :meth:`to_measurements` reconstructs
-    the exact record list on demand.
+    A store is built straight from the grid engine's sample arrays
+    (:meth:`from_grid`) and merged block-wise (:meth:`concat`); a sweep
+    never materializes per-measurement objects.
     """
 
     DTYPE = np.dtype([
@@ -116,36 +95,21 @@ class WerColumnStore:
         ("wer", np.float64),
     ])
 
-    def __init__(self, measurements: Sequence[WerMeasurement]) -> None:
-        self._workloads: List[str] = []
-        self._ranks: List[RankLocation] = []
-        workload_codes: Dict[str, int] = {}
-        rank_codes: Dict[RankLocation, int] = {}
-        rows = np.empty(len(measurements), dtype=self.DTYPE)
-        for i, m in enumerate(measurements):
-            wcode = workload_codes.get(m.workload)
-            if wcode is None:
-                wcode = workload_codes[m.workload] = len(self._workloads)
-                self._workloads.append(m.workload)
-            rcode = rank_codes.get(m.rank)
-            if rcode is None:
-                rcode = rank_codes[m.rank] = len(self._ranks)
-                self._ranks.append(m.rank)
-            rows[i] = (wcode, m.trefp_s, m.vdd_v, m.temperature_c, rcode, m.wer)
-        self.rows = rows
-
-    @classmethod
-    def _from_parts(
-        cls,
+    def __init__(
+        self,
         workloads: Sequence[str],
         ranks: Sequence[RankLocation],
         rows: np.ndarray,
-    ) -> "WerColumnStore":
-        store = cls.__new__(cls)
-        store._workloads = list(workloads)
-        store._ranks = list(ranks)
-        store.rows = rows
-        return store
+    ) -> None:
+        """A store over ``rows`` (:attr:`DTYPE`) and its code tables."""
+        self._workloads = list(workloads)
+        self._ranks = list(ranks)
+        self.rows = rows
+
+    @classmethod
+    def empty(cls) -> "WerColumnStore":
+        """A store with no measurements."""
+        return cls([], [], np.empty(0, dtype=cls.DTYPE))
 
     @classmethod
     def from_grid(
@@ -158,15 +122,16 @@ class WerColumnStore:
         """Pack one workload's ``(points, repetitions, ranks)`` WER grid.
 
         Rows come out point-major, then repetition, then rank — the order
-        the scalar sweep appended its per-run measurements — without
-        constructing a single :class:`WerMeasurement`.  ``wer``'s rank
-        axis must already follow ``ranks``.
+        the scalar sweep appended its per-run measurements.  ``wer``'s
+        rank axis must already follow ``ranks``.
         """
         if wer.ndim != 3 or wer.shape[2] != len(ranks) or wer.shape[0] != len(ops):
             raise DataError(
                 f"wer grid of shape {wer.shape} does not match "
                 f"{len(ops)} operating points x {len(ranks)} ranks"
             )
+        if (wer < 0).any():
+            raise DataError("WER cannot be negative")
         points, repetitions, num_ranks = wer.shape
         per_point = repetitions * num_ranks
         rows = np.empty(points * per_point, dtype=cls.DTYPE)
@@ -179,14 +144,14 @@ class WerColumnStore:
         rows["rank"] = np.tile(np.arange(num_ranks, dtype=np.int32),
                                points * repetitions)
         rows["wer"] = wer.reshape(-1)
-        return cls._from_parts([workload], ranks, rows)
+        return cls([workload], ranks, rows)
 
     @classmethod
     def concat(cls, stores: Sequence["WerColumnStore"]) -> "WerColumnStore":
         """Merge stores block-wise, remapping codes to first-appearance order."""
         stores = list(stores)
         if not stores:
-            return cls([])
+            return cls.empty()
         workloads: List[str] = []
         ranks: List[RankLocation] = []
         workload_codes: Dict[str, int] = {}
@@ -212,24 +177,7 @@ class WerColumnStore:
                 rows["workload"] = wmap[store.rows["workload"]]
                 rows["rank"] = rmap[store.rows["rank"]]
             pieces.append(rows)
-        return cls._from_parts(workloads, ranks, np.concatenate(pieces))
-
-    def to_measurements(self) -> List[WerMeasurement]:
-        """Materialize the exact :class:`WerMeasurement` record list."""
-        workloads = self._workloads
-        ranks = self._ranks
-        rows = self.rows
-        return [
-            WerMeasurement(
-                workload=workloads[wcode], trefp_s=trefp, vdd_v=vdd,
-                temperature_c=temperature, rank=ranks[rcode], wer=wer,
-            )
-            for wcode, trefp, vdd, temperature, rcode, wer in zip(
-                rows["workload"].tolist(), rows["trefp_s"].tolist(),
-                rows["vdd_v"].tolist(), rows["temperature_c"].tolist(),
-                rows["rank"].tolist(), rows["wer"].tolist(),
-            )
-        ]
+        return cls(workloads, ranks, np.concatenate(pieces))
 
     def __len__(self) -> int:
         return len(self.rows)

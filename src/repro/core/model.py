@@ -46,9 +46,9 @@ def _is_skewed_feature(name: str) -> bool:
 def _build_estimator(family: str, random_state: int, num_inputs: int = 10):
     """Instantiate the underlying regressor for one model family."""
     if family == "knn":
-        return KNeighborsRegressor(n_neighbors=3, weights="distance")
+        return KNeighborsRegressor(n_neighbors=3)
     if family == "svm":
-        return SVR(kernel="rbf", C=20.0, epsilon=0.02, gamma="scale")
+        return SVR(C=20.0, epsilon=0.02, gamma="scale")
     if family == "rdf":
         # With a handful of inputs every split should see the operating
         # parameters; with hundreds of inputs per-split sub-sampling keeps

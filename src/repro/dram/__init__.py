@@ -1,13 +1,13 @@
 """DRAM reliability simulation substrate.
 
-Two complementary simulators are provided:
-
-* :class:`~repro.dram.cells.CellArraySimulator` — an explicit,
-  mechanism-level cell array (retention sampling, VRT, row-hammer
-  interference, real SECDED decoding) for small arrays;
-* :class:`~repro.dram.statistical.StatisticalErrorModel` — a calibrated
-  closed-form model used by the characterization campaigns that need the
-  paper's 8 GB footprints.
+The characterization campaigns sample WER and UE outcomes from
+:class:`~repro.dram.statistical.StatisticalErrorModel`, a calibrated
+closed-form model of retention failures that scales to the paper's 8 GB
+footprints.  Around it sit the retention physics, the per-rank variation
+profile, the DIMM/rank geometry and address mapping, the operating point
+and the Table I error classes.  A mechanism-level cell array with real
+SECDED decoding cross-checks the model from the tests
+(``tests/oracles/cells.py``).
 """
 
 from repro.dram.address_map import AddressMapper
@@ -18,20 +18,10 @@ from repro.dram.calibration import (
     UeCalibration,
     WorkloadEffectCalibration,
 )
-from repro.dram.cells import BatchReadResult, CellArrayConfig, CellArraySimulator
-from repro.dram.ecc import (
-    BatchDecodeResult,
-    DecodeResult,
-    ErrorClass,
-    SecdedCode,
-    bits_to_words,
-    classify_bit_errors,
-    words_to_bits,
-)
-from repro.dram.geometry import CellLocation, DramGeometry, RankLocation, small_geometry
+from repro.dram.ecc import ErrorClass, classify_bit_errors
+from repro.dram.geometry import DramGeometry, RankLocation
 from repro.dram.operating import OperatingPoint
-from repro.dram.records import ErrorLog, ErrorRecord
-from repro.dram.retention import bit_failure_probability_grid, sample_retention_times
+from repro.dram.retention import bit_failure_probability_grid
 from repro.dram.statistical import StatisticalErrorModel, WorkloadBehavior
 from repro.dram.variation import (
     DEFAULT_RANK_UE_WEIGHTS,
@@ -47,25 +37,12 @@ __all__ = [
     "RetentionCalibration",
     "UeCalibration",
     "WorkloadEffectCalibration",
-    "BatchDecodeResult",
-    "BatchReadResult",
-    "CellArrayConfig",
-    "CellArraySimulator",
-    "DecodeResult",
     "ErrorClass",
-    "SecdedCode",
-    "bits_to_words",
     "classify_bit_errors",
-    "words_to_bits",
-    "CellLocation",
     "DramGeometry",
     "RankLocation",
-    "small_geometry",
     "OperatingPoint",
-    "ErrorLog",
-    "ErrorRecord",
     "bit_failure_probability_grid",
-    "sample_retention_times",
     "StatisticalErrorModel",
     "WorkloadBehavior",
     "DEFAULT_RANK_UE_WEIGHTS",

@@ -2,8 +2,8 @@
 
 The experimental platform has four DDR3 DIMMs (one per MCU), each with
 two ranks of nine x8 chips (eight data chips plus one ECC chip).  The
-geometry objects here provide the address arithmetic shared by the
-cell-array simulator, the address mapper and the error log.
+geometry objects here provide the rank arithmetic shared by the address
+mapper, the variation profile and the statistical error model.
 """
 
 from __future__ import annotations
@@ -33,21 +33,6 @@ class RankLocation:
 
     def __str__(self) -> str:
         return self.label
-
-
-@dataclass(frozen=True)
-class CellLocation:
-    """Full coordinates of a 64-bit word (the ECC granularity)."""
-
-    dimm: int
-    rank: int
-    bank: int
-    row: int
-    column: int
-
-    @property
-    def rank_location(self) -> RankLocation:
-        return RankLocation(self.dimm, self.rank)
 
 
 @dataclass(frozen=True)
@@ -108,44 +93,3 @@ class DramGeometry:
                 f"{location.label} outside geometry with {self.num_dimms} DIMMs x "
                 f"{self.ranks_per_dimm} ranks"
             )
-
-    def validate_cell(self, cell: CellLocation) -> None:
-        self.validate_rank(cell.rank_location)
-        if not 0 <= cell.bank < self.banks_per_rank:
-            raise ConfigurationError(f"bank {cell.bank} out of range")
-        if not 0 <= cell.row < self.rows_per_bank:
-            raise ConfigurationError(f"row {cell.row} out of range")
-        if not 0 <= cell.column < self.columns_per_row:
-            raise ConfigurationError(f"column {cell.column} out of range")
-
-    def word_index(self, cell: CellLocation) -> int:
-        """Flat word index of a cell location within the whole memory."""
-        self.validate_cell(cell)
-        rank_idx = self.rank_index(cell.rank_location)
-        within_rank = (
-            cell.bank * self.words_per_bank
-            + cell.row * self.columns_per_row
-            + cell.column
-        )
-        return rank_idx * self.words_per_rank + within_rank
-
-    def cell_from_word_index(self, index: int) -> CellLocation:
-        """Inverse of :meth:`word_index`."""
-        if not 0 <= index < self.total_words:
-            raise ConfigurationError(f"word index {index} out of range")
-        rank_idx, within_rank = divmod(index, self.words_per_rank)
-        bank, rest = divmod(within_rank, self.words_per_bank)
-        row, column = divmod(rest, self.columns_per_row)
-        rank = self.rank_from_index(rank_idx)
-        return CellLocation(rank.dimm, rank.rank, bank, row, column)
-
-
-def small_geometry() -> DramGeometry:
-    """A deliberately tiny geometry used by tests and cell-level examples."""
-    return DramGeometry(
-        num_dimms=2,
-        ranks_per_dimm=2,
-        banks_per_rank=2,
-        rows_per_bank=64,
-        columns_per_row=32,
-    )

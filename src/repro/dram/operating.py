@@ -2,7 +2,7 @@
 
 An operating point bundles the two circuit parameters the study scales
 (refresh period ``TREFP`` and supply voltage ``VDD``) with the DIMM
-temperature imposed by the thermal testbed.
+temperature the DIMM heaters hold during a run.
 """
 
 from __future__ import annotations

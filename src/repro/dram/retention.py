@@ -2,9 +2,8 @@
 
 Cell retention times follow a lognormal distribution across the cell
 population [31], shrink exponentially with temperature [19], and are
-slightly reduced by lowering the supply voltage.  These functions are
-shared by the explicit cell-array simulator and by the closed-form
-statistical model used for full-scale campaigns.
+slightly reduced by lowering the supply voltage.  The closed-form
+statistical model evaluates these functions for every campaign point.
 """
 
 from __future__ import annotations
@@ -80,19 +79,3 @@ def bit_failure_probability_grid(
             float(refresh[index]), float(temps[index]), float(vdds[index]), cal
         )
     return np.asarray(ndtr(z), dtype=float)
-
-
-def sample_retention_times(
-    n_cells: int,
-    temperature_c: float,
-    vdd_v: float = 1.5,
-    calibration: Optional[RetentionCalibration] = None,
-    rng: Optional[np.random.Generator] = None,
-) -> np.ndarray:
-    """Sample per-cell retention times (seconds) for an explicit cell array."""
-    if n_cells <= 0:
-        raise ConfigurationError("n_cells must be positive")
-    cal = calibration or DEFAULT_CALIBRATION.retention
-    generator = rng or np.random.default_rng()
-    mu = log_median_retention(temperature_c, vdd_v, cal)
-    return np.exp(generator.normal(mu, cal.log_sigma, size=n_cells))

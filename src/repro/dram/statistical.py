@@ -1,8 +1,8 @@
 """Closed-form statistical DRAM error model used for full-scale campaigns.
 
-The explicit cell-array simulator (:mod:`repro.dram.cells`) cannot hold
-the 8 GB footprints the paper allocates, so characterization campaigns
-use this model: expected error rates are computed in closed form from
+Characterization campaigns need the paper's 8 GB footprints, far beyond
+what a per-cell simulation holds, so they use this model: expected error
+rates are computed in closed form from
 the retention-failure physics, the workload's behaviour (access rate,
 reuse time, data entropy, footprint) and the per-rank variation profile,
 then individual runs are sampled around the expectation with

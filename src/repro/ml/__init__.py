@@ -10,7 +10,7 @@ not available offline.
 from repro.ml.base import Estimator, Regressor, Transformer
 from repro.ml.cross_validation import LeaveOneGroupOut, cross_val_predict_groups
 from repro.ml.forest import RandomForestRegressor
-from repro.ml.kernels import linear_kernel, polynomial_kernel, rbf_kernel
+from repro.ml.kernels import rbf_kernel
 from repro.ml.knn import KNeighborsRegressor
 from repro.ml.metrics import mean_percentage_error, prediction_ratio
 from repro.ml.pipeline import Pipeline
@@ -25,8 +25,6 @@ __all__ = [
     "LeaveOneGroupOut",
     "cross_val_predict_groups",
     "RandomForestRegressor",
-    "linear_kernel",
-    "polynomial_kernel",
     "rbf_kernel",
     "KNeighborsRegressor",
     "mean_percentage_error",

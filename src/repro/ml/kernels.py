@@ -1,48 +1,16 @@
-"""Kernel functions for the support-vector regression model."""
+"""The RBF kernel of the support-vector regression model."""
 
 from __future__ import annotations
 
-from typing import Callable, Dict
-
 import numpy as np
 
-from repro.errors import ConfigurationError
 from repro.ml.distances import euclidean_distances
 
 
-def linear_kernel(A: np.ndarray, B: np.ndarray, **_: float) -> np.ndarray:
-    """Linear kernel ``K(a, b) = a . b``."""
-    return np.asarray(A, dtype=float) @ np.asarray(B, dtype=float).T
-
-
-def polynomial_kernel(
-    A: np.ndarray, B: np.ndarray, degree: int = 3, coef0: float = 1.0, gamma: float = 1.0, **_: float
-) -> np.ndarray:
-    """Polynomial kernel ``K(a, b) = (gamma a.b + coef0)^degree``."""
-    return (gamma * linear_kernel(A, B) + coef0) ** degree
-
-
-def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float = 1.0, **_: float) -> np.ndarray:
+def rbf_kernel(A: np.ndarray, B: np.ndarray, gamma: float = 1.0) -> np.ndarray:
     """Gaussian radial-basis-function kernel ``K(a, b) = exp(-gamma |a-b|^2)``."""
     sq = euclidean_distances(A, B) ** 2
     return np.exp(-gamma * sq)
-
-
-_KERNELS: Dict[str, Callable[..., np.ndarray]] = {
-    "linear": linear_kernel,
-    "poly": polynomial_kernel,
-    "rbf": rbf_kernel,
-}
-
-
-def resolve_kernel(name: str) -> Callable[..., np.ndarray]:
-    """Look up a kernel function by name."""
-    try:
-        return _KERNELS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"Unknown kernel {name!r}; choose from {sorted(_KERNELS)}"
-        ) from None
 
 
 def gamma_scale(X: np.ndarray) -> float:

@@ -78,34 +78,28 @@ def stable_kneighbors(dist: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]
     return nearest, idx
 
 
-def _neighbor_weights(distances: np.ndarray, weights: str) -> np.ndarray:
-    """Per-neighbour weights for a (n_queries, k) distance matrix."""
-    if weights == "uniform":
-        return np.ones_like(distances)
-    if weights == "distance":
-        # Inverse-distance weighting; exact matches dominate entirely.
-        with np.errstate(divide="ignore"):
-            inv = 1.0 / distances
-        exact = ~np.isfinite(inv)
-        if np.any(exact):
-            inv[exact.any(axis=1)] = 0.0
-            inv[exact] = 1.0
-        return inv
-    raise ConfigurationError(f"Unknown weighting scheme {weights!r}")
+def _neighbor_weights(distances: np.ndarray) -> np.ndarray:
+    """Inverse-distance weights for a (n_queries, k) distance matrix.
+
+    Exact matches dominate entirely: a query with a zero-distance
+    neighbour averages over its exact matches alone.
+    """
+    with np.errstate(divide="ignore"):
+        inv = 1.0 / distances
+    exact = ~np.isfinite(inv)
+    if np.any(exact):
+        inv[exact.any(axis=1)] = 0.0
+        inv[exact] = 1.0
+    return inv
 
 
 class KNeighborsRegressor(Regressor):
-    """Brute-force KNN regressor with uniform or inverse-distance weights."""
+    """Brute-force KNN regressor with inverse-distance weights."""
 
-    def __init__(
-        self,
-        n_neighbors: int = 5,
-        weights: str = "distance",
-    ) -> None:
+    def __init__(self, n_neighbors: int = 5) -> None:
         if n_neighbors < 1:
             raise ConfigurationError("n_neighbors must be >= 1")
         self.n_neighbors = n_neighbors
-        self.weights = weights
 
     def fit(self, X: ArrayLike, y: ArrayLike) -> "KNeighborsRegressor":
         X_arr, y_arr = as_2d_array(X), as_target_array(y)
@@ -132,11 +126,11 @@ class KNeighborsRegressor(Regressor):
     def predict(self, X: ArrayLike) -> np.ndarray:
         self._check_fitted("X_train_")
         dist, idx = self.kneighbors(X)
-        w = _neighbor_weights(dist, self.weights)
+        w = _neighbor_weights(dist)
         weight_sums = w.sum(axis=1)
-        # All-zero weight rows only occur with "distance" weights when every
-        # neighbour is at infinite distance, which cannot happen with finite
-        # inputs; guard anyway to avoid division warnings.
+        # All-zero weight rows only occur when every neighbour is at
+        # infinite distance, which cannot happen with finite inputs; guard
+        # anyway to avoid division warnings.
         weight_sums[weight_sums == 0.0] = 1.0  # repro-lint: disable=REP004
         # Targets gathered as one C-ordered (outputs, rows, k) block: each
         # output column reduces its k neighbours along the contiguous last

@@ -33,7 +33,7 @@ from repro.ml.base import (
     as_target_array,
     check_consistent_length,
 )
-from repro.ml.kernels import gamma_scale, resolve_kernel
+from repro.ml.kernels import gamma_scale, rbf_kernel
 
 
 def _smoothed_epsilon_insensitive(residual: np.ndarray, epsilon: float, delta: float) -> tuple:
@@ -61,7 +61,7 @@ def _smoothed_epsilon_insensitive(residual: np.ndarray, epsilon: float, delta: f
 
 
 class SVR(Regressor):
-    """Epsilon-insensitive kernel support-vector regression.
+    """Epsilon-insensitive RBF-kernel support-vector regression.
 
     Parameters mirror the conventional SVR interface: ``C`` trades the
     data-fit term against the RKHS-norm regulariser, ``epsilon`` is the
@@ -71,12 +71,9 @@ class SVR(Regressor):
 
     def __init__(
         self,
-        kernel: str = "rbf",
         C: float = 10.0,
         epsilon: float = 0.01,
         gamma: Union[str, float] = "scale",
-        degree: int = 3,
-        coef0: float = 1.0,
         max_iter: int = 500,
         smoothing: float = 1e-3,
     ) -> None:
@@ -84,19 +81,15 @@ class SVR(Regressor):
             raise ConfigurationError("C must be positive")
         if epsilon < 0:
             raise ConfigurationError("epsilon must be non-negative")
-        self.kernel = kernel
         self.C = C
         self.epsilon = epsilon
         self.gamma = gamma
-        self.degree = degree
-        self.coef0 = coef0
         self.max_iter = max_iter
         self.smoothing = smoothing
 
     # ------------------------------------------------------------------
     def _kernel_matrix(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        func = resolve_kernel(self.kernel)
-        return func(A, B, gamma=self.gamma_, degree=self.degree, coef0=self.coef0)
+        return rbf_kernel(A, B, gamma=self.gamma_)
 
     def fit(self, X: ArrayLike, y: ArrayLike) -> "SVR":
         X_arr, y_arr = as_2d_array(X), as_target_array(y)

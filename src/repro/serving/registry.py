@@ -48,7 +48,10 @@ from repro.telemetry.report import environment_metadata
 #: list instead of one WER pipeline per rank.
 #: v3: a KNN spec no longer carries a ``metric`` parameter (KNN is
 #: Euclidean only), and a StandardScaler spec carries no parameters.
-MODEL_BUNDLE_SCHEMA = "repro.model_bundle/v3"
+#: v4: a KNN spec no longer carries ``weights`` (always inverse-distance),
+#: and an SVR spec no longer carries ``kernel``/``degree``/``coef0``
+#: (always RBF).
+MODEL_BUNDLE_SCHEMA = "repro.model_bundle/v4"
 
 _MANIFEST_NAME = "manifest.json"
 _ARRAYS_NAME = "arrays.npz"

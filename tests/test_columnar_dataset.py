@@ -25,6 +25,7 @@ from repro.errors import DataError
 
 from tests.oracles.dataset import (
     assert_matches_rows,
+    campaign_subset,
     encode_rows,
     reference_build_pue_dataset,
     reference_build_wer_dataset,
@@ -68,14 +69,12 @@ class TestColumnarEquivalence:
     def test_measurement_subsets_match_reference(self, small_campaign,
                                                  small_profiles, seed, keep):
         """Hypothesis: any campaign subset builds identical matrices."""
-        measurements = small_campaign.wer_measurements
+        count = small_campaign.num_wer_measurements
         rng = np.random.default_rng(seed)
-        mask = rng.random(len(measurements)) < keep
+        mask = rng.random(count) < keep
         if not mask.any():
-            mask[int(rng.integers(len(measurements)))] = True
-        subset = [m for m, kept in zip(measurements, mask) if kept]
-        campaign = CampaignResult(config=small_campaign.config,
-                                  wer_measurements=subset)
+            mask[int(rng.integers(count))] = True
+        campaign = campaign_subset(small_campaign, mask)
         columnar = build_wer_dataset(campaign, small_profiles)
         reference = reference_build_wer_dataset(campaign, small_profiles)
         assert_matches_rows(columnar, reference, INPUT_SET_1)

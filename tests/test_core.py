@@ -77,7 +77,7 @@ class TestDatasets:
     def test_wer_dataset_size_and_targets(self, small_campaign, small_profiles,
                                           small_wer_dataset):
         rows = reference_build_wer_dataset(small_campaign, small_profiles)
-        assert len(small_wer_dataset) == len(rows) == len(small_campaign.wer_measurements)
+        assert len(small_wer_dataset) == len(rows) == small_campaign.num_wer_measurements
         assert_matches_rows(small_wer_dataset, rows, INPUT_SET_1)
         assert (small_wer_dataset.targets > 0).all()
         assert (small_wer_dataset.rank_codes >= 0).all()

@@ -1,4 +1,4 @@
-"""Tests for the explicit cell-array simulator and the ECC error log."""
+"""Tests for the cell-array cross-check oracle and its ECC error log."""
 
 from collections import Counter
 
@@ -10,11 +10,19 @@ from repro.dram.calibration import (
     UeCalibration,
     WorkloadEffectCalibration,
 )
-from repro.dram.cells import CellArrayConfig, CellArraySimulator
 from repro.dram.ecc import ErrorClass
-from repro.dram.geometry import CellLocation, DramGeometry, RankLocation, small_geometry
-from repro.dram.records import ErrorLog, ErrorRecord
+from repro.dram.geometry import DramGeometry, RankLocation
 from repro.errors import ConfigurationError, SimulationError
+
+from tests.oracles.cells import (
+    CellArrayConfig,
+    CellArraySimulator,
+    CellLocation,
+    ErrorLog,
+    ErrorRecord,
+    cell_from_word_index,
+    small_geometry,
+)
 
 
 def weak_calibration() -> DramCalibration:
@@ -40,7 +48,7 @@ def tiny_simulator(trefp_s=2.283, temperature_c=70.0, seed=3) -> CellArraySimula
 class TestCellArraySimulator:
     def test_write_then_immediate_read_is_clean(self):
         sim = tiny_simulator()
-        location = sim.geometry.cell_from_word_index(0)
+        location = cell_from_word_index(sim.geometry, 0)
         sim.write(location, 0xCAFEBABE)
         result = sim.read(location)
         assert result.error_class is ErrorClass.NO_ERROR
@@ -48,7 +56,7 @@ class TestCellArraySimulator:
     def test_reading_unwritten_word_raises(self):
         sim = tiny_simulator()
         with pytest.raises(SimulationError):
-            sim.read(sim.geometry.cell_from_word_index(5))
+            sim.read(cell_from_word_index(sim.geometry, 5))
 
     def test_long_idle_under_relaxed_refresh_produces_errors(self):
         sim = tiny_simulator(trefp_s=2.283, temperature_c=70.0)
@@ -95,7 +103,7 @@ class TestCellArraySimulator:
 
     def test_rewriting_clears_history(self):
         sim = tiny_simulator()
-        location = sim.geometry.cell_from_word_index(3)
+        location = cell_from_word_index(sim.geometry, 3)
         sim.write(location, 123)
         sim.idle(3000.0)
         sim.write(location, 456)   # rewrite recharges everything
@@ -140,7 +148,7 @@ class TestBatchCellOps:
         sweep = batch_sim.read_batch(locations, workload="batch")
 
         for i, value in enumerate(values):
-            scalar_sim.write(scalar_sim.geometry.cell_from_word_index(i), value)
+            scalar_sim.write(cell_from_word_index(scalar_sim.geometry, i), value)
         scalar_sim.idle(600.0)
         scalar_results = [
             scalar_sim.read(location, workload="scalar") for location in locations
@@ -155,7 +163,7 @@ class TestBatchCellOps:
 
     def test_duplicate_locations_rejected(self):
         sim = tiny_simulator()
-        location = sim.geometry.cell_from_word_index(0)
+        location = cell_from_word_index(sim.geometry, 0)
         with pytest.raises(ConfigurationError):
             sim.write_batch([location, location], [1, 2])
         sim.write(location, 1)
@@ -164,8 +172,8 @@ class TestBatchCellOps:
 
     def test_batch_read_of_unwritten_word_raises(self):
         sim = tiny_simulator()
-        written = sim.geometry.cell_from_word_index(0)
-        unwritten = sim.geometry.cell_from_word_index(1)
+        written = cell_from_word_index(sim.geometry, 0)
+        unwritten = cell_from_word_index(sim.geometry, 1)
         sim.write(written, 7)
         with pytest.raises(SimulationError):
             sim.read_batch([written, unwritten])
@@ -173,11 +181,11 @@ class TestBatchCellOps:
     def test_write_batch_length_mismatch_rejected(self):
         sim = tiny_simulator()
         with pytest.raises(ConfigurationError):
-            sim.write_batch([sim.geometry.cell_from_word_index(0)], [1, 2])
+            sim.write_batch([cell_from_word_index(sim.geometry, 0)], [1, 2])
 
     def test_write_batch_rejects_out_of_range_data(self):
         sim = tiny_simulator()
-        location = sim.geometry.cell_from_word_index(0)
+        location = cell_from_word_index(sim.geometry, 0)
         with pytest.raises(ConfigurationError):
             sim.write_batch([location], [2 ** 64])
         with pytest.raises(ConfigurationError):

@@ -1,20 +1,19 @@
-"""Tests for the SECDED ECC code (Table I behaviour)."""
+"""Tests for the Table I classification and the SECDED codec oracle."""
 
 import numpy as np
 import pytest
 
-from repro.dram.ecc import (
-    ERROR_CLASS_ORDER,
-    DecodeResult,
-    ErrorClass,
-    SecdedCode,
-    bits_to_words,
-    classify_bit_errors,
-    words_to_bits,
-)
+from repro.dram.ecc import ErrorClass, classify_bit_errors
 from repro.errors import ConfigurationError
 
-from tests.oracles.ecc import roundtrip_with_errors
+from tests.oracles.ecc import (
+    ERROR_CLASS_ORDER,
+    DecodeResult,
+    SecdedCode,
+    bits_to_words,
+    roundtrip_with_errors,
+    words_to_bits,
+)
 
 
 @pytest.fixture(scope="module")

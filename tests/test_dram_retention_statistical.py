@@ -18,12 +18,12 @@ from repro.dram.retention import (
     _failure_z_score,
     bit_failure_probability_grid,
     log_median_retention,
-    sample_retention_times,
 )
 from repro.dram.statistical import StatisticalErrorModel, WorkloadBehavior
 from repro.dram.variation import VariationProfile
 from repro.errors import ConfigurationError
 
+from tests.oracles.cells import sample_retention_times
 from tests.oracles.characterization import (
     expected_rank_wer,
     probability_of_ue,

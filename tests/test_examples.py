@@ -27,7 +27,6 @@ REDUCTIONS = {
     "compiler_optimization_study": {
         "campaign_workload_names": lambda: ("backprop", "kmeans", "bfs"),
     },
-    "cell_array_ecc_demo": {},   # already sized for a demo (4096 words)
     "prediction_service_demo": {
         "WORKLOADS": ("backprop", "kmeans", "memcached", "bfs"),
         "TREFPS": (1.173, 2.283),

@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 from repro.dram.address_map import AddressMapper
-from repro.dram.geometry import DramGeometry, small_geometry
+from repro.dram.geometry import DramGeometry
 from repro.errors import ConfigurationError
 from repro.memsys.access import AccessColumns, AccessType, MemoryAccess
 from repro.memsys.cache import CacheConfig, lru_pass, xgene2_l1_config
 from repro.memsys.hierarchy import MemoryHierarchy
 
+from tests.oracles.cells import small_geometry
 from tests.oracles.memsys import MemoryChannelSystem, SetAssociativeCache, map_address
 
 

@@ -52,10 +52,8 @@ class TestArrayValidation:
 
 class TestEstimatorProtocol:
     def test_get_params_returns_constructor_args(self):
-        model = KNeighborsRegressor(n_neighbors=7, weights="uniform")
-        params = model.get_params()
-        assert params["n_neighbors"] == 7
-        assert params["weights"] == "uniform"
+        model = KNeighborsRegressor(n_neighbors=7)
+        assert model.get_params() == {"n_neighbors": 7}
 
     def test_clone_is_unfitted(self):
         model = KNeighborsRegressor(n_neighbors=2)
@@ -75,7 +73,7 @@ class TestEstimatorProtocol:
         assert "n_neighbors=3" in text
 
     def test_params_rebuild_an_equal_estimator(self):
-        model = KNeighborsRegressor(n_neighbors=9, weights="uniform")
+        model = KNeighborsRegressor(n_neighbors=9)
         rebuilt = KNeighborsRegressor(**model.get_params())
         assert rebuilt.get_params() == model.get_params()
 

@@ -46,14 +46,8 @@ class TestKnnRegressor:
     def test_exact_match_returns_training_target(self):
         X = [[0.0], [1.0], [2.0]]
         y = [10.0, 20.0, 30.0]
-        model = KNeighborsRegressor(n_neighbors=2, weights="distance").fit(X, y)
+        model = KNeighborsRegressor(n_neighbors=2).fit(X, y)
         assert model.predict([[1.0]])[0] == pytest.approx(20.0)
-
-    def test_uniform_weights_average_neighbors(self):
-        model = KNeighborsRegressor(n_neighbors=2, weights="uniform").fit(
-            [[0.0], [1.0]], [0.0, 10.0]
-        )
-        assert model.predict([[0.5]])[0] == pytest.approx(5.0)
 
     def test_k_larger_than_training_set_is_clamped(self):
         model = KNeighborsRegressor(n_neighbors=10).fit([[0.0], [1.0]], [1.0, 3.0])
@@ -62,20 +56,15 @@ class TestKnnRegressor:
 
     def test_accuracy_on_smooth_function(self):
         X, y = _toy_regression(n=600)
-        model = KNeighborsRegressor(n_neighbors=5, weights="distance").fit(X[:500], y[:500])
+        model = KNeighborsRegressor(n_neighbors=5).fit(X[:500], y[:500])
         assert r2_score(model, X[500:], y[500:]) > 0.7
 
     def test_distance_weights_favour_the_closer_neighbour(self):
-        model = KNeighborsRegressor(n_neighbors=2, weights="distance").fit(
+        model = KNeighborsRegressor(n_neighbors=2).fit(
             [[0.0], [1.0]], [0.0, 3.0]
         )
         # Weights 1/0.25 and 1/0.75: (0 * 4 + 3 * 4/3) / (4 + 4/3) = 0.75.
         assert model.predict([[0.25]])[0] == pytest.approx(0.75)
-
-    def test_unknown_weighting_raises(self):
-        model = KNeighborsRegressor(weights="cosine").fit([[0.0], [1.0]], [0.0, 1.0])
-        with pytest.raises(ConfigurationError):
-            model.predict([[0.5]])
 
     def test_predict_before_fit_raises(self):
         with pytest.raises(NotFittedError):
@@ -91,16 +80,9 @@ class TestKnnRegressor:
 
 
 class TestSvr:
-    def test_fits_linear_function(self):
-        rng = np.random.default_rng(0)
-        X = rng.uniform(-1, 1, size=(60, 2))
-        y = 3.0 * X[:, 0] - 2.0 * X[:, 1] + 1.0
-        model = SVR(kernel="linear", C=50.0, epsilon=0.01).fit(X, y)
-        assert r2_score(model, X, y) > 0.98
-
     def test_rbf_fits_nonlinear_function(self):
         X, y = _toy_regression(n=150)
-        model = SVR(kernel="rbf", C=50.0, epsilon=0.01, gamma=1.0).fit(X[:120], y[:120])
+        model = SVR(C=50.0, epsilon=0.01, gamma=1.0).fit(X[:120], y[:120])
         assert r2_score(model, X[120:], y[120:]) > 0.8
 
     def test_predict_before_fit_raises(self):

@@ -123,9 +123,7 @@ class TestStableKneighborsEquivalence:
         # case where raw argpartition output is platform-dependent.
         X_train = np.array([[1.0], [-1.0], [3.0], [1.0], [-1.0]]) + 1.0
         y = np.arange(5.0)
-        model = KNeighborsRegressor(n_neighbors=2, weights="uniform").fit(
-            X_train - 1.0, y
-        )
+        model = KNeighborsRegressor(n_neighbors=2).fit(X_train - 1.0, y)
         dist, idx = model.kneighbors([[0.0]])
         assert idx.tolist() == [[0, 1]]  # smallest training indices win the tie
         assert np.array_equal(dist, [[1.0, 1.0]])
@@ -137,17 +135,9 @@ class TestStableKneighborsEquivalence:
         base = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
         X = np.repeat(base, 4, axis=0)   # rows 0-3, 4-7, 8-11
         y = np.arange(12.0)
-        model = KNeighborsRegressor(n_neighbors=3, weights="uniform").fit(X, y)
+        model = KNeighborsRegressor(n_neighbors=3).fit(X, y)
         _dist, idx = model.kneighbors([[0.0, 0.0], [1.0, 1.0]])
         assert idx.tolist() == [[0, 1, 2], [4, 5, 6]]
-
-    def test_uniform_prediction_is_mean_over_stable_neighbours(self):
-        rng = np.random.default_rng(11)
-        X = np.repeat(rng.normal(size=(15, 2)), 3, axis=0)
-        y = rng.normal(size=45)
-        model = KNeighborsRegressor(n_neighbors=5, weights="uniform").fit(X, y)
-        _dist, idx = reference_kneighbors(model, X[:10])
-        assert np.allclose(model.predict(X[:10]), y[idx].mean(axis=1), rtol=1e-12)
 
     def test_oracle_estimator_is_interchangeable(self):
         rng = np.random.default_rng(2)
@@ -214,7 +204,7 @@ class TestChunkedDistances:
         # even when cancellation noise would otherwise hide the match.
         X = np.array([[1234.5678, 9876.5432], [1234.5679, 9876.5431], [5000.0, 1.0]])
         y = np.array([10.0, 20.0, 30.0])
-        model = KNeighborsRegressor(n_neighbors=2, weights="distance").fit(X, y)
+        model = KNeighborsRegressor(n_neighbors=2).fit(X, y)
         assert model.predict([X[0]])[0] == 10.0
         assert model.predict([X[1]])[0] == 20.0
 

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dram.ecc import ErrorClass, SecdedCode
-from repro.dram.geometry import DramGeometry, small_geometry
+from repro.dram.ecc import ErrorClass
+from repro.dram.geometry import DramGeometry
 from repro.dram.operating import OperatingPoint
 from repro.dram.retention import bit_failure_probability_grid
 from repro.dram.statistical import StatisticalErrorModel, WorkloadBehavior
@@ -16,7 +16,8 @@ from repro.profiling.entropy import shannon_entropy_bits
 
 from tests.oracles.characterization import probability_of_ue
 from tests.oracles.dataset import spearman_correlation
-from tests.oracles.ecc import roundtrip_with_errors
+from tests.oracles.cells import cell_from_word_index, small_geometry, word_index
+from tests.oracles.ecc import SecdedCode, roundtrip_with_errors
 
 CODE = SecdedCode()
 MODEL = StatisticalErrorModel()
@@ -98,12 +99,12 @@ def test_batch_codec_matches_scalar_codec_bit_for_bit(words, flip_sets):
 # --------------------------------------------------------------------------
 # Geometry
 # --------------------------------------------------------------------------
-@given(word_index=st.integers(min_value=0))
+@given(raw_index=st.integers(min_value=0))
 @settings(max_examples=80, deadline=None)
-def test_geometry_word_index_round_trip(word_index):
+def test_geometry_word_index_round_trip(raw_index):
     geometry = small_geometry()
-    index = word_index % geometry.total_words
-    assert geometry.word_index(geometry.cell_from_word_index(index)) == index
+    index = raw_index % geometry.total_words
+    assert word_index(geometry, cell_from_word_index(geometry, index)) == index
 
 
 @given(dimms=st.integers(1, 4), ranks=st.integers(1, 2), banks=st.integers(1, 4))

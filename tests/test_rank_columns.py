@@ -24,7 +24,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.characterization.campaign import CampaignResult
 from repro.core import WorkloadAwarePredictor
 from repro.core.dataset import build_wer_dataset
 from repro.core.evaluation import AccuracyEvaluator
@@ -37,7 +36,11 @@ from repro.ml.knn import KNeighborsRegressor
 from repro.ml.svm import SVR
 from repro.serving import load_model, save_model
 
-from tests.oracles.dataset import encode_rows, reference_build_wer_dataset
+from tests.oracles.dataset import (
+    campaign_subset,
+    encode_rows,
+    reference_build_wer_dataset,
+)
 from tests.oracles.predictor import (
     PerRankPredictor,
     per_rank_wer_errors,
@@ -69,23 +72,18 @@ def fitted(small_campaign, small_profiles):
 @pytest.fixture(scope="module")
 def misaligned_campaign(small_campaign):
     """The small campaign with one rank's last measurement dropped."""
-    records = list(small_campaign.wer_measurements)
-    last_rank = max(record.rank for record in records)
-    drop = max(i for i, record in enumerate(records) if record.rank == last_rank)
-    return CampaignResult(
-        config=small_campaign.config,
-        wer_measurements=records[:drop] + records[drop + 1:],
-        pue_summaries=small_campaign.pue_summaries,
-    )
+    store = small_campaign.wer_columns()
+    last_rank = store.ranks.index(max(store.ranks))
+    drop = np.flatnonzero(store.rows["rank"] == last_rank).max()
+    return campaign_subset(small_campaign, np.delete(np.arange(len(store)), drop))
 
 
 # ---------------------------------------------------------------------------
 # Estimators: every output column is bit-identical to a 1-D fit.
 # ---------------------------------------------------------------------------
 _ESTIMATORS = {
-    "knn-distance": lambda: KNeighborsRegressor(n_neighbors=3, weights="distance"),
-    "knn-uniform": lambda: KNeighborsRegressor(n_neighbors=4, weights="uniform"),
-    "svm": lambda: SVR(kernel="rbf", C=5.0, epsilon=0.05, gamma="scale", max_iter=60),
+    "knn": lambda: KNeighborsRegressor(n_neighbors=3),
+    "svm": lambda: SVR(C=5.0, epsilon=0.05, gamma="scale", max_iter=60),
     "rdf": lambda: RandomForestRegressor(
         n_estimators=5, max_depth=4, min_samples_leaf=2, max_features=0.8,
         random_state=3,

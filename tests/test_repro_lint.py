@@ -122,7 +122,7 @@ class TestScoping:
     def test_wall_clock_allowed_in_telemetry(self):
         source = "import time\n\n\ndef stamp() -> float:\n    return time.time()\n"
         assert lint_source(source, "src/repro/telemetry/core.py").violations == []
-        flagged = lint_source(source, "src/repro/dram/cells.py")
+        flagged = lint_source(source, "src/repro/dram/statistical.py")
         assert [v.rule_id for v in flagged.violations] == ["REP002"]
 
     def test_annotations_not_required_outside_src_repro(self):

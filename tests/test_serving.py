@@ -91,8 +91,8 @@ def _estimator_factories():
             n_estimators=6, max_depth=5, min_samples_leaf=2,
             max_features=0.8, random_state=3,
         ),
-        "knn": lambda: KNeighborsRegressor(n_neighbors=3, weights="distance"),
-        "svm": lambda: SVR(kernel="rbf", C=5.0, epsilon=0.05, gamma="scale"),
+        "knn": lambda: KNeighborsRegressor(n_neighbors=3),
+        "svm": lambda: SVR(C=5.0, epsilon=0.05, gamma="scale"),
     }
 
 
@@ -268,17 +268,19 @@ def test_model_round_trip_is_exact(predictor, tmp_path):
 
 def test_v1_predictor_bundle_is_rejected(predictor, tmp_path):
     # v1 bundles held one WER pipeline per rank; v2 and later hold one
-    # multi-output pipeline and the rank list, so a v1 bundle cannot be
-    # read as the current schema.
+    # multi-output pipeline and the rank list.  v3 specs still carried the
+    # single-value KNN ``weights`` and SVR ``kernel`` options.  Neither can
+    # be read as the current schema.
     path = save_model(predictor, tmp_path / "bundle")
     manifest = json.loads((path / "manifest.json").read_text(encoding="utf-8"))
-    assert manifest["schema"] == MODEL_BUNDLE_SCHEMA == "repro.model_bundle/v3"
-    manifest["schema"] = "repro.model_bundle/v1"
-    (path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
-    with pytest.raises(RegistryError) as excinfo:
-        load_model(path)
-    assert "repro.model_bundle/v1" in str(excinfo.value)
-    assert "repro.model_bundle/v3" in str(excinfo.value)
+    assert manifest["schema"] == MODEL_BUNDLE_SCHEMA == "repro.model_bundle/v4"
+    for old in ("repro.model_bundle/v1", "repro.model_bundle/v3"):
+        manifest["schema"] = old
+        (path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(RegistryError) as excinfo:
+            load_model(path)
+        assert old in str(excinfo.value)
+        assert "repro.model_bundle/v4" in str(excinfo.value)
 
 
 def test_registry_versioning(predictor, tmp_path):

@@ -281,18 +281,6 @@ class TestLoggingHierarchy:
             isinstance(handler, logging.NullHandler) for handler in root.handlers
         )
 
-    def test_memory_budget_rejection_is_logged(self, caplog):
-        from repro.dram.cells import CellArrayConfig, CellArraySimulator
-        from repro.dram.geometry import small_geometry
-        from repro.errors import ConfigurationError
-
-        with caplog.at_level(logging.INFO, logger="repro.dram.cells"):
-            with pytest.raises(ConfigurationError):
-                CellArraySimulator(CellArrayConfig(
-                    geometry=small_geometry(), memory_budget_bytes=1024,
-                ))
-        assert any("budget" in record.message for record in caplog.records)
-
     def test_campaign_sweep_logs_start_and_finish(self, caplog):
         from repro.characterization.campaign import (
             CampaignConfig, CharacterizationCampaign,
