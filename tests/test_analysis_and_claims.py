@@ -7,10 +7,13 @@ harness repeats them at full scale.
 
 import pytest
 
+from repro.errors import DataError
+
 from repro.analysis.figures import (
     convergence_check,
     exponential_growth_factor,
     fig2_wer_over_time,
+    fig7_wer_bars,
     fig7f_mean_wer_curve,
     fig8_wer_per_rank,
     fig9a_pue_bars,
@@ -50,6 +53,29 @@ class TestFigureHelpers:
                                       trefp_values_s=(1.173, 2.283))
         growth = exponential_growth_factor(curves[50.0])
         assert growth > 1.0   # WER grows by more than e per extra second of TREFP
+
+    def test_fig7_bars_are_the_campaign_aggregation(self, small_campaign):
+        bars = fig7_wer_bars(small_campaign, trefp_values_s=(1.173, 2.283),
+                             temperature_c=60.0)
+        assert list(bars) == [1.173, 2.283]
+        for trefp, per_workload in bars.items():
+            assert per_workload == small_campaign.wer_by_workload(trefp, 60.0)
+
+    def test_convergence_check_rejects_short_series(self):
+        with pytest.raises(DataError, match="at least two points"):
+            convergence_check([(600.0, 1e-6)])
+        # Both points fall inside the last 10-minute window.
+        with pytest.raises(DataError, match="too short"):
+            convergence_check([(60.0, 1e-6), (120.0, 2e-6)])
+        with pytest.raises(DataError, match="too short"):
+            convergence_check([(600.0, 0.0), (1200.0, 0.0)])
+        assert convergence_check([(600.0, 1.0), (1200.0, 1.0)]) == 0.0
+
+    def test_growth_factor_rejects_unfittable_curves(self):
+        with pytest.raises(DataError, match="at least two points"):
+            exponential_growth_factor([(1.173, 1e-6)])
+        with pytest.raises(DataError, match="positive"):
+            exponential_growth_factor([(1.173, 0.0), (2.283, 1e-6)])
 
     def test_fig8_rank_table_shape(self, small_campaign):
         table = fig8_wer_per_rank(small_campaign, trefp_s=2.283, temperature_c=50.0)

@@ -12,7 +12,12 @@ from repro.core.correlation import (
     run_correlation_study,
 )
 from repro.core.dataset import build_pue_dataset, build_wer_dataset
-from repro.core.evaluation import AccuracyEvaluator, best_configuration
+from repro.core.evaluation import (
+    AccuracyEvaluator,
+    PueAccuracyReport,
+    WerAccuracyReport,
+    best_configuration,
+)
 from repro.core.features import (
     INPUT_SET_1,
     INPUT_SET_2,
@@ -154,6 +159,18 @@ class TestDramErrorModel:
         with pytest.raises(ConfigurationError):
             ModelConfig(family="xgboost")
 
+    @pytest.mark.parametrize("floor", [0.0, -1e-12])
+    def test_non_positive_target_floor_rejected(self, floor):
+        with pytest.raises(ConfigurationError, match="target_floor"):
+            ModelConfig(target_floor=floor)
+
+    def test_repr_names_family_and_input_set(self):
+        model = DramErrorModel(ModelConfig(family="svm", feature_set="set3"))
+        assert model.family == "svm"
+        assert repr(model) == (
+            "DramErrorModel(family='svm', feature_set='set3', log_target=True)"
+        )
+
     def test_clone_preserves_configuration(self):
         model = DramErrorModel(ModelConfig(family="rdf", feature_set="set2"))
         clone = model.clone()
@@ -207,6 +224,24 @@ class TestEvaluation:
         best = best_configuration(study)
         assert best.family == "knn"
         assert best.feature_set in ("set1", "set2")
+
+    def test_pue_study_covers_every_family_and_input_set(self, small_pue_dataset):
+        study = AccuracyEvaluator().pue_study(
+            small_pue_dataset, families=("knn",), feature_sets=("set1", "set2")
+        )
+        assert list(study) == ["knn"]
+        assert list(study["knn"]) == ["set1", "set2"]
+        for feature_set, report in study["knn"].items():
+            assert (report.family, report.feature_set) == ("knn", feature_set)
+            assert set(report.error_by_workload) == set(small_pue_dataset.workloads())
+
+    def test_empty_reports_and_studies_rejected(self):
+        with pytest.raises(DataError, match="no per-rank errors"):
+            WerAccuracyReport(family="knn", feature_set="set1").average_rank_error
+        with pytest.raises(DataError, match="no per-workload errors"):
+            PueAccuracyReport(family="knn", feature_set="set1").average_error
+        with pytest.raises(DataError, match="empty accuracy study"):
+            best_configuration({"knn": {}})
 
     def test_missing_rank_information_rejected(self, small_pue_dataset):
         with pytest.raises(DataError):

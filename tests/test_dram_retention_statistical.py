@@ -20,7 +20,7 @@ from repro.dram.retention import (
     log_median_retention,
 )
 from repro.dram.statistical import StatisticalErrorModel, WorkloadBehavior
-from repro.dram.variation import VariationProfile
+from repro.dram.variation import RankProfile, VariationProfile
 from repro.errors import ConfigurationError
 
 from tests.oracles.cells import sample_retention_times
@@ -128,6 +128,30 @@ class TestVariationProfile:
             VariationProfile.default().wer_factor(RankLocation(7, 1))
 
 
+    def test_rank_profile_validation(self):
+        with pytest.raises(ConfigurationError, match="wer_factor"):
+            RankProfile(RankLocation(0, 0), wer_factor=0.0, ue_weight=0.1)
+        with pytest.raises(ConfigurationError, match="ue_weight"):
+            RankProfile(RankLocation(0, 0), wer_factor=1.0, ue_weight=-0.1)
+
+    def test_non_default_geometry_uses_a_sampled_profile(self):
+        geometry = DramGeometry(num_dimms=2)
+        profile = VariationProfile.default(geometry)
+        assert set(profile.ranks) == set(geometry.iter_ranks())
+        sampled = VariationProfile.sampled(geometry, seed=2019)
+        for rank in geometry.iter_ranks():
+            assert profile.wer_factor(rank) == sampled.wer_factor(rank)
+            assert profile.ue_weight(rank) == sampled.ue_weight(rank)
+
+    def test_all_zero_ue_weights_rejected(self):
+        geometry = DramGeometry()
+        profile = VariationProfile(geometry=geometry, ranks={
+            rank: RankProfile(rank, wer_factor=1.0, ue_weight=0.0)
+            for rank in geometry.iter_ranks()
+        })
+        with pytest.raises(ConfigurationError, match="positive ue_weight"):
+            profile.normalized_ue_weights()
+
 class TestWorkloadBehavior:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -137,6 +161,12 @@ class TestWorkloadBehavior:
         with pytest.raises(ConfigurationError):
             behavior(footprint_words=0)
 
+
+    def test_rate_and_stall_fraction_validation(self):
+        with pytest.raises(ConfigurationError, match="accesses_per_cycle"):
+            behavior(accesses_per_cycle=-0.1)
+        with pytest.raises(ConfigurationError, match="wait_cycle_fraction"):
+            behavior(wait=1.5)
 
 class TestStatisticalErrorModel:
     @pytest.fixture(scope="class")
@@ -242,6 +272,24 @@ class TestStatisticalErrorModel:
         final = series[times[-1]]
         ten_minutes_earlier = series[times[-2]]
         assert abs(final - ten_minutes_earlier) / final < 0.03
+
+    def test_grid_engine_rejects_invalid_arguments(self, model):
+        ops = [OperatingPoint.relaxed(1.173, 50.0), OperatingPoint.relaxed(2.283, 50.0)]
+        with pytest.raises(ConfigurationError, match="at least one operating point"):
+            model.expected_rank_wer_grid([], behavior())
+        with pytest.raises(ConfigurationError, match="at least one operating point"):
+            model.probability_of_ue_grid([], behavior())
+        for sample in (model.sample_rank_wer_grid, model.sample_ue_events_grid):
+            with pytest.raises(ConfigurationError, match="repetitions"):
+                sample(ops, behavior(), repetitions=0)
+        rngs = [[np.random.default_rng(1), np.random.default_rng(2)],
+                [np.random.default_rng(3)]]
+        with pytest.raises(ConfigurationError, match="same length"):
+            model.sample_rank_wer_grid(ops, behavior(), rngs=rngs)
+        for duration_s, step_s in ((0.0, 60.0), (3600.0, 0.0)):
+            with pytest.raises(ConfigurationError, match="must be positive"):
+                model.wer_time_series(ops[0], behavior(), duration_s=duration_s,
+                                      step_s=step_s)
 
     def test_time_series_grid_keeps_final_sample(self, model):
         # Regression: accumulating `t += step_s` drifts for non-dyadic steps;

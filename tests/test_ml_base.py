@@ -7,6 +7,7 @@ from repro.errors import DataError, NotFittedError
 from repro.ml.base import (
     as_1d_array,
     as_2d_array,
+    as_target_array,
     check_consistent_length,
     validate_fit_args,
 )
@@ -39,6 +40,32 @@ class TestArrayValidation:
     def test_as_1d_array_rejects_inf(self):
         with pytest.raises(DataError):
             as_1d_array([1.0, float("inf")])
+
+    def test_as_1d_array_flattens_a_column_vector(self):
+        arr = as_1d_array([[1.0], [2.0], [3.0]])
+        assert arr.shape == (3,)
+        assert arr.tolist() == [1.0, 2.0, 3.0]
+
+    def test_as_1d_array_rejects_empty(self):
+        with pytest.raises(DataError, match="must not be empty"):
+            as_1d_array([])
+
+    def test_as_target_array_keeps_a_target_matrix(self):
+        arr = as_target_array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        assert arr.shape == (3, 2)
+
+    @pytest.mark.parametrize(
+        "y, message",
+        [
+            (np.zeros((2, 2, 2)), "1- or 2-dimensional"),
+            (np.zeros((0, 3)), "must not be empty"),
+            ([[1.0, float("nan")]], "NaN or infinite"),
+        ],
+        ids=["3d", "empty", "nan"],
+    )
+    def test_as_target_array_rejects_invalid_targets(self, y, message):
+        with pytest.raises(DataError, match=message):
+            as_target_array(y)
 
     def test_check_consistent_length(self):
         with pytest.raises(DataError):

@@ -139,6 +139,23 @@ class TestStableKneighborsEquivalence:
         _dist, idx = model.kneighbors([[0.0, 0.0], [1.0, 1.0]])
         assert idx.tolist() == [[0, 1, 2], [4, 5, 6]]
 
+    def test_multi_output_prediction_is_weighted_mean_over_stable_neighbours(self):
+        rng = np.random.default_rng(11)
+        X = np.repeat(rng.normal(size=(15, 2)), 3, axis=0)
+        y = rng.normal(size=(45, 3))
+        model = KNeighborsRegressor(n_neighbors=5).fit(X, y)
+        queries = rng.normal(size=(10, 2))
+        dist, idx = reference_kneighbors(model, queries)
+        weights = 1.0 / dist
+        expected = (weights[..., None] * y[idx]).sum(axis=1) / weights.sum(axis=1)[:, None]
+        prediction = model.predict(queries)
+        assert prediction.shape == (10, 3)
+        assert np.allclose(prediction, expected, rtol=1e-12)
+        # Each output column is the 1-D fit on that column alone.
+        for column in range(3):
+            single = KNeighborsRegressor(n_neighbors=5).fit(X, y[:, column])
+            assert np.array_equal(single.predict(queries), prediction[:, column])
+
     def test_oracle_estimator_is_interchangeable(self):
         rng = np.random.default_rng(2)
         X, y = _regression_data(rng, 40, 3, duplicates=20)

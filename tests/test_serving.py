@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 
 from repro.core import WorkloadAwarePredictor
+from repro.core.predictor import PredictionBatch
 from repro.dram.operating import OperatingPoint
 from repro.errors import (
     ConfigurationError,
@@ -56,6 +57,7 @@ from repro.serving import (
     save_estimator,
     save_model,
 )
+from repro.telemetry import telemetry_session
 
 from tests.oracles.predictor import PerRankPredictor, reference_predict_grid
 
@@ -237,6 +239,96 @@ def test_knn_spec_with_metric_parameter_raises(tmp_path):
         load_estimator(path)
 
 
+def _rewrite_manifest(path, edit):
+    manifest = json.loads((path / "manifest.json").read_text(encoding="utf-8"))
+    edit(manifest)
+    (path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+
+
+def test_manifest_that_is_not_an_object_raises(tmp_path):
+    path = _fitted_tree_bundle(tmp_path)
+    (path / "manifest.json").write_text("[1, 2]", encoding="utf-8")
+    with pytest.raises(RegistryError, match="not a JSON object"):
+        load_estimator(path)
+
+
+def test_manifest_without_payload_raises(tmp_path):
+    path = _fitted_tree_bundle(tmp_path)
+    _rewrite_manifest(path, lambda manifest: manifest.pop("payload"))
+    with pytest.raises(RegistryError, match="no payload"):
+        load_estimator(path)
+
+
+def test_unreadable_arrays_file_raises(tmp_path):
+    path = _fitted_tree_bundle(tmp_path)
+    (path / "arrays.npz").write_bytes(b"not an npz archive")
+    with pytest.raises(RegistryError, match="corrupted arrays.npz"):
+        load_estimator(path)
+
+
+def test_estimator_bundle_without_estimator_spec_raises(tmp_path):
+    path = _fitted_tree_bundle(tmp_path)
+    _rewrite_manifest(path, lambda manifest: manifest["payload"].clear())
+    with pytest.raises(RegistryError, match="no estimator payload"):
+        load_estimator(path)
+
+
+@pytest.mark.parametrize("spec", ["tree", {"params": {}}], ids=["string", "no-type"])
+def test_malformed_estimator_spec_raises(spec, tmp_path):
+    path = _fitted_tree_bundle(tmp_path)
+
+    def edit(manifest):
+        manifest["payload"]["estimator"] = spec
+
+    _rewrite_manifest(path, edit)
+    with pytest.raises(RegistryError, match="malformed estimator spec"):
+        load_estimator(path)
+
+
+def test_unknown_estimator_type_in_bundle_raises(tmp_path):
+    path = _fitted_tree_bundle(tmp_path)
+
+    def edit(manifest):
+        manifest["payload"]["estimator"]["type"] = "GradientBoostingRegressor"
+
+    _rewrite_manifest(path, edit)
+    with pytest.raises(RegistryError, match="unknown estimator type"):
+        load_estimator(path)
+
+
+def test_pipeline_spec_without_steps_raises(tmp_path):
+    X, y = _training_data()
+    pipeline = Pipeline([
+        ("scale", StandardScaler()),
+        ("model", DecisionTreeRegressor(max_depth=3, random_state=1)),
+    ]).fit(X, y)
+    path = save_estimator(pipeline, tmp_path / "bundle")
+    _rewrite_manifest(path, lambda manifest: manifest["payload"]["estimator"].pop("steps"))
+    with pytest.raises(RegistryError, match="no steps list"):
+        load_estimator(path)
+
+
+def test_missing_fitted_scalar_raises(tmp_path):
+    path = _fitted_tree_bundle(tmp_path)
+
+    def edit(manifest):
+        manifest["payload"]["estimator"]["fitted_scalars"].pop("n_features_")
+
+    _rewrite_manifest(path, edit)
+    with pytest.raises(RegistryError, match="missing fitted scalar 'n_features_'"):
+        load_estimator(path)
+
+
+def test_non_json_parameter_is_rejected_on_save(tmp_path):
+    X, y = _training_data()
+    tree = DecisionTreeRegressor(
+        max_depth=3, random_state=np.random.default_rng(1)
+    ).fit(X, y)
+    with pytest.raises(RegistryError, match="random_state: parameter value"):
+        save_estimator(tree, tmp_path / "bundle")
+    assert not (tmp_path / "bundle" / "manifest.json").exists()
+
+
 def test_manifest_is_environment_stamped(tmp_path):
     path = _fitted_tree_bundle(tmp_path)
     manifest = json.loads((path / "manifest.json").read_text(encoding="utf-8"))
@@ -281,6 +373,46 @@ def test_v1_predictor_bundle_is_rejected(predictor, tmp_path):
             load_model(path)
         assert old in str(excinfo.value)
         assert "repro.model_bundle/v4" in str(excinfo.value)
+
+
+def test_predictor_bundle_with_malformed_model_config_raises(predictor, tmp_path):
+    path = save_model(predictor, tmp_path / "bundle")
+
+    def edit(manifest):
+        manifest["payload"]["wer_model"]["config"]["unknown_option"] = 1
+
+    _rewrite_manifest(path, edit)
+    with pytest.raises(RegistryError, match="malformed model config"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("field", ["predictor_config", "ranks", "wer_model"])
+def test_predictor_bundle_with_missing_field_raises(field, predictor, tmp_path):
+    path = save_model(predictor, tmp_path / "bundle")
+    _rewrite_manifest(path, lambda manifest: manifest["payload"].pop(field))
+    with pytest.raises(RegistryError, match="malformed predictor payload"):
+        load_model(path)
+
+
+def test_predictor_bundle_without_ranks_raises(predictor, tmp_path):
+    path = save_model(predictor, tmp_path / "bundle")
+
+    def edit(manifest):
+        manifest["payload"]["ranks"] = []
+
+    _rewrite_manifest(path, edit)
+    with pytest.raises(RegistryError, match="lists no ranks"):
+        load_model(path)
+
+
+def test_registry_telemetry_counts_saves_and_loads(predictor, tmp_path):
+    with telemetry_session() as telemetry:
+        path = save_model(predictor, tmp_path / "bundle")
+        load_model(path)
+        snapshot = telemetry.snapshot()
+    assert snapshot.counters["registry.models_saved"] == 1
+    assert snapshot.counters["registry.models_loaded"] == 1
+    assert {span.name for span in snapshot.spans} >= {"registry.save", "registry.load"}
 
 
 def test_registry_versioning(predictor, tmp_path):
@@ -341,6 +473,50 @@ def test_predict_grid_matches_per_point_reference(predictor, per_rank):
     np.testing.assert_allclose(grid.pue, ref_pue, rtol=1e-9)
 
 
+def test_predict_batch_accepts_one_workload_and_one_point(predictor):
+    scalar = predictor.predict_batch("memcached", OP)
+    listed = predictor.predict_batch(["memcached"], [OP])
+    assert scalar.workloads == ("memcached",)
+    assert np.array_equal(scalar.wer, listed.wer)
+    assert np.array_equal(scalar.pue, listed.pue)
+
+
+def test_predict_batch_requires_a_pair(predictor):
+    with pytest.raises(ConfigurationError, match="at least one pair"):
+        predictor.predict_batch([], [])
+
+
+def test_prediction_batch_views_match_its_columns(predictor):
+    batch = predictor.predict_batch(WORKLOADS, [OP])
+    assert isinstance(batch, PredictionBatch)
+    assert np.array_equal(batch.memory_wer, batch.wer.mean(axis=0))
+    results = list(batch)
+    assert [result.workload for result in results] == list(WORKLOADS)
+    for index, result in enumerate(results):
+        assert result.wer_by_rank == batch.result(index).wer_by_rank
+        assert result.memory_wer == pytest.approx(batch.memory_wer[index], rel=1e-12)
+        assert result.operating_point == OP
+
+
+def test_predict_grid_accepts_one_workload_name(predictor):
+    single = predictor.predict_grid("bfs", TREFPS, TEMPERATURES)
+    full = predictor.predict_grid(WORKLOADS, TREFPS, TEMPERATURES)
+    assert single.workloads == ("bfs",)
+    assert single.shape == (1, len(TREFPS), len(TEMPERATURES), 1)
+    np.testing.assert_allclose(
+        single.wer[:, 0], full.wer[:, WORKLOADS.index("bfs")], rtol=1e-9
+    )
+
+
+def test_predictor_telemetry_counts_predictions(predictor):
+    with telemetry_session() as telemetry:
+        predictor.predict_batch(WORKLOADS, [OP])
+        predictor.predict_grid(WORKLOADS, TREFPS, TEMPERATURES)
+        counters = telemetry.snapshot().counters
+    grid_cells = len(WORKLOADS) * len(TREFPS) * len(TEMPERATURES)
+    assert counters["predictor.predictions"] == len(WORKLOADS) + grid_cells
+
+
 def test_predict_grid_validates_axes(predictor):
     with pytest.raises(ConfigurationError):
         predictor.predict_grid(WORKLOADS, (), TEMPERATURES)
@@ -354,6 +530,11 @@ def test_predict_grid_validates_axes(predictor):
 def test_service_requires_fitted_predictor():
     with pytest.raises(ConfigurationError, match="fitted"):
         PredictionService(WorkloadAwarePredictor())
+
+
+def test_service_rejects_negative_cache_size(predictor):
+    with pytest.raises(ConfigurationError, match="cache_size"):
+        PredictionService(predictor, cache_size=-1)
 
 
 def test_service_matches_direct_predictions(predictor):
@@ -378,6 +559,36 @@ def test_service_cache_hits_and_stats(predictor):
     assert stats.cache_hits == 1 and stats.cache_misses == 1
     assert stats.predictions == 1
     assert 0.0 < stats.hit_rate < 1.0
+
+
+def test_response_views_unpack_the_packed_wer(predictor):
+    direct = predictor.predict_batch(["kmeans"], [OP])
+    with PredictionService(predictor) as service:
+        response = service.predict("kmeans", OP)
+    assert response.wer_by_rank == direct.result(0).wer_by_rank
+    assert response.memory_wer == pytest.approx(float(direct.memory_wer[0]), rel=1e-12)
+
+
+def test_service_telemetry_counts_requests_and_batches(predictor):
+    requests = [PredictRequest.at(name, OP) for name in WORKLOADS]
+    with telemetry_session() as telemetry:
+        with PredictionService(predictor) as service:
+            service.predict_many(requests + requests[:1])
+            service.predict_many(requests)
+        counters = telemetry.snapshot().counters
+    assert counters["serving.requests"] == 2 * len(requests) + 1
+    assert counters["serving.cache_misses"] == len(requests) + 1
+    assert counters["serving.cache_hits"] == len(requests)
+    assert counters["serving.batches"] == 1
+    assert counters["serving.predictions"] == len(requests)
+
+
+def test_service_repr_reports_cache_and_hit_rate(predictor):
+    with PredictionService(predictor, cache_size=8) as service:
+        service.predict("bfs", OP)
+        service.predict("bfs", OP)
+        text = repr(service)
+    assert text == "PredictionService(cache_size=8, requests=2, hit_rate=0.50)"
 
 
 def _grid_requests():

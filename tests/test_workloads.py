@@ -21,6 +21,7 @@ from repro.workloads.analytics import (
 )
 from repro.workloads.base import (
     TraceRecorder,
+    Workload,
     interleave,
     running_sums,
     sequence,
@@ -110,6 +111,38 @@ class TestTraceRecorder:
         array = recorder.alloc(2)
         with pytest.raises(WorkloadError):
             array.read(2)
+
+    def test_zero_length_allocation_rejected(self):
+        with pytest.raises(WorkloadError, match="length must be positive"):
+            TraceRecorder().alloc(0)
+
+    def test_out_of_bounds_write_raises_and_records_nothing(self):
+        recorder = TraceRecorder()
+        array = recorder.alloc(2, "buf")
+        assert len(array) == 2
+        for index in (-1, 2):
+            with pytest.raises(WorkloadError, match="out of bounds for array 'buf'"):
+                array.write(index, 1.0)
+        assert recorder.num_accesses == 0
+        assert array.values.tolist() == [0.0, 0.0]
+
+    def test_memory_instruction_fraction(self):
+        recorder = TraceRecorder()
+        assert recorder.memory_instruction_fraction == 0.0
+        array = recorder.alloc(1)
+        array.write(0, 1.0)
+        recorder.compute(3)
+        assert recorder.memory_instruction_fraction == pytest.approx(1 / 4)
+
+    def test_workload_without_memory_accesses_rejected(self):
+        class IdleWorkload(Workload):
+            name = "idle"
+
+            def run(self, recorder):
+                recorder.compute(10)
+
+        with pytest.raises(WorkloadError, match="idle produced no memory accesses"):
+            IdleWorkload().record_trace()
 
     def test_negative_compute_rejected(self):
         with pytest.raises(WorkloadError):
