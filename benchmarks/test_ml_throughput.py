@@ -1,6 +1,6 @@
 """Vectorized ML core: oracle equivalence and throughput floors.
 
-The flattened-tree forest and the ``argpartition`` neighbour search are
+The flattened-tree forest and the ``argmin``-pass neighbour search are
 the model-evaluation hot path of the accuracy study (Section VI): every
 leave-one-workload-out fold refits and re-predicts a model per feature
 set.  These benchmarks pin the vectorized estimators against the

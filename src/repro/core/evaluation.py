@@ -132,8 +132,8 @@ class AccuracyEvaluator:
         """PUE model (whole machine), evaluated with leave-one-workload-out CV."""
         config = ModelConfig(family=family, feature_set=feature_set, log_target=False)
         model = DramErrorModel(config)
-        _X, y, groups = dataset.matrices(model.feature_set)
-        predictions = np.clip(leave_one_workload_out_predictions(model, dataset), 0.0, 1.0)
+        X, y, groups = dataset.matrices(model.feature_set)
+        predictions = np.clip(_lowo_predictions(model, X, y, groups), 0.0, 1.0)
 
         report = PueAccuracyReport(family=family, feature_set=feature_set)
         for workload in np.unique(groups):

@@ -33,7 +33,7 @@ def as_2d_array(X: ArrayLike, name: str = "X", allow_empty: bool = False) -> np.
         raise DataError(f"{name} must be 2-dimensional, got shape {arr.shape}")
     if (arr.shape[0] == 0 and not allow_empty) or arr.shape[1] == 0:
         raise DataError(f"{name} must not be empty, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DataError(f"{name} contains NaN or infinite values")
     return arr
 
@@ -103,6 +103,15 @@ class Regressor(Estimator):
         raise NotImplementedError
 
     def predict(self, X: ArrayLike) -> np.ndarray:
+        """Validate ``X`` (an empty batch is allowed), then :meth:`_predict`."""
+        return self._predict(as_2d_array(X, allow_empty=True))
+
+    def _predict(self, X: np.ndarray) -> np.ndarray:
+        """Predict for a float matrix that :func:`as_2d_array` has checked.
+
+        A :class:`~repro.ml.pipeline.Pipeline` validates its input once
+        and calls this directly, so no step re-checks the same rows.
+        """
         raise NotImplementedError
 
     def _check_fitted(self, attribute: str) -> None:
@@ -119,6 +128,11 @@ class Transformer(Estimator):
         raise NotImplementedError
 
     def transform(self, X: ArrayLike) -> np.ndarray:
+        """Validate ``X``, then :meth:`_transform`."""
+        return self._transform(as_2d_array(X))
+
+    def _transform(self, X: np.ndarray) -> np.ndarray:
+        """Transform a float matrix that :func:`as_2d_array` has checked."""
         raise NotImplementedError
 
 

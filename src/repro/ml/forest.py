@@ -123,12 +123,11 @@ class RandomForestRegressor(Regressor):
         self._left_ = np.where(internal, left + offsets, -1)
         self._right_ = np.where(internal, right + offsets, -1)
 
-    def predict(self, X: ArrayLike) -> np.ndarray:
+    def _predict(self, X_arr: np.ndarray) -> np.ndarray:
         # Prediction needs only the concatenated flat arrays, so a forest
         # restored from the serving model registry (which persists the
         # flat ensemble but not ``estimators_``) predicts identically.
         self._check_fitted("_roots_")
-        X_arr = as_2d_array(X, allow_empty=True)
         n_rows = X_arr.shape[0]
         n_trees = self._roots_.shape[0]
         # One flat traversal state per (tree, row) pair: entry t*n_rows + i

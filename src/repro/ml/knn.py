@@ -10,11 +10,10 @@ distances are the same in a one-row call and in any batch.  Neighbour
 search is fully deterministic: the k nearest training rows
 are the k smallest under the lexicographic ``(distance, training
 index)`` order, so equidistant neighbours always resolve to the
-lowest-index rows regardless of platform or numpy version.  The hot
-path uses ``np.argpartition`` (O(n) selection) plus a stable in-
-candidate sort; rows whose k-th distance ties with excluded training
-rows — the one case where the partition's pick is arbitrary — fall
-back to a full per-row stable sort.
+lowest-index rows regardless of platform or numpy version.  Selection
+is k passes of first-occurrence ``argmin``, each masking the column it
+picked, which yields that order directly for every batch size; a row
+that holds a non-finite distance gets a full stable sort instead.
 
 The regressor fits a target vector ``(n,)`` or a target matrix
 ``(n, R)``: all R output columns share one neighbour search and one set
@@ -43,38 +42,30 @@ from repro.ml.base import (
 def stable_kneighbors(dist: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
     """k smallest entries per row of a distance matrix, ties broken by index.
 
-    Returns ``(distances, indices)``, each of shape ``(n_rows, k)``,
-    ordered by ``(distance, column index)`` within every row — the unique
-    deterministic neighbour ordering.  Selection is ``argpartition``-based;
-    a row falls back to a full stable sort only when its k-th distance
-    also occurs beyond the candidate set (boundary tie), where the
-    partition's choice between tied columns is otherwise arbitrary.
+    Returns ``(distances, indices)``, each of shape ``(n_rows, min(k,
+    n_columns))``, ordered by ``(distance, column index)`` within every
+    row — the unique deterministic neighbour ordering.  Each of the k
+    passes takes every row's first-occurrence ``argmin`` (the lowest
+    column among equal minima) and masks the picked column with ``+inf``,
+    so the cost is O(k) passes over the matrix.  A row whose pick is not
+    finite holds a non-finite distance, where a mask is indistinguishable
+    from a real ``+inf``, so that row is re-selected by a full stable sort.
     """
     n_rows, n_train = dist.shape
-    if k >= n_train or n_rows == 0:
-        # Stable argsort already breaks distance ties by column index.
-        idx = np.argsort(dist, axis=1, kind="stable")[:, :k]
-        return np.take_along_axis(dist, idx, axis=1), idx
-
-    candidates = np.argpartition(dist, k - 1, axis=1)[:, :k]
-    cand_dist = np.take_along_axis(dist, candidates, axis=1)
-    order = np.lexsort((candidates, cand_dist), axis=1)
-    idx = np.take_along_axis(candidates, order, axis=1)
-    nearest = np.take_along_axis(cand_dist, order, axis=1)
-
-    # Boundary ties: the partition guarantees the k smallest *values*, but
-    # when the k-th value also occurs outside the candidate set the choice
-    # of which tied columns were kept is arbitrary.  Re-select those rows
-    # with a full (distance, index) sort.  Exact float comparison is the
-    # point here: only bit-equal distances are ambiguous.
-    kth = nearest[:, -1][:, None]
-    ties_total = (dist == kth).sum(axis=1)  # repro-lint: disable=REP004
-    ties_kept = (nearest == kth).sum(axis=1)  # repro-lint: disable=REP004
-    train_index = np.arange(n_train)
-    for row in np.nonzero(ties_total > ties_kept)[0]:
-        full = np.lexsort((train_index, dist[row]))[:k]
-        idx[row] = full
-        nearest[row] = dist[row, full]
+    k = min(k, n_train)
+    remaining = np.array(dist, dtype=float)
+    flat = remaining.reshape(-1)
+    row_starts = np.arange(n_rows) * n_train
+    nearest = np.empty((n_rows, k))
+    idx = np.empty((n_rows, k), dtype=np.intp)
+    for j in range(k):
+        picked = remaining.argmin(axis=1, out=idx[:, j]) + row_starts
+        nearest[:, j] = flat[picked]
+        flat[picked] = np.inf
+    if not np.isfinite(nearest).all():
+        for row in np.flatnonzero(~np.isfinite(nearest).all(axis=1)):
+            idx[row] = np.argsort(dist[row], kind="stable")[:k]
+            nearest[row] = dist[row, idx[row]]
     return nearest, idx
 
 
@@ -87,7 +78,7 @@ def _neighbor_weights(distances: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
         inv = 1.0 / distances
     exact = ~np.isfinite(inv)
-    if np.any(exact):
+    if exact.any():
         inv[exact.any(axis=1)] = 0.0
         inv[exact] = 1.0
     return inv
@@ -119,18 +110,17 @@ class KNeighborsRegressor(Regressor):
         """
         self._check_fitted("X_train_")
         k = n_neighbors if n_neighbors is not None else self.n_neighbors
-        k = min(k, self.X_train_.shape[0])
         X_arr = as_2d_array(X, allow_empty=True)
         return stable_kneighbors(cdist(X_arr, self.X_train_), k)
 
-    def predict(self, X: ArrayLike) -> np.ndarray:
+    def _predict(self, X: np.ndarray) -> np.ndarray:
         self._check_fitted("X_train_")
-        dist, idx = self.kneighbors(X)
+        dist, idx = stable_kneighbors(cdist(X, self.X_train_), self.n_neighbors)
         w = _neighbor_weights(dist)
         weight_sums = w.sum(axis=1)
         # All-zero weight rows only occur when every neighbour is at
-        # infinite distance, which cannot happen with finite inputs; guard
-        # anyway to avoid division warnings.
+        # infinite distance, which finite inputs reach only when a squared
+        # difference overflows; guard to avoid division warnings.
         weight_sums[weight_sums == 0.0] = 1.0  # repro-lint: disable=REP004
         # Targets gathered as one C-ordered (outputs, rows, k) block: each
         # output column reduces its k neighbours along the contiguous last

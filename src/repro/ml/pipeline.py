@@ -13,15 +13,16 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.ml.base import ArrayLike, Regressor
+from repro.ml.base import ArrayLike, Regressor, as_2d_array
 from repro.telemetry import get_telemetry
 
 
 class Pipeline(Regressor):
     """Chain of named (transformer..., regressor) steps.
 
-    All steps except the last must implement ``fit``/``transform``; the
-    last must implement ``fit``/``predict``.
+    All steps except the last must be transformers (``fit``/``transform``
+    and the checked-input ``_transform``); the last must be a regressor
+    (``fit``/``predict`` and the checked-input ``_predict``).
     """
 
     def __init__(self, steps: Sequence[Tuple[str, object]]) -> None:
@@ -31,10 +32,10 @@ class Pipeline(Regressor):
         if len(set(names)) != len(names):
             raise ConfigurationError("Pipeline step names must be unique")
         for name, step in steps[:-1]:
-            if not hasattr(step, "transform"):
+            if not hasattr(step, "_transform"):
                 raise ConfigurationError(f"Step {name!r} does not implement transform()")
         last_name, last = steps[-1]
-        if not hasattr(last, "predict"):
+        if not hasattr(last, "_predict"):
             raise ConfigurationError(f"Final step {last_name!r} does not implement predict()")
         self.steps = list(steps)
 
@@ -47,12 +48,6 @@ class Pipeline(Regressor):
             else:   # pragma: no cover - steps are always repro.ml estimators
                 cloned_steps.append((name, step))
         return Pipeline(cloned_steps)
-
-    def _transform(self, X: ArrayLike) -> np.ndarray:
-        data = X
-        for _name, step in self.steps[:-1]:
-            data = step.transform(data)
-        return np.asarray(data, dtype=float)
 
     def fit(self, X: ArrayLike, y: ArrayLike) -> "Pipeline":
         telemetry = get_telemetry()
@@ -67,10 +62,22 @@ class Pipeline(Regressor):
             return self
 
     def predict(self, X: ArrayLike) -> np.ndarray:
+        """Validate ``X`` once, then run every step's checked-input path.
+
+        The query must be a non-empty, finite 2-D batch; the steps then
+        skip the re-validation their public ``transform``/``predict``
+        perform.
+        """
         self._check_fitted("fitted_")
         telemetry = get_telemetry()
         with telemetry.span("ml.predict"):
-            predictions = self.steps[-1][1].predict(self._transform(X))
+            predictions = self._predict(as_2d_array(X))
             if telemetry.enabled:
                 telemetry.incr("ml.predict_rows", int(np.shape(predictions)[0]))
             return predictions
+
+    def _predict(self, X: np.ndarray) -> np.ndarray:
+        data = X
+        for _name, step in self.steps[:-1]:
+            data = step._transform(data)
+        return self.steps[-1][1]._predict(data)

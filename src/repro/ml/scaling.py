@@ -47,16 +47,15 @@ class StandardScaler(Transformer):
         self.scale_ = std
         return self
 
-    def transform(self, X: ArrayLike) -> np.ndarray:
+    def _transform(self, X: np.ndarray) -> np.ndarray:
         if not hasattr(self, "mean_"):
             raise NotFittedError("StandardScaler is not fitted")
-        X_arr = as_2d_array(X)
-        if X_arr.shape[1] != self.mean_.shape[0]:
+        if X.shape[1] != self.mean_.shape[0]:
             raise ValueError(
-                f"X has {X_arr.shape[1]} features, scaler was fitted with "
+                f"X has {X.shape[1]} features, scaler was fitted with "
                 f"{self.mean_.shape[0]}"
             )
-        return (X_arr - self.mean_) / self.scale_
+        return (X - self.mean_) / self.scale_
 
 
 class ColumnLogTransformer(Transformer):
@@ -82,8 +81,8 @@ class ColumnLogTransformer(Transformer):
             raise ValueError(f"column indices out of range: {bad}")
         return self
 
-    def transform(self, X: ArrayLike) -> np.ndarray:
-        X_arr = as_2d_array(X).copy()
+    def _transform(self, X: np.ndarray) -> np.ndarray:
+        X_arr = X.copy()
         for column in self.columns:
             X_arr[:, column] = np.log10(np.maximum(X_arr[:, column], 0.0) + self.offset)
         return X_arr
@@ -112,8 +111,7 @@ class ColumnWeightTransformer(Transformer):
             )
         return self
 
-    def transform(self, X: ArrayLike) -> np.ndarray:
-        X_arr = as_2d_array(X)
-        if X_arr.shape[1] != self.weights.shape[0]:
+    def _transform(self, X: np.ndarray) -> np.ndarray:
+        if X.shape[1] != self.weights.shape[0]:
             raise ValueError("column count mismatch with fitted weights")
-        return X_arr * self.weights
+        return X * self.weights

@@ -45,17 +45,13 @@ def _smoothed_epsilon_insensitive(residual: np.ndarray, epsilon: float, delta: f
     the optimiser stable without materially changing the solution.
     """
     excess = np.abs(residual) - epsilon
-    loss = np.zeros_like(residual)
-    grad = np.zeros_like(residual)
-
-    in_quad = (excess > 0) & (excess <= delta)
+    sign = np.sign(residual)
     in_lin = excess > delta
-
-    loss[in_quad] = 0.5 * excess[in_quad] ** 2 / delta
-    grad[in_quad] = (excess[in_quad] / delta) * np.sign(residual[in_quad])
-
-    loss[in_lin] = excess[in_lin] - 0.5 * delta
-    grad[in_lin] = np.sign(residual[in_lin])
+    outside = excess > 0
+    loss = np.where(
+        in_lin, excess - 0.5 * delta, np.where(outside, 0.5 * excess ** 2 / delta, 0.0)
+    )
+    grad = np.where(in_lin, sign, np.where(outside, (excess / delta) * sign, 0.0))
 
     return loss, grad
 
@@ -128,12 +124,13 @@ class SVR(Regressor):
         def objective(params: np.ndarray):
             beta = params[:n]
             bias = params[n]
-            f = K_reg @ beta + bias
-            residual = f - y_arr
+            # K_reg @ beta serves the fit, the regulariser and its gradient.
+            k_beta = K_reg @ beta
+            residual = (k_beta + bias) - y_arr
             loss, dloss = _smoothed_epsilon_insensitive(residual, self.epsilon, delta)
-            reg = 0.5 * beta @ (K_reg @ beta)
+            reg = 0.5 * beta @ k_beta
             value = self.C * loss.sum() + reg
-            grad_beta = self.C * (K_reg @ dloss) + K_reg @ beta
+            grad_beta = self.C * (K_reg @ dloss) + k_beta
             grad_bias = self.C * dloss.sum()
             return value, np.concatenate([grad_beta, [grad_bias]])
 
@@ -147,9 +144,8 @@ class SVR(Regressor):
             options={"maxiter": self.max_iter},
         )
 
-    def predict(self, X: ArrayLike) -> np.ndarray:
+    def _predict(self, X_arr: np.ndarray) -> np.ndarray:
         self._check_fitted("beta_")
-        X_arr = as_2d_array(X, allow_empty=True)
         K = self._kernel_matrix(X_arr, self.X_train_)
         # One matrix-vector product per output column; a 1-D fit is the
         # one-column case.

@@ -38,7 +38,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.errors import ConfigurationError, DataError
-from repro.ml.base import ArrayLike, Regressor, as_2d_array, validate_fit_args
+from repro.ml.base import ArrayLike, Regressor, validate_fit_args
 from repro.telemetry import get_telemetry
 
 #: ``max_features`` forms: all features (None), a rule name, a count or
@@ -476,9 +476,8 @@ class DecisionTreeRegressor(Regressor):
         )
         return self._set_flat(tree, X_arr.shape[1])
 
-    def predict(self, X: ArrayLike) -> np.ndarray:
+    def _predict(self, X_arr: np.ndarray) -> np.ndarray:
         self._check_fitted("feature_")
-        X_arr = as_2d_array(X, allow_empty=True)
         if X_arr.shape[1] != self.n_features_:
             raise ValueError(
                 f"X has {X_arr.shape[1]} features, tree was fitted with {self.n_features_}"

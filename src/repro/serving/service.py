@@ -16,6 +16,11 @@ request/response API shaped like a serving front-end:
   each other's model calls;
 * if that call raises, each missing key is retried alone, so a failing
   key fails only its own requests;
+* after a model call, a caller yields the interpreter
+  (``time.sleep(0)``) if no caller has done so for
+  :data:`HANDOFF_INTERVAL_S`, so concurrent callers interleave at
+  request boundaries instead of stalling mid-request for CPython's 5 ms
+  thread-switch interval;
 * telemetry records spans (``serving.batch``), counters (requests,
   hits, misses, batches, predictions) and the batch-size histogram.
 
@@ -27,6 +32,7 @@ points (pinned under concurrent load by ``tests/test_serving.py``).
 from __future__ import annotations
 
 import threading
+import time
 from collections import OrderedDict
 from concurrent.futures import Future
 from dataclasses import dataclass, field
@@ -43,6 +49,14 @@ from repro.workloads.registry import ALL_WORKLOADS
 
 #: Cache key of one request.
 RequestKey = Tuple[str, float, float, float]
+
+#: Longest stretch of model calls (seconds) after which a caller yields
+#: the interpreter to other threads.  A miss is a chain of short numpy
+#: calls; each one that releases the GIL wakes a waiting thread, which
+#: usually loses the race to re-take it and then waits a fresh switch
+#: interval, so without a yield a concurrent caller can stall for 5 ms or
+#: more in the middle of its request.
+HANDOFF_INTERVAL_S = 1e-3
 
 
 @dataclass(frozen=True, slots=True)
@@ -165,6 +179,8 @@ class PredictionService:
         self.cache_size = cache_size
 
         self._lock = threading.Lock()
+        #: ``perf_counter`` time of the last interpreter hand-off (any caller)
+        self._last_handoff = 0.0
         self._cache: "OrderedDict[RequestKey, PredictResponse]" = OrderedDict()
         self._closed = False
         self._requests = 0
@@ -260,6 +276,10 @@ class PredictionService:
             for positions, outcome in zip(missing.values(), self._predict(firsts)):
                 for index in positions:
                     outcomes[index] = outcome
+            now = time.perf_counter()
+            if now - self._last_handoff >= HANDOFF_INTERVAL_S:
+                self._last_handoff = now
+                time.sleep(0)
         return cast(List[_Outcome], outcomes)     # every slot is filled
 
     def _predict(self, requests: List[PredictRequest]) -> List[_Outcome]:

@@ -358,6 +358,6 @@ class ReferenceKNeighborsRegressor(KNeighborsRegressor):
         self._check_fitted("X_train_")
         return reference_kneighbors(self, X, n_neighbors)
 
-    def predict(self, X: ArrayLike) -> np.ndarray:
+    def _predict(self, X: np.ndarray) -> np.ndarray:
         self._check_fitted("X_train_")
         return reference_knn_predict(self, X)

@@ -149,3 +149,17 @@ class TestPipeline:
     def test_pipeline_rejects_duplicate_names(self):
         with pytest.raises(ConfigurationError):
             Pipeline([("a", StandardScaler()), ("a", KNeighborsRegressor())])
+
+    def test_pipeline_rejects_a_nan_query_row(self):
+        pipeline = Pipeline(
+            [("scaler", StandardScaler()), ("model", KNeighborsRegressor(n_neighbors=1))]
+        ).fit([[0.0, 1.0], [1.0, 0.0]], [0.0, 1.0])
+        with pytest.raises(DataError, match="NaN or infinite"):
+            pipeline.predict([[0.5, 0.5], [np.nan, 0.5]])
+
+    def test_pipeline_rejects_an_empty_query(self):
+        pipeline = Pipeline(
+            [("scaler", StandardScaler()), ("model", KNeighborsRegressor(n_neighbors=1))]
+        ).fit([[0.0], [1.0]], [0.0, 1.0])
+        with pytest.raises(DataError, match="must not be empty"):
+            pipeline.predict(np.empty((0, 1)))

@@ -1,6 +1,6 @@
 """Equivalence pins: vectorized ML hot paths vs the per-row oracles.
 
-The flat-array tree/forest traversals and the ``argpartition`` neighbour
+The flat-array tree/forest traversals and the ``argmin``-pass neighbour
 search must stay **bit-identical** to the per-row reference
 implementations in ``tests/oracles/ml.py`` (the pre-vectorized bodies);
 KNN's ``cdist`` distances must be a per-pair feature-order sum; and the
@@ -120,7 +120,7 @@ class TestStableKneighborsEquivalence:
     def test_boundary_tie_rows_fall_back_deterministically(self):
         # Five training points all at distance 1 from the query: the k-th
         # candidate distance ties with excluded rows, which is exactly the
-        # case where raw argpartition output is platform-dependent.
+        # case where a partition-based pick would be platform-dependent.
         X_train = np.array([[1.0], [-1.0], [3.0], [1.0], [-1.0]]) + 1.0
         y = np.arange(5.0)
         model = KNeighborsRegressor(n_neighbors=2).fit(X_train - 1.0, y)
@@ -169,6 +169,63 @@ class TestStableKneighborsEquivalence:
         nearest, idx = stable_kneighbors(dist, 2)
         assert idx.tolist() == [[1, 3], [0, 1]]
         assert nearest.tolist() == [[1.0, 1.0], [0.0, 0.0]]
+
+
+class TestArgminSelectionAgainstFullSort:
+    """``stable_kneighbors`` vs the per-row full lexsort, on hard inputs."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2 ** 16),
+        n_train=st.integers(1, 20),
+        duplicates=st.integers(0, 10),
+        n_fresh=st.integers(0, 4),
+        n_exact=st.integers(0, 3),
+        extra_k=st.integers(-19, 4),
+        overflow=st.booleans(),
+    )
+    def test_selection_matches_full_lexsort(
+        self, seed, n_train, duplicates, n_fresh, n_exact, extra_k, overflow
+    ):
+        rng = np.random.default_rng(seed)
+        # A coarse integer grid makes equal distances (and boundary ties)
+        # common; repeated rows duplicate training points.
+        X = rng.integers(-2, 3, size=(n_train, 2)).astype(float)
+        X = np.concatenate([X, X[rng.integers(0, n_train, size=duplicates)]])
+        if overflow:
+            # Finite +-1e200 features whose squared differences overflow
+            # to +inf distances.
+            X[rng.random(X.shape) < 0.3] *= 1e200
+        y = rng.normal(size=X.shape[0])
+        # Fresh grid points plus training rows (zero-distance matches);
+        # zero fresh and zero exact rows is the empty batch.
+        queries = np.concatenate([
+            rng.integers(-2, 3, size=(n_fresh, 2)).astype(float),
+            X[rng.integers(0, X.shape[0], size=n_exact)],
+        ])
+        # From 1 up to past n_train: k >= n_train returns every column.
+        k = max(1, X.shape[0] + extra_k)
+        model = KNeighborsRegressor(n_neighbors=k).fit(X, y)
+        dist_r, idx_r = reference_kneighbors(model, queries)
+        nearest, idx = stable_kneighbors(cdist(queries, X), k)
+        assert idx.shape == dist_r.shape == (queries.shape[0], min(k, X.shape[0]))
+        assert np.array_equal(idx, idx_r)
+        assert np.array_equal(nearest, dist_r)
+        assert np.array_equal(model.predict(queries), reference_knn_predict(model, queries))
+
+    def test_one_row_with_infinite_distances_falls_back_to_full_sort(self):
+        dist = np.array([[np.inf, 2.0, np.inf, 1.0]])
+        nearest, idx = stable_kneighbors(dist, 4)
+        assert idx.tolist() == [[3, 1, 0, 2]]
+        assert nearest.tolist() == [[1.0, 2.0, np.inf, np.inf]]
+
+    def test_nan_distances_sort_last_like_lexsort(self):
+        dist = np.array([[np.nan, 3.0, 1.0, np.nan], [2.0, 2.0, 0.0, 5.0]])
+        nearest, idx = stable_kneighbors(dist, 3)
+        expected = np.stack([np.lexsort((np.arange(4), row))[:3] for row in dist])
+        assert np.array_equal(idx, expected)
+        assert np.array_equal(nearest, np.take_along_axis(dist, expected, axis=1),
+                              equal_nan=True)
 
 
 class TestChunkedDistances:

@@ -20,6 +20,7 @@ Three contracts are pinned here:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -447,6 +448,38 @@ def test_predict_is_a_batch_wrapper(predictor):
     assert result.pue == batch.result(0).pue
 
 
+def test_one_row_predict_batch_validates_once_per_model(predictor, monkeypatch):
+    import repro.ml.base
+
+    real = repro.ml.base.as_2d_array
+    calls = []
+
+    def counting(X, *args, **kwargs):
+        calls.append(np.shape(X))
+        return real(X, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro.") and getattr(module, "as_2d_array", None) is real:
+            monkeypatch.setattr(module, "as_2d_array", counting)
+    batch = predictor.predict_batch(["memcached"], [OP])
+    assert batch.pue is not None
+    # One check of the one-row query per fitted model (WER, then PUE);
+    # no transformer or estimator inside either pipeline re-checks it.
+    assert len(calls) == 2
+    assert all(shape[0] == 1 for shape in calls)
+
+
+def test_nan_program_feature_is_rejected_by_predict_batch(predictor):
+    from repro.profiling import profile_workload
+
+    profile = profile_workload("memcached")
+    features = dict(profile.features)
+    features["memory_accesses_per_cycle"] = float("nan")
+    broken = dataclasses.replace(profile, features=features)
+    with pytest.raises(DataError, match="NaN or infinite"):
+        predictor.predict_batch([broken], [OP])
+
+
 def test_predict_batch_broadcasts_and_pairs(predictor):
     ops = [OperatingPoint.relaxed(t, 50.0) for t in TREFPS]
     paired = predictor.predict_batch(["memcached", "kmeans"], ops)
@@ -732,6 +765,29 @@ def test_failing_key_fails_only_its_own_requests(predictor, monkeypatch):
         assert response.pue == float(direct.pue[index])
     assert stats.cache_hits - before.cache_hits == len(valid)
     assert stats.predictions == before.predictions == len(valid)
+
+
+def test_model_calls_hand_off_the_interpreter_once_per_interval(predictor, monkeypatch):
+    import types
+
+    import repro.serving.service as service_module
+
+    clock = [100.0]
+    sleeps = []
+    monkeypatch.setattr(service_module, "time", types.SimpleNamespace(
+        perf_counter=lambda: clock[0], sleep=sleeps.append,
+    ))
+    requests = _grid_requests()
+    with PredictionService(predictor) as service:
+        service.predict_many(requests[:1])              # first model call yields
+        assert sleeps == [0]
+        clock[0] += service_module.HANDOFF_INTERVAL_S / 2
+        service.predict_many(requests[1:2])             # too soon: no yield
+        service.predict_many(requests[:2])              # hits never yield
+        assert sleeps == [0]
+        clock[0] += service_module.HANDOFF_INTERVAL_S
+        service.predict_many(requests[2:3])
+        assert sleeps == [0, 0]
 
 
 def test_request_validation():
