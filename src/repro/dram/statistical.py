@@ -111,11 +111,7 @@ class StatisticalErrorModel:
     def retention_bit_failure_probability_grid(
         self, ops: Sequence[OperatingPoint]
     ) -> np.ndarray:
-        """Per-point retention failure probabilities with one batched CDF call.
-
-        One normal-CDF evaluation costs ~40 us of scipy dispatch
-        whatever its size, so it is made once for all operating points.
-        """
+        """Per-point retention failure probabilities, one grid call for all points."""
         return bit_failure_probability_grid(
             [op.trefp_s for op in ops],
             [op.temperature_c for op in ops],

@@ -6,7 +6,8 @@ and ~4 % for PUE with input set 2.
 
 Distances are scipy's Euclidean ``cdist``, which sums ``(a-b)^2`` in
 feature order for each pair from its own two rows alone, so a query's
-distances are the same in a one-row call and in any batch.  Neighbour
+distances are the same in a one-row call and in any batch.  scipy loads
+on the first distance call, not with ``import repro``.  Neighbour
 search is fully deterministic: the k nearest training rows
 are the k smallest under the lexicographic ``(distance, training
 index)`` order, so equidistant neighbours always resolve to the
@@ -27,7 +28,6 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from repro.errors import ConfigurationError, DataError
 from repro.ml.base import (
@@ -37,6 +37,13 @@ from repro.ml.base import (
     as_target_array,
     check_consistent_length,
 )
+
+
+def _cdist(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """scipy's Euclidean ``cdist``, imported on the first call."""
+    from scipy.spatial.distance import cdist
+
+    return cdist(A, B)
 
 
 def stable_kneighbors(dist: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -111,11 +118,11 @@ class KNeighborsRegressor(Regressor):
         self._check_fitted("X_train_")
         k = n_neighbors if n_neighbors is not None else self.n_neighbors
         X_arr = as_2d_array(X, allow_empty=True)
-        return stable_kneighbors(cdist(X_arr, self.X_train_), k)
+        return stable_kneighbors(_cdist(X_arr, self.X_train_), k)
 
     def _predict(self, X: np.ndarray) -> np.ndarray:
         self._check_fitted("X_train_")
-        dist, idx = stable_kneighbors(cdist(X, self.X_train_), self.n_neighbors)
+        dist, idx = stable_kneighbors(_cdist(X, self.X_train_), self.n_neighbors)
         w = _neighbor_weights(dist)
         weight_sums = w.sum(axis=1)
         # All-zero weight rows only occur when every neighbour is at

@@ -50,11 +50,17 @@ class Pipeline(Regressor):
         return Pipeline(cloned_steps)
 
     def fit(self, X: ArrayLike, y: ArrayLike) -> "Pipeline":
+        """Validate ``X`` once, then fit each step on its checked-input output.
+
+        Each transformer's ``fit`` still checks what it is given; its
+        output then passes through the checked-input ``_transform``
+        rather than a re-validating ``transform``.
+        """
         telemetry = get_telemetry()
         with telemetry.span("ml.fit"):
-            data = X
+            data = as_2d_array(X)
             for _name, step in self.steps[:-1]:
-                data = step.fit(data, y).transform(data)
+                data = step.fit(data, y)._transform(data)
             self.steps[-1][1].fit(data, y)
             if telemetry.enabled:
                 telemetry.incr("ml.fit_rows", int(np.shape(data)[0]))

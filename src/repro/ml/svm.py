@@ -16,6 +16,7 @@ A target matrix ``(n, R)`` fits R models on one Gram matrix: L-BFGS runs
 once per column, exactly as a 1-D fit on that column runs it, and
 ``predict`` makes one kernel-times-coefficients product per column, so
 every output column is bit-identical to its own single-output model.
+scipy's optimiser loads on the first fit, not with ``import repro``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 from typing import Any, Union
 
 import numpy as np
-from scipy.optimize import minimize
 
 from repro.errors import ConfigurationError
 from repro.ml.base import (
@@ -118,6 +118,8 @@ class SVR(Regressor):
 
     def _minimize(self, K_reg: np.ndarray, y_arr: np.ndarray) -> Any:
         """L-BFGS on the smoothed primal for one target column."""
+        from scipy.optimize import minimize
+
         n = K_reg.shape[0]
         delta = self.smoothing
 

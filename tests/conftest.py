@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 
+import numpy as np
 import pytest
 
 from repro.characterization.campaign import CampaignConfig, CharacterizationCampaign
@@ -76,3 +78,25 @@ def backprop_profile(small_profiles):
 @pytest.fixture(scope="session")
 def memcached_profile(small_profiles):
     return small_profiles["memcached"]
+
+
+@pytest.fixture
+def as_2d_array_calls(monkeypatch):
+    """Shapes of the ``as_2d_array`` checks made from here on.
+
+    Every ``repro`` module that imported the validator gets a counting
+    wrapper, so the list records each check whichever module makes it.
+    """
+    import repro.ml.base
+
+    real = repro.ml.base.as_2d_array
+    calls = []
+
+    def counting(X, *args, **kwargs):
+        calls.append(np.shape(X))
+        return real(X, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro.") and getattr(module, "as_2d_array", None) is real:
+            monkeypatch.setattr(module, "as_2d_array", counting)
+    return calls

@@ -1,13 +1,19 @@
 """Tests for the retention physics, variation profile and statistical model."""
 
+import json
 import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special
 
 import repro
 from repro import units
@@ -15,7 +21,12 @@ from repro.dram.geometry import DramGeometry, RankLocation
 from repro.dram.operating import OperatingPoint
 from repro.dram.calibration import DEFAULT_CALIBRATION
 from repro.dram.retention import (
+    _MAXLOG,
+    _SQRT1_2,
+    _erf,
+    _erfc,
     _failure_z_score,
+    _ndtr,
     bit_failure_probability_grid,
     log_median_retention,
 )
@@ -90,14 +101,90 @@ class TestRetentionPhysics:
                       for t in temperatures])
         assert np.array_equal(grid, stats.norm.cdf(z))
 
-    def test_import_repro_does_not_load_scipy_stats(self):
-        code = "import sys, repro; print('scipy.stats' in sys.modules)"
+    def test_import_and_cold_fit_load_no_scipy(self):
+        code = textwrap.dedent("""
+            import json, sys
+
+            def scipy_modules():
+                return sorted(m for m in sys.modules
+                              if m == "scipy" or m.startswith("scipy."))
+
+            import repro
+            print(json.dumps(scipy_modules()))
+            campaign = repro.run_default_campaign(["memcached"])
+            repro.WorkloadAwarePredictor().fit(campaign)
+            print(json.dumps(scipy_modules()))
+        """)
         source_root = str(Path(repro.__file__).resolve().parents[1])
         result = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True,
             env={**os.environ, "PYTHONPATH": source_root},
         )
-        assert result.stdout.strip() == "False"
+        after_import, after_fit = (json.loads(line) for line in result.stdout.splitlines())
+        assert after_import == []
+        # A cold campaign plus the default (KNN) fit never needs the
+        # optimiser or the distance module either.
+        assert after_fit == []
+
+
+def _bits(values: np.ndarray) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def _ulp_neighbourhood(centre: float, steps: int = 40) -> np.ndarray:
+    """``centre`` and the ``steps`` floats on either side of it."""
+    points = [centre]
+    below = above = centre
+    for _ in range(steps):
+        below = math.nextafter(below, -math.inf)
+        above = math.nextafter(above, math.inf)
+        points += [below, above]
+    return np.array(points)
+
+
+def _branch_edges(edges: Sequence[float]) -> np.ndarray:
+    """Every edge and its negation, each with its ulp neighbourhood."""
+    return np.concatenate([_ulp_neighbourhood(sign * edge)
+                           for edge in edges for sign in (1.0, -1.0)])
+
+
+_SPECIAL_VALUES = np.array([0.0, -0.0, math.inf, -math.inf, math.nan])
+# Where erf/erfc switch branch: erf's polynomial ends at |x| = 1, erfc's
+# P/Q pair hands over to R/S at 8 and underflows past sqrt(MAXLOG).
+_ERF_EDGES = [_SQRT1_2, 1.0, 8.0, math.sqrt(_MAXLOG)]
+
+
+class TestNormalCdf:
+    """The in-repo Cephes port returns scipy's bits, NaN included."""
+
+    @staticmethod
+    def ndtr(values: np.ndarray) -> np.ndarray:
+        return np.array([_ndtr(float(v)) for v in values])
+
+    def test_dense_sweep_is_bit_identical(self):
+        x = np.linspace(-40.0, 40.0, 1_000_001)
+        assert np.array_equal(_bits(self.ndtr(x)), _bits(special.ndtr(x)))
+
+    def test_branch_edges_are_bit_identical(self):
+        # ndtr's argument is sqrt(2) times its erf/erfc argument.
+        x = _branch_edges([math.sqrt(2.0) * e for e in _ERF_EDGES])
+        assert np.array_equal(_bits(self.ndtr(x)), _bits(special.ndtr(x)))
+
+    def test_signed_zeros_infinities_and_nan(self):
+        got = self.ndtr(_SPECIAL_VALUES)
+        assert np.array_equal(_bits(got), _bits(special.ndtr(_SPECIAL_VALUES)))
+
+    @pytest.mark.parametrize("ours, scipys", [(_erf, special.erf), (_erfc, special.erfc)])
+    def test_erf_and_erfc_match_scipy_on_every_branch(self, ours, scipys):
+        x = np.concatenate([np.linspace(-30.0, 30.0, 60_001),
+                            _branch_edges(_ERF_EDGES), _SPECIAL_VALUES[:4]])
+        got = np.array([ours(float(v)) for v in x])
+        assert np.array_equal(_bits(got), _bits(scipys(x)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats())
+    def test_any_float_is_bit_identical(self, a):
+        assert np.array_equal(_bits(np.array([_ndtr(a)])), _bits(special.ndtr(np.array([a]))))
 
 
 class TestVariationProfile:

@@ -28,7 +28,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from repro.core import WorkloadAwarePredictor
+from repro.core import DramErrorModel, ModelConfig, WorkloadAwarePredictor
 from repro.core.predictor import PredictionBatch
 from repro.dram.operating import OperatingPoint
 from repro.errors import (
@@ -448,25 +448,29 @@ def test_predict_is_a_batch_wrapper(predictor):
     assert result.pue == batch.result(0).pue
 
 
-def test_one_row_predict_batch_validates_once_per_model(predictor, monkeypatch):
-    import repro.ml.base
-
-    real = repro.ml.base.as_2d_array
-    calls = []
-
-    def counting(X, *args, **kwargs):
-        calls.append(np.shape(X))
-        return real(X, *args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("repro.") and getattr(module, "as_2d_array", None) is real:
-            monkeypatch.setattr(module, "as_2d_array", counting)
+def test_one_row_predict_batch_validates_once_per_model(predictor, as_2d_array_calls):
     batch = predictor.predict_batch(["memcached"], [OP])
     assert batch.pue is not None
     # One check of the one-row query per fitted model (WER, then PUE);
     # no transformer or estimator inside either pipeline re-checks it.
-    assert len(calls) == 2
-    assert all(shape[0] == 1 for shape in calls)
+    assert len(as_2d_array_calls) == 2
+    assert all(shape[0] == 1 for shape in as_2d_array_calls)
+
+
+def test_pipeline_fit_validates_each_matrix_once(small_wer_dataset, as_2d_array_calls):
+    model = DramErrorModel(ModelConfig(family="knn", feature_set="set1"))
+    X, y, _groups = small_wer_dataset.matrices(model.feature_set)
+    model.fit_matrices(X, y)
+    # The pipeline checks the training matrix once, and each step's fit
+    # checks what it is given (three transformers, then KNN); no step
+    # re-checks its input before transforming it.
+    assert len(as_2d_array_calls) == 5
+    assert all(shape == X.shape for shape in as_2d_array_calls)
+    # The fitted model is the chain of public fit/transform calls.
+    expected = X
+    for _name, step in model._pipeline.steps[:-1]:
+        expected = step.clone().fit(expected).transform(expected)
+    assert np.array_equal(model._pipeline.steps[-1][1].X_train_, expected)
 
 
 def test_nan_program_feature_is_rejected_by_predict_batch(predictor):
