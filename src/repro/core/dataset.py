@@ -87,9 +87,10 @@ class ErrorDataset:
     # ------------------------------------------------------------------
     def workloads(self) -> List[str]:
         """Distinct workloads with at least one row, sorted."""
+        # bincount, not a plain np.unique: that imports numpy.ma.
         return sorted(
             self.workload_table[code]
-            for code in np.unique(self.workload_codes).tolist()
+            for code in np.flatnonzero(np.bincount(self.workload_codes)).tolist()
         )
 
     def ranks(self) -> List[RankLocation]:
@@ -100,8 +101,9 @@ class ErrorDataset:
         returning ``[]`` used to make per-rank training loops vanish
         without a trace.
         """
-        codes = np.unique(self.rank_codes)
-        found = sorted(self.rank_table[code] for code in codes[codes >= 0].tolist())
+        # Unranked rows carry code -1.
+        codes = np.flatnonzero(np.bincount(self.rank_codes + 1)[1:])
+        found = sorted(self.rank_table[code] for code in codes.tolist())
         if not found:
             raise DataError(
                 "dataset contains no rank-annotated rows "

@@ -8,7 +8,10 @@ column of the node and scans it with cumulative sums.
 :func:`fit_forest_oracle` draws each tree's seed and bootstrap sample in
 the library's order and fits the trees one after another.  Both return
 the breadth-first flat node arrays the library stores, so tests compare
-them bit for bit.
+them bit for bit.  :func:`choice_from_words` is a scalar
+``Generator.choice`` on a stream of 32-bit words, for checking the
+library's bulk feature draws on crafted streams that numpy itself cannot
+be made to produce.
 
 The prediction oracles are the pre-vectorized estimator prediction
 paths, one row at a time:
@@ -34,7 +37,7 @@ accuracy measures the model tests assert on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional
+from typing import Iterable, Iterator, List, NamedTuple, Optional
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -217,6 +220,42 @@ def _build(
     node.left = _build(tree, X[mask], y[mask], depth + 1, rng)
     node.right = _build(tree, X[~mask], y[~mask], depth + 1, rng)
     return node
+
+
+def raw_words(raw: Iterable[int]) -> Iterator[int]:
+    """The 32-bit words PCG64 deals out of 64-bit outputs: low, then high half."""
+    for value in raw:
+        yield int(value) & 0xFFFFFFFF
+        yield int(value) >> 32
+
+
+def choice_from_words(words: Iterator[int], n: int, k: int) -> np.ndarray:
+    """``Generator.choice(n, k, replace=False)`` computed from a word stream.
+
+    One word at a time: Floyd's algorithm (a pick already taken becomes
+    the top of its range ``j``) over Lemire bounded draws, then a
+    Fisher-Yates shuffle of the picks.  A Lemire draw on ``0..high``
+    rejects a word whose low product word falls below
+    ``2**32 % (high + 1)`` and takes the next one.  This is numpy's path
+    for ``n <= 10000`` or ``k <= n // 50``.
+    """
+    def bounded(high: int) -> int:
+        if high == 0:
+            return 0
+        span = high + 1
+        while True:
+            product = next(words) * span
+            if product & 0xFFFFFFFF >= (1 << 32) % span:
+                return product >> 32
+
+    picks: List[int] = []
+    for j in range(n - k, n):
+        pick = bounded(j)
+        picks.append(j if pick in picks else pick)
+    for i in range(k - 1, 0, -1):
+        j = bounded(i)
+        picks[i], picks[j] = picks[j], picks[i]
+    return np.array(picks, dtype=np.int64)
 
 
 def fit_tree_oracle(tree: DecisionTreeRegressor, X: np.ndarray, y: np.ndarray) -> FlatTree:

@@ -10,14 +10,23 @@ contract, mirroring the grid engine's scalar-vs-batch contract.
 
 Also pinned here: the dataset error paths (missing profiles list every
 absent workload, empty campaigns raise for both builders, rank-less
-datasets raise from ``ranks()``, columns of unequal length raise).
+datasets raise from ``ranks()``, columns of unequal length raise), and
+that ``workloads()``/``ranks()`` find the distinct codes without a plain
+``np.unique``, so a cold fit never imports ``numpy.ma``.
 """
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.characterization.campaign import CampaignConfig, CampaignResult
 from repro.core.dataset import ErrorDataset, build_pue_dataset, build_wer_dataset
 from repro.core.features import INPUT_SET_1, INPUT_SET_2, INPUT_SET_3
@@ -134,3 +143,36 @@ class TestDatasetErrorPaths:
                 targets=dataset.targets,
                 features_by_workload=dataset.features_by_workload,
             )
+
+
+class TestDistinctCodes:
+    def test_workloads_and_ranks_match_unique_codes(self, small_wer_dataset):
+        for keep in (slice(None), slice(0, None, 3), slice(5, 6)):
+            mask = np.zeros(len(small_wer_dataset), dtype=bool)
+            mask[keep] = True
+            dataset = small_wer_dataset.subset(mask)
+            codes = np.unique(dataset.workload_codes)
+            assert dataset.workloads() == sorted(dataset.workload_table[c] for c in codes)
+            ranks = np.unique(dataset.rank_codes)
+            assert dataset.ranks() == sorted(dataset.rank_table[c] for c in ranks[ranks >= 0])
+
+    def test_cold_fit_and_ranks_load_no_numpy_ma(self):
+        # A plain np.unique imports numpy.ma (~15 ms) on its first call.
+        code = textwrap.dedent("""
+            import sys
+            import repro
+            from repro.core.dataset import build_wer_dataset
+
+            campaign = repro.run_default_campaign(["memcached"])
+            repro.WorkloadAwarePredictor().fit(campaign)
+            dataset = build_wer_dataset(campaign)
+            dataset.ranks()
+            dataset.workloads()
+            print("numpy.ma" in sys.modules)
+        """)
+        source_root = str(Path(repro.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": source_root},
+        )
+        assert result.stdout.split() == ["False"]

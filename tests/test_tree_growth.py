@@ -4,9 +4,15 @@
 presorted columns.  These tests pin its flat node arrays — per tree and
 concatenated — against the recursive one-tree-at-a-time builder in
 ``tests/oracles/ml.py``, across shapes with tied and constant columns,
-constant targets and every ``max_features`` form; they also cover the
-constructor-time validation and the ``ml.forest_*`` telemetry counters.
+constant targets and every ``max_features`` form.  They pin the two
+bulk helpers that keep those bits: the feature draws against
+``Generator.choice`` (and, on crafted word streams with rejected words,
+against the scalar emulation in the oracle module) and the node sums
+against ``ndarray.sum``.  They also cover the constructor-time
+validation and the ``ml.forest_*`` telemetry counters.
 """
+
+import copy
 
 import numpy as np
 import pytest
@@ -20,7 +26,13 @@ from repro.ml.tree import DecisionTreeRegressor
 from repro.serving import load_estimator, save_estimator
 from repro.telemetry import telemetry_session
 
-from tests.oracles.ml import fit_forest_oracle, fit_tree_oracle, tree_depth
+from tests.oracles.ml import (
+    choice_from_words,
+    fit_forest_oracle,
+    fit_tree_oracle,
+    raw_words,
+    tree_depth,
+)
 
 
 def _tree_arrays(tree):
@@ -166,6 +178,61 @@ class TestGrowerMatchesRecursiveBuilder:
         )
 
 
+    def test_deep_forest_refilling_draws_bit_identical(self):
+        # Hundreds of split attempts per tree: the bulk feature draws are
+        # refilled several times within one tree.
+        rng = np.random.default_rng(31)
+        X = rng.normal(size=(520, 6))
+        y = rng.normal(size=520)
+        forest = RandomForestRegressor(
+            n_estimators=3, min_samples_leaf=1, max_features=0.5, random_state=31,
+        ).fit(X, y)
+        internal = [int((tree.feature_ >= 0).sum()) for tree in forest.estimators_]
+        assert min(internal) > 2 * tree_module._DRAW_BLOCK
+        oracle = fit_forest_oracle(forest, X, y)
+        for tree, oracle_tree in zip(forest.estimators_, oracle.trees):
+            _assert_same_arrays(_tree_arrays(tree), oracle_tree)
+
+    @pytest.mark.parametrize("max_depth", [1, 3, 6, None])
+    def test_depth_limited_and_constant_nodes_bit_identical(self, max_depth):
+        # The target is constant on blocks of feature 0 (one block of
+        # signed zeros), so splits soon reach constant nodes, and the depth
+        # limit stops others first.
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(240, 5))
+        X[:, 0] = np.repeat(np.arange(6.0), 40)
+        y = np.repeat(rng.normal(size=6), 40)
+        y[40:80] = np.where(rng.random(40) < 0.5, -0.0, 0.0)
+        forest = RandomForestRegressor(
+            n_estimators=4, max_depth=max_depth, max_features=0.6, random_state=5,
+        ).fit(X, y)
+        oracle = fit_forest_oracle(forest, X, y)
+        for tree, oracle_tree in zip(forest.estimators_, oracle.trees):
+            _assert_same_arrays(_tree_arrays(tree), oracle_tree)
+        assert np.array_equal(forest._value_.view(np.int64), oracle.value.view(np.int64))
+
+    def test_growth_calls_no_choice(self, monkeypatch):
+        # The draws come from the bit generator's raw stream in bulk: a
+        # generator whose ``choice`` raises grows the same forest.
+        rng = np.random.default_rng(9)
+        X = rng.normal(size=(150, 7))
+        y = rng.normal(size=150)
+        params = dict(n_estimators=5, max_depth=8, max_features=0.8, random_state=4)
+        expected = RandomForestRegressor(**params).fit(X, y)
+
+        class NoChoice(np.random.Generator):
+            def choice(self, *args, **kwargs):
+                raise AssertionError("a per-node choice call")
+
+        monkeypatch.setattr(
+            np.random, "default_rng", lambda seed=None: NoChoice(np.random.PCG64(seed))
+        )
+        forest = RandomForestRegressor(**params).fit(X, y)
+        _assert_same_arrays(
+            (forest._feature_, forest._threshold_, forest._left_, forest._value_),
+            (expected._feature_, expected._threshold_, expected._left_, expected._value_),
+        )
+
     def test_chunked_growth_bit_identical(self, monkeypatch):
         # A memory bound of two trees per lockstep pass splits the forest
         # into four chunks; each tree still comes out the same.
@@ -179,6 +246,121 @@ class TestGrowerMatchesRecursiveBuilder:
         oracle = fit_forest_oracle(forest, X, y)
         for tree, oracle_tree in zip(forest.estimators_, oracle.trees):
             _assert_same_arrays(_tree_arrays(tree), oracle_tree)
+
+
+class _ReplayedPCG64(np.random.PCG64):
+    """A PCG64 whose ``random_raw`` replays a fixed stream of outputs."""
+
+    def __init__(self, raw):
+        super().__init__(0)
+        self._raw = np.asarray(raw, dtype=np.uint64)
+
+    def random_raw(self, size=None, output=True):
+        taken, self._raw = self._raw[:size], self._raw[size:]
+        return taken
+
+
+def _take(draws, trees):
+    return draws.take(np.asarray(trees))
+
+
+class TestFeatureDraws:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2 ** 63),
+        n=st.integers(2, 300),
+        data=st.data(),
+        block=st.integers(1, 9),
+        n_draws=st.integers(1, 30),
+    )
+    def test_successive_draws_equal_choice(self, seed, n, data, block, n_draws):
+        k = data.draw(st.integers(1, n - 1))
+        expected = np.random.default_rng(seed)
+        draws = tree_module._FeatureDraws([np.random.default_rng(seed)], n, k, block)
+        assert draws.bulk
+        for _ in range(n_draws):
+            assert np.array_equal(_take(draws, [0])[0], expected.choice(n, k, replace=False))
+
+    def test_trees_draw_from_their_own_streams(self):
+        seeds = [3, 14, 15, 92]
+        draws = tree_module._FeatureDraws(
+            [np.random.default_rng(seed) for seed in seeds], 40, 6, block=4
+        )
+        expected = [np.random.default_rng(seed) for seed in seeds]
+        pick = np.random.default_rng(0)
+        for _ in range(25):
+            trees = np.flatnonzero(pick.random(len(seeds)) < 0.6)
+            if trees.size:
+                for row, tree in zip(_take(draws, trees), trees):
+                    assert np.array_equal(row, expected[tree].choice(40, 6, replace=False))
+
+    def test_held_back_half_word_comes_first(self):
+        rng = np.random.default_rng(5)
+        rng.random(dtype=np.float32)   # uses the low half of one output
+        assert rng.bit_generator.state["has_uint32"]
+        expected = copy.deepcopy(rng)
+        draws = tree_module._FeatureDraws([rng], 30, 7, block=3)
+        for _ in range(8):
+            assert np.array_equal(_take(draws, [0])[0], expected.choice(30, 7, replace=False))
+
+    @pytest.mark.parametrize(
+        "bit_generator, n, k, bulk",
+        [
+            (np.random.PCG64, 10001, 200, True),     # Floyd's path: n // 50 = 200
+            (np.random.PCG64, 10001, 201, False),    # numpy shuffles a full range
+            (np.random.MT19937, 30, 7, False),       # other word streams
+        ],
+    )
+    def test_choice_paths_outside_the_bulk_emulation(self, bit_generator, n, k, bulk):
+        draws = tree_module._FeatureDraws(
+            [np.random.Generator(bit_generator(8))], n, k, block=2
+        )
+        assert draws.bulk is bulk
+        expected = np.random.Generator(bit_generator(8))
+        for _ in range(5):
+            assert np.array_equal(_take(draws, [0])[0], expected.choice(n, k, replace=False))
+
+    @pytest.mark.parametrize("block", [1, 3, 16])
+    def test_rejected_words_are_dropped(self, block):
+        raw = np.random.default_rng(21).bit_generator.random_raw(3000)
+        raw[0] &= np.uint64(0xFFFFFFFF00000000)   # the very first pick
+        raw[5] = 0                                  # two rejections in a row
+        raw[17] &= np.uint64(0x00000000FFFFFFFF)
+        raw[40] = 0
+        n, k = 7, 5
+        words = iter(list(raw_words(raw)))
+        expected = [choice_from_words(words, n, k) for _ in range(30)]
+        assert 2 * raw.shape[0] - len(list(words)) > 30 * (2 * k - 1)   # words were rejected
+        draws = tree_module._FeatureDraws(
+            [np.random.Generator(_ReplayedPCG64(raw)), np.random.default_rng(2)], n, k, block,
+        )
+        plain = np.random.default_rng(2)
+        for want in expected:
+            crafted, other = _take(draws, [0, 1])
+            assert np.array_equal(crafted, want)
+            assert np.array_equal(other, plain.choice(n, k, replace=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    counts=st.lists(st.integers(1, 300), min_size=1, max_size=6),
+    seed=st.integers(0, 2 ** 32 - 1),
+    zeros=st.sampled_from([0.0, 0.3, 1.0]),
+)
+def test_node_sums_equal_ndarray_sum(counts, seed, zeros):
+    rng = np.random.default_rng(seed)
+    rows = []
+    for count in counts:
+        row = rng.normal(size=count) * 10.0 ** rng.integers(-8, 12, size=count)
+        signed_zero = rng.random(count) < zeros
+        row[signed_zero] = np.where(rng.random(count) < 0.5, -0.0, 0.0)[signed_zero]
+        rows.append(row)
+    values = np.zeros((len(counts), max(counts)))
+    for i, row in enumerate(rows):
+        values[i, :row.shape[0]] = row
+    sums = tree_module._row_sums(values, np.array(counts))
+    expected = np.array([row.sum() for row in rows])
+    assert np.array_equal(sums.view(np.int64), expected.view(np.int64))
 
 
 class TestConstructorValidation:
