@@ -79,6 +79,16 @@ def _lowo_predictions(
     return predictions
 
 
+def _workload_masks(groups: np.ndarray) -> Dict[str, np.ndarray]:
+    """Row mask of every workload, in sorted workload order.
+
+    Factorized with ``return_inverse``: a plain ``np.unique`` imports
+    ``numpy.ma`` on its first call.
+    """
+    names, codes = np.unique(groups, return_inverse=True)
+    return {str(name): codes == code for code, name in enumerate(names)}
+
+
 class AccuracyEvaluator:
     """Runs the full accuracy study for a WER or PUE dataset."""
 
@@ -111,14 +121,14 @@ class AccuracyEvaluator:
         model = DramErrorModel(config)
         X, Y, groups = dataset.rank_matrices(model.feature_set, rank_list)
         predicted = _lowo_predictions(model, X, Y, groups)
+        masks = _workload_masks(groups)
         workload_errors: Dict[str, List[float]] = {}
         for rank, y, predictions in zip(
             rank_list, np.ascontiguousarray(Y.T), np.ascontiguousarray(predicted.T)
         ):
             report.error_by_rank[rank] = mean_percentage_error(y, predictions)
-            for workload in np.unique(groups):
-                mask = groups == workload
-                workload_errors.setdefault(str(workload), []).append(
+            for workload, mask in masks.items():
+                workload_errors.setdefault(workload, []).append(
                     mean_percentage_error(y[mask], predictions[mask])
                 )
         report.error_by_workload = {
@@ -136,9 +146,8 @@ class AccuracyEvaluator:
         predictions = np.clip(_lowo_predictions(model, X, y, groups), 0.0, 1.0)
 
         report = PueAccuracyReport(family=family, feature_set=feature_set)
-        for workload in np.unique(groups):
-            mask = groups == workload
-            report.error_by_workload[str(workload)] = mean_percentage_error(
+        for workload, mask in _workload_masks(groups).items():
+            report.error_by_workload[workload] = mean_percentage_error(
                 y[mask], predictions[mask], floor=self.pue_error_floor
             )
         return report

@@ -3,10 +3,9 @@
 The simulation is columnar.  Each level is one :func:`lru_pass` over the
 rows that reach it:
 
-* **L1** (private per thread): an access to the line its thread's L1
-  touched last is a guaranteed MRU hit that leaves the LRU order
-  unchanged, so only the heads of such runs enter the LRU kernel.
-  Threads become disjoint groups of sets of one pass.
+* **L1** (private per thread): threads become disjoint groups of sets of
+  one pass over every access.  The kernel itself drops rows that repeat
+  the previous line of their set (MRU hits that change nothing).
 * **L2** (shared): one pass over the L1-miss rows, tracking dirty lines
   so that evictions of written lines become DRAM writes.
 * **MCUs/ranks**: every DRAM command is routed through one
@@ -68,23 +67,6 @@ class HierarchyStats:
         return self.l2_misses / self.l2_accesses if self.l2_accesses else 0.0
 
 
-def _run_heads(lines: np.ndarray, threads: np.ndarray) -> np.ndarray:
-    """Rows whose line differs from the previous line of the same thread."""
-    head = np.ones(lines.size, dtype=np.bool_)
-    if lines.size < 2:
-        return head
-    if not threads.any():
-        head[1:] = lines[1:] != lines[:-1]
-        return head
-    order = np.argsort(threads, kind="stable")
-    ordered_lines = lines[order]
-    ordered_threads = threads[order]
-    head[order[1:]] = (ordered_lines[1:] != ordered_lines[:-1]) | (
-        ordered_threads[1:] != ordered_threads[:-1]
-    )
-    return head
-
-
 class MemoryHierarchy:
     """Two-level cache hierarchy in front of the MCUs.
 
@@ -119,15 +101,13 @@ class MemoryHierarchy:
         total = len(columns)
         writes = int(np.count_nonzero(is_write))
 
-        # L1: per-thread sets, run heads only.
+        # L1: per-thread sets, one pass over every access.
         l1 = self.l1_config
         lines = address // l1.line_bytes
         threads = columns.thread_id % self.num_threads
-        heads = np.flatnonzero(_run_heads(lines, threads))
-        head_lines = lines[heads]
-        l1_sets = threads[heads] * l1.num_sets + head_lines % l1.num_sets
-        l1_miss, _ = lru_pass(l1_sets, head_lines // l1.num_sets, l1.associativity)
-        rows = heads[l1_miss]
+        l1_sets = threads * l1.num_sets + lines % l1.num_sets
+        l1_miss, _ = lru_pass(l1_sets, lines // l1.num_sets, l1.associativity)
+        rows = np.flatnonzero(l1_miss)
 
         # L2: shared, dirty-tracking when write-back.
         l2 = self.l2_config

@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.errors import WorkloadError
 from repro.workloads.base import (
+    ACCESS,
     InstrumentedArray,
     TraceRecorder,
     Workload,
@@ -114,29 +115,33 @@ class PagerankWorkload(_GraphWorkload):
             degrees.store(node, np.maximum(end - start, 1)[:, None], compute=3)))
 
         # Per node: rank, degree, the CSR row bounds, every neighbour index,
-        # then one read-modify-write of new_ranks per neighbour; rows are
-        # padded to the largest degree and masked.
-        slot = np.arange(int((end - start).max()))
+        # then one read-modify-write of new_ranks per neighbour.  Bodies are
+        # ragged, so the loop is laid out flat: node k's body starts at
+        # ``body_start[k]`` and each edge knows its node and its slot in it.
         for _iteration in range(self.iterations):
             new_ranks.fill((1.0 - self.damping) / self.nodes)
             order, threads = self.interleaved_schedule(self.nodes)
             row = order[:, None]
-            present = start[row] + slot < end[row]
-            edge = np.where(present, start[row] + slot, 0)
+            degree = end[order] - start[order]
+            length = 4 + 3 * degree
+            body_start = np.cumsum(length) - length
+            edge_node = np.repeat(np.arange(self.nodes), degree)
+            slot = np.arange(edge_node.size) - np.repeat(np.cumsum(degree) - degree, degree)
+            edge = start[order][edge_node] + slot
             neighbour = col_array.values[edge].astype(np.int64)
-            contribution = self.damping * ranks.values[row] / degrees.values[row]
-            pushes = np.zeros(present.shape + (2,))
-            before, after, totals = running_sums(
-                neighbour[present], np.broadcast_to(contribution, present.shape)[present],
-                new_ranks.values)
-            pushes[present] = np.stack([before, after], axis=1)
-            recorder.record_block(sequence(
+            contribution = self.damping * ranks.values[order] / degrees.values[order]
+            before, after, totals = running_sums(neighbour, contribution[edge_node],
+                                                 new_ranks.values)
+            body = np.empty(int(length.sum()), dtype=ACCESS)
+            body[body_start[:, None] + np.arange(4)] = sequence(
                 ranks.load(row), degrees.load(row, compute=3),
-                row_array.load(row), row_array.load(row + 1), col_array.load(edge),
-                interleave(new_ranks.load(neighbour, pushes[:, :, 0]),
-                           new_ranks.store(neighbour, pushes[:, :, 1], compute=2)),
-            ), threads[:, None], np.hstack([np.ones((self.nodes, 4), dtype=bool), present,
-                                            np.repeat(present, 2, axis=1)]))
+                row_array.load(row), row_array.load(row + 1))
+            index_at = body_start[edge_node] + 4 + slot
+            push_at = index_at + degree[edge_node] + slot
+            body[index_at] = col_array.load(edge)
+            body[push_at] = new_ranks.load(neighbour, before)
+            body[push_at + 1] = new_ranks.store(neighbour, after, compute=2)
+            recorder.record_block(body, np.repeat(threads, length))
             new_ranks.values[:] = totals
             recorder.record_block(interleave(new_ranks.load(node),
                                              ranks.store(node, new_ranks.values[node])))

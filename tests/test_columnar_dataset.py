@@ -12,7 +12,8 @@ Also pinned here: the dataset error paths (missing profiles list every
 absent workload, empty campaigns raise for both builders, rank-less
 datasets raise from ``ranks()``, columns of unequal length raise), and
 that ``workloads()``/``ranks()`` find the distinct codes without a plain
-``np.unique``, so a cold fit never imports ``numpy.ma``.
+``np.unique``, so a cold fit and a first rdf accuracy evaluation never
+import ``numpy.ma``.
 """
 
 import os
@@ -156,18 +157,26 @@ class TestDistinctCodes:
             ranks = np.unique(dataset.rank_codes)
             assert dataset.ranks() == sorted(dataset.rank_table[c] for c in ranks[ranks >= 0])
 
-    def test_cold_fit_and_ranks_load_no_numpy_ma(self):
+    def test_cold_fit_ranks_and_evaluation_load_no_numpy_ma(self):
         # A plain np.unique imports numpy.ma (~15 ms) on its first call.
+        # The evaluation uses rdf: knn and svm import scipy, which loads
+        # numpy.ma itself.
         code = textwrap.dedent("""
             import sys
             import repro
-            from repro.core.dataset import build_wer_dataset
+            from repro.core.dataset import build_pue_dataset, build_wer_dataset
+            from repro.core.evaluation import AccuracyEvaluator
 
-            campaign = repro.run_default_campaign(["memcached"])
+            campaign = repro.run_default_campaign(["memcached", "data-pattern-solid"])
             repro.WorkloadAwarePredictor().fit(campaign)
             dataset = build_wer_dataset(campaign)
             dataset.ranks()
             dataset.workloads()
+            print("numpy.ma" in sys.modules)
+            evaluator = AccuracyEvaluator()
+            evaluator.evaluate_wer(dataset, "rdf", "set1", dataset.ranks()[:2])
+            print("numpy.ma" in sys.modules)
+            evaluator.evaluate_pue(build_pue_dataset(campaign), "rdf", "set2")
             print("numpy.ma" in sys.modules)
         """)
         source_root = str(Path(repro.__file__).resolve().parents[1])
@@ -175,4 +184,4 @@ class TestDistinctCodes:
             [sys.executable, "-c", code], capture_output=True, text=True, check=True,
             env={**os.environ, "PYTHONPATH": source_root},
         )
-        assert result.stdout.split() == ["False"]
+        assert result.stdout.split() == ["False"] * 3

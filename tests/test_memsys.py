@@ -2,15 +2,22 @@
 
 ``SetAssociativeCache`` and ``MemoryChannelSystem`` are the per-access
 oracles in ``tests/oracles``; their unit tests live here next to the
-columnar kernel they pin.
+columnar kernel they pin.  ``lru_pass`` is checked row by row against
+``SetAssociativeCache`` on random streams, with its scan block bound
+patched small so that the blocked scans run too.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dram.address_map import AddressMapper
 from repro.dram.geometry import DramGeometry
 from repro.errors import ConfigurationError
+from repro.memsys import cache as cache_module
 from repro.memsys.access import AccessColumns, AccessType, MemoryAccess
 from repro.memsys.cache import CacheConfig, lru_pass, xgene2_l1_config
 from repro.memsys.hierarchy import MemoryHierarchy
@@ -97,6 +104,101 @@ class TestLruPass:
     def test_empty_stream(self):
         miss, dirty = lru_pass(np.array([], dtype=np.int64), np.array([], dtype=np.int64), 4)
         assert miss.size == dirty.size == 0
+
+    @pytest.mark.parametrize("sets, tags, writes", [
+        ([0, 0, 0], [1, 2], None),
+        ([0, 0], [1, 2, 3], None),
+        ([0, 0, 0], [1, 2, 3], [True, False]),
+        ([[0, 0], [0, 0]], [[1, 2], [1, 2]], None),
+    ])
+    def test_mismatched_or_non_column_inputs_rejected(self, sets, tags, writes):
+        with pytest.raises(ConfigurationError):
+            lru_pass(np.array(sets), np.array(tags), 2, writes=writes)
+
+    def test_negative_set_rejected(self):
+        with pytest.raises(ConfigurationError):
+            lru_pass(np.array([0, -1, 0]), np.array([1, 1, 1]), 1)
+
+    def test_non_positive_associativity_rejected(self):
+        with pytest.raises(ConfigurationError):
+            lru_pass(np.array([0]), np.array([1]), 0)
+
+    @given(data=st.data(), num_sets=st.integers(1, 6), num_tags=st.integers(1, 25),
+           associativity=st.integers(1, 9), track_writes=st.booleans(),
+           scan_elements=st.sampled_from([1, 5, 17, 1 << 16]),
+           tag_stride=st.sampled_from([1, 2**20 + 7, 2**45 + 3]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_access_cache(self, data, num_sets, num_tags, associativity,
+                                      track_writes, scan_elements, tag_stride):
+        n = data.draw(st.integers(0, 120))
+        sets = np.array(data.draw(st.lists(st.integers(0, num_sets - 1), min_size=n,
+                                           max_size=n)), dtype=np.int64)
+        tags = np.array(data.draw(st.lists(st.integers(0, num_tags - 1), min_size=n,
+                                           max_size=n)), dtype=np.int64)
+        writes = None
+        if track_writes:
+            writes = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+                              dtype=bool)
+        # Wide, negative tags (one tag per oracle tag) take several radix passes.
+        wide_tags = tags * tag_stride - 2**40
+        with mock.patch.object(cache_module, "_SCAN_ELEMENTS", scan_elements):
+            miss, dirty = lru_pass(sets, wide_tags, associativity, writes=writes)
+        expected_miss, expected_dirty = _per_access(sets, tags, associativity, writes)
+        assert miss.tolist() == expected_miss
+        assert dirty.tolist() == expected_dirty
+
+    @pytest.mark.parametrize("associativity", [2, 3, 8])
+    @pytest.mark.parametrize("scan_elements", [64, 1 << 16])
+    def test_hit_after_long_alternation(self, associativity, scan_elements):
+        # Line 5, then 40,000 rows alternating lines 1 and 2, then line 5:
+        # only two distinct lines came between, so from 3 ways up it hits
+        # after a backward scan over the whole alternation.
+        tags = np.array([5] + [1, 2] * 20_000 + [5])
+        sets = np.zeros(tags.size, dtype=np.int64)
+        writes = np.zeros(tags.size, dtype=bool)
+        writes[0] = True
+        with mock.patch.object(cache_module, "_SCAN_ELEMENTS", scan_elements):
+            miss, dirty = lru_pass(sets, tags, associativity, writes=writes)
+        expected_miss, expected_dirty = _per_access(sets, tags, associativity, writes)
+        assert miss.tolist() == expected_miss
+        assert dirty.tolist() == expected_dirty
+        assert miss[-1] == (associativity < 3)
+        assert miss.sum() == 3 + (associativity < 3)
+
+    def test_compulsory_misses_in_a_set_not_yet_full_evict_nothing(self):
+        # Four written lines fill a 4-way set without evicting; the fifth
+        # evicts the least recently used one, line 0, which is dirty.
+        tags = np.array([0, 1, 2, 3, 4])
+        miss, dirty = lru_pass(np.zeros(5, dtype=np.int64), tags, 4,
+                               writes=np.ones(5, dtype=bool))
+        assert miss.all()
+        assert dirty.tolist() == [False, False, False, False, True]
+
+    def test_write_inside_a_dropped_repeat_dirties_the_line(self):
+        # Set 0 sees line 7 read, then written (a repeat: the set-1 row in
+        # between belongs to another set), then lines 8 and 9 in a 2-way
+        # set: 9 evicts line 7, which the dropped repeat made dirty.
+        sets = np.array([0, 1, 0, 0, 0])
+        tags = np.array([7, 3, 7, 8, 9])
+        writes = np.array([False, False, True, False, False])
+        miss, dirty = lru_pass(sets, tags, 2, writes=writes)
+        assert miss.tolist() == [True, True, False, True, True]
+        assert dirty.tolist() == [False, False, False, False, True]
+        assert _per_access(sets, tags, 2, writes) == (miss.tolist(), dirty.tolist())
+
+
+def _per_access(sets, tags, associativity, writes):
+    """Row-by-row ``(miss, dirty_victim)`` lists from the oracle cache."""
+    num_sets = int(sets.max()) + 1 if sets.size else 1
+    cache = SetAssociativeCache(CacheConfig(size_bytes=num_sets * associativity * 64,
+                                            associativity=associativity))
+    miss, dirty = [], []
+    for row, (set_index, tag) in enumerate(zip(sets.tolist(), tags.tolist())):
+        writebacks = cache.stats.writebacks
+        write = bool(writes[row]) if writes is not None else False
+        miss.append(not cache.access((tag * num_sets + set_index) * 64, write))
+        dirty.append(cache.stats.writebacks > writebacks)
+    return miss, dirty
 
 
 class TestAddressMapperColumns:
