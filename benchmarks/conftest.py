@@ -135,7 +135,7 @@ def extended_campaign():
         workloads=EXTENDED_WORKLOADS,
         trefp_values_s=units.TREFP_SWEEP_S,
         temperatures_c=(50.0, 60.0, 70.0),
-        ue_repetitions=0,
+        ue_trefp_values_s=(),
     )
     campaign = CharacterizationCampaign(config=config, seed=7)
     return campaign.run(include_ue_study=False)

@@ -6,11 +6,12 @@ two properties of the batched grid engine, mirroring how
 ``test_ecc_throughput.py`` pins the SECDED batch engine against the
 scalar codec:
 
-* ``run_grid`` reproduces the scalar reference loop — per-run calls of
-  the model's scalar sampling API, the pre-grid implementation of
-  ``CharacterizationExperiment.run`` — *bit for bit* on the paper's
-  default grid;
-* the batched sweep is at least 10x faster than that scalar loop.
+* ``run_grid_columns`` — the path every campaign runs — reproduces the
+  scalar reference loop (per-run calls of the model's scalar sampling
+  API, the pre-grid implementation of ``CharacterizationExperiment.run``)
+  *bit for bit*, cell by cell, on the paper's default grid;
+* that columnar sweep, which builds no per-run objects, is at least 10x
+  faster than the scalar loop.
 """
 
 import time
@@ -52,28 +53,32 @@ def _scalar_sweep(experiment, profiles):
 
 
 def _batched_sweep(experiment, profiles):
+    """The campaign's sweep: one columnar grid per workload and study."""
     wer_ops, ue_ops = _default_grid()
     out = []
     for workload in campaign_workload_names():
         profile = profiles[workload]
-        for grid in (
-            experiment.run_grid(
-                workload, wer_ops, repetitions=CONFIG.repetitions, profile=profile
-            ),
-            experiment.run_grid(
-                workload, ue_ops, repetitions=CONFIG.ue_repetitions, profile=profile
-            ),
-        ):
-            for point_runs in grid:
-                for run in point_runs:
-                    out.append((run.rank_wer, run.ue_rank))
+        out.append(experiment.run_grid_columns(
+            workload, wer_ops, repetitions=CONFIG.repetitions, profile=profile
+        ))
+        out.append(experiment.run_grid_columns(
+            workload, ue_ops, repetitions=CONFIG.ue_repetitions, profile=profile
+        ))
     return out
+
+
+def _grid_cells(grids):
+    """``(rank_wer, ue_rank)`` per cell, in the scalar sweep's order."""
+    for grid in grids:
+        for p, point_wers in enumerate(grid.wer.tolist()):
+            for k, wers in enumerate(point_wers):
+                yield dict(zip(grid.ranks, wers)), grid.ue_ranks[p][k]
 
 
 def test_default_grid_batch_matches_scalar_exactly(campaign_profiles):
     experiment = CharacterizationExperiment(seed=7)
     scalar = _scalar_sweep(experiment, campaign_profiles)
-    batched = _batched_sweep(experiment, campaign_profiles)
+    batched = list(_grid_cells(_batched_sweep(experiment, campaign_profiles)))
     assert len(scalar) == len(batched) > 500
     mismatches = sum(
         1 for (s_wer, s_ue), (b_wer, b_ue) in zip(scalar, batched)

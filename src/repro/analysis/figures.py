@@ -29,8 +29,7 @@ def fig2_wer_over_time(
     op = OperatingPoint.relaxed(trefp_s, temperature_c)
     series = {}
     for workload in workloads:
-        result = runner.run(workload, op, collect_time_series=True)
-        series[workload] = sorted(result.wer_time_series.items())
+        series[workload] = sorted(runner.wer_time_series(workload, op).items())
     return series
 
 

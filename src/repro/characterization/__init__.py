@@ -9,7 +9,6 @@ from repro.characterization.campaign import (
 from repro.characterization.experiment import CharacterizationExperiment, ExperimentResult
 from repro.characterization.metrics import (
     PueSummary,
-    UeObservation,
     WerColumnStore,
     probability_of_uncorrectable,
     rank_ue_distribution,
@@ -25,7 +24,6 @@ __all__ = [
     "CharacterizationExperiment",
     "ExperimentResult",
     "PueSummary",
-    "UeObservation",
     "WerColumnStore",
     "probability_of_uncorrectable",
     "rank_ue_distribution",

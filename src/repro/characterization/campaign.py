@@ -9,18 +9,18 @@ of the evaluation needs.
 Grid engine
 -----------
 Both sweeps hand each workload's whole operating-point grid to
-:meth:`CharacterizationExperiment.run_grid_columns` in one call, so the
-expected-WER surface, run-to-run noise, maturity scaling and UE sampling
-are evaluated as array operations instead of per-run Python work, and
-the sampled surfaces stream straight into columnar
-:class:`~repro.characterization.metrics.WerColumnStore` blocks — no
-per-run ``ExperimentResult`` objects are built during a sweep.  The
-scalar-vs-batch contract: a grid cell is bit-identical to the scalar
-``experiment.run`` call with the same seed and repetition index (the
-scalar path *is* a one-point grid), and
-``tests/test_campaign_grid.py`` pins that equivalence plus
-campaign-level determinism.  ``benchmarks/test_campaign_throughput.py``
-pins the speedup floor of the batched sweep over the scalar loop.
+:meth:`CharacterizationExperiment.run_grid_columns` in one call, the one
+measurement path.  The expected-WER surface, run-to-run noise, maturity
+scaling and UE sampling are array operations, the sampled surfaces
+stream straight into columnar
+:class:`~repro.characterization.metrics.WerColumnStore` blocks, and each
+UE-study point's outcomes are counted straight into a
+:class:`~repro.characterization.metrics.PueSummary`.
+``tests/test_campaign_grid.py`` pins the grid cells and a whole campaign
+against the independent scalar reference run in
+``tests/oracles/characterization.py``, plus campaign-level determinism;
+``benchmarks/test_campaign_throughput.py`` pins the speedup floor of the
+grid sweep over that scalar loop.
 
 Sweep unit
 ----------
@@ -49,7 +49,9 @@ is a no-op, and enabling telemetry never changes results
 from __future__ import annotations
 
 import logging
+import numbers
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -60,7 +62,6 @@ from repro import units
 from repro.characterization.experiment import CharacterizationExperiment, GridColumns
 from repro.characterization.metrics import (
     PueSummary,
-    UeObservation,
     WerColumnStore,
     rank_ue_distribution,
 )
@@ -80,6 +81,10 @@ from repro.workloads.registry import campaign_workload_names
 logger = logging.getLogger("repro.characterization.campaign")
 
 
+def _is_number(value: object) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class CampaignConfig:
     """What to sweep and how often to repeat."""
@@ -92,6 +97,31 @@ class CampaignConfig:
     ue_trefp_values_s: Tuple[float, ...] = units.TREFP_UE_SWEEP_S
     ue_temperature_c: float = 70.0
     ue_repetitions: int = 10
+
+    def __post_init__(self) -> None:
+        for name in ("repetitions", "ue_repetitions"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise CharacterizationError(
+                    f"{name} must be a non-negative integer, got {value!r}"
+                )
+        if self.ue_trefp_values_s and self.ue_repetitions < 1:
+            raise CharacterizationError(
+                "ue_repetitions must be at least 1 when ue_trefp_values_s is set"
+            )
+        for name in ("trefp_values_s", "temperatures_c", "ue_trefp_values_s"):
+            values = getattr(self, name)
+            if not isinstance(values, (tuple, list)) or not all(
+                map(_is_number, values)
+            ):
+                raise CharacterizationError(
+                    f"{name} must be a sequence of numbers, got {values!r}"
+                )
+        for name in ("vdd_v", "ue_temperature_c"):
+            if not _is_number(getattr(self, name)):
+                raise CharacterizationError(
+                    f"{name} must be a number, got {getattr(self, name)!r}"
+                )
 
     def resolved_workloads(self) -> Tuple[str, ...]:
         return self.workloads or tuple(campaign_workload_names())
@@ -206,17 +236,13 @@ def _grid_pue_summaries(grid: GridColumns) -> List[PueSummary]:
     """Reduce a UE-study grid to one :class:`PueSummary` per operating point."""
     summaries = []
     for op, events in zip(grid.ops, grid.ue_ranks):
-        summary = PueSummary(
+        crashes_by_rank = dict(Counter(rank for rank in events if rank is not None))
+        summaries.append(PueSummary(
             workload=grid.workload, trefp_s=op.trefp_s,
-            temperature_c=op.temperature_c,
-        )
-        for ue_rank in events:
-            summary.add(UeObservation(
-                workload=grid.workload, trefp_s=op.trefp_s,
-                temperature_c=op.temperature_c,
-                crashed=ue_rank is not None, rank=ue_rank,
-            ))
-        summaries.append(summary)
+            temperature_c=op.temperature_c, total_runs=len(events),
+            crashed_runs=sum(crashes_by_rank.values()),
+            crashes_by_rank=crashes_by_rank,
+        ))
     return summaries
 
 

@@ -8,23 +8,23 @@ for two hours, and the ECC error log is reduced to the per-rank WER plus
 
 Grid engine
 -----------
-:meth:`CharacterizationExperiment.run_grid` executes a whole batch of
-operating points x repetitions for one workload through the statistical
-model's grid engine: the expected-WER surface is computed once per
-operating point, run-to-run noise and maturity scaling are applied
-array-wide, and UE outcomes are sampled per cell from the same keyed RNG
-streams (``crc32(workload|trefp|temp|repetition|seed)``) the scalar path
-uses.  The scalar-vs-batch contract: ``run`` is a one-point wrapper
-around ``run_grid``, every grid cell is bit-identical to the scalar run
-with the same key, and that equivalence is pinned by
-``tests/test_campaign_grid.py`` — any change to one path must keep the
-other (and the tests) in lockstep.
+:meth:`CharacterizationExperiment.run_grid_columns` is the one
+measurement path.  It runs one workload over a batch of operating points
+x repetitions through the statistical model's grid engine: the
+expected-WER surface is computed once per operating point, run-to-run
+noise and maturity scaling are applied array-wide, and UE outcomes are
+sampled per cell from keyed RNG streams
+(``crc32(workload|trefp|temp|repetition|seed)``).  The result stays
+columnar (:class:`GridColumns`).  A scalar ``run`` is a one-point,
+one-repetition grid read through :meth:`GridColumns.result`.
+``tests/test_campaign_grid.py`` pins every grid cell bit for bit against
+the independent scalar reference run in ``tests/oracles/characterization.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, TypeGuard, Union
 
 import numpy as np
 
@@ -48,7 +48,6 @@ class ExperimentResult:
     operating_point: OperatingPoint
     duration_s: float
     rank_wer: Dict[RankLocation, float] = field(default_factory=dict)
-    wer_time_series: Dict[float, float] = field(default_factory=dict)
     ue_rank: Optional[RankLocation] = None
 
     @property
@@ -68,13 +67,12 @@ class ExperimentResult:
 class GridColumns:
     """Columnar result of one workload x operating-point grid sweep.
 
-    This is the zero-object sibling of the ``run_grid`` result: the
-    sampled WER surface stays a ``(points, repetitions, ranks)`` array
-    (rank axis in label order, the order the scalar sweep emitted its
-    per-run measurements) and UE outcomes stay the per-cell rank grid.
+    The sampled WER surface stays a ``(points, repetitions, ranks)`` array
+    (rank axis in label order, the order a campaign records its per-rank
+    measurements) and UE outcomes stay the per-cell rank grid.
     :meth:`wer_block` packs the surface into a
     :class:`~repro.characterization.metrics.WerColumnStore` block that a
-    campaign merges.
+    campaign merges; :meth:`result` reads one cell as a scalar run.
     """
 
     workload: str
@@ -82,15 +80,51 @@ class GridColumns:
     ranks: List[RankLocation]
     wer: np.ndarray
     ue_ranks: List[List[Optional[RankLocation]]]
+    duration_s: float
 
     def wer_block(self, first_repetition_only: bool = False) -> "WerColumnStore":
         """Columnar measurement block (optionally repetition 0 only).
 
-        The UE study keeps only the first repetition's WER rows — the
-        same slice the scalar sweep recorded.
+        The UE study keeps only the first repetition's WER rows.
         """
         wer = self.wer[:, :1, :] if first_repetition_only else self.wer
         return WerColumnStore.from_grid(self.workload, self.ops, wer, self.ranks)
+
+    def result(self, point: int, repetition: int) -> ExperimentResult:
+        """Materialize one cell as a scalar :class:`ExperimentResult`.
+
+        ``repetition`` indexes the grid's repetition axis.  ``rank_wer``
+        follows platform (``iter_ranks``) order, the order
+        :attr:`ExperimentResult.memory_wer` averages in.
+        """
+        wers = dict(zip(self.ranks, self.wer[point, repetition].tolist()))
+        return ExperimentResult(
+            workload=self.workload,
+            operating_point=self.ops[point],
+            duration_s=self.duration_s,
+            rank_wer={rank: wers[rank] for rank in sorted(self.ranks)},
+            ue_rank=self.ue_ranks[point][repetition],
+        )
+
+
+def _is_count(value: object) -> TypeGuard[int]:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _repetition_indices(repetitions: Union[int, Sequence[int]]) -> List[int]:
+    """Repetition indices of a grid: a count ``n`` means ``0..n-1``."""
+    if _is_count(repetitions):
+        return list(range(repetitions))
+    if (
+        isinstance(repetitions, Sequence)
+        and not isinstance(repetitions, (str, bytes))
+        and all(_is_count(index) for index in repetitions)
+    ):
+        return list(repetitions)
+    raise CharacterizationError(
+        "repetitions must be a non-negative int or a sequence of non-negative "
+        f"ints, got {repetitions!r}"
+    )
 
 
 class CharacterizationExperiment:
@@ -122,31 +156,28 @@ class CharacterizationExperiment:
         return np.random.Generator(np.random.PCG64(key))
 
     # ------------------------------------------------------------------
-    def _grid_arrays(
+    def run_grid_columns(
         self,
         workload: str,
         ops: Sequence[OperatingPoint],
-        repetitions: Union[int, Sequence[int]],
-        duration_s: float,
-        profile: Optional[WorkloadProfile],
-    ):
-        """Shared grid core: sampled WER surface + UE grid as arrays.
+        repetitions: Union[int, Sequence[int]] = 1,
+        duration_s: float = units.CHARACTERIZATION_DURATION_S,
+        profile: Optional[WorkloadProfile] = None,
+    ) -> GridColumns:
+        """Run one workload over a batch of operating points x repetitions.
 
-        Returns ``(configured_ops, behavior, wer_grid, ue_grid)`` where
-        ``wer_grid`` is ``(points, repetitions, ranks)`` with maturity
-        already applied (shape ``(points, 0, ranks)`` when no repetitions
-        were requested) and ``ue_grid`` is the per-cell rank grid.
+        ``repetitions`` is either a count (runs repetition indices
+        ``0..n-1``) or an explicit sequence of repetition indices.  Cell
+        ``[p, k]`` draws from the ``crc32``-keyed RNG stream of
+        ``(workload, ops[p], indices[k], seed)``.  The WER surface and UE
+        grid come back as arrays, ready to stream into a campaign's
+        ``WerColumnStore`` and the dataset builders.
         """
         if duration_s <= 0:
             raise CharacterizationError("duration_s must be positive")
         if not ops:
             raise CharacterizationError("ops must contain at least one operating point")
-        if isinstance(repetitions, int):
-            if repetitions < 0:
-                raise CharacterizationError("repetitions must be non-negative")
-            repetition_indices = list(range(repetitions))
-        else:
-            repetition_indices = list(repetitions)
+        repetition_indices = _repetition_indices(repetitions)
         telemetry = get_telemetry()
         with telemetry.span("experiment.grid"):
             behavior = self._behavior(workload, profile)
@@ -158,111 +189,37 @@ class CharacterizationExperiment:
                     "experiment.grid_cells", len(configured) * len(repetition_indices)
                 )
             if not repetition_indices:
-                empty = np.zeros((len(configured), 0, self.server.geometry.num_ranks))
-                return configured, behavior, empty, [[] for _ in configured]
-
-            rngs = [
-                [self._run_rng(workload, op, repetition) for repetition in repetition_indices]
-                for op in configured
-            ]
-            # The CE and UE models share the per-point retention failure
-            # probabilities — one batched CDF evaluation serves both grids.
-            p_ret = model.retention_bit_failure_probability_grid(configured)
-            # One batched draw per cell: (points, repetitions, ranks), noise and
-            # maturity scaling applied array-wide.
-            wer_grid = model.sample_rank_wer_grid(
-                configured, behavior, workload=workload, rngs=rngs, p_ret=p_ret
-            )
-            # WER keeps accumulating until the run ends; a shorter run only sees
-            # the fraction of error-prone locations discovered so far.
-            maturity = 1.0 - float(np.exp(-duration_s / model.calibration.convergence_tau_s))
-            wer_grid = wer_grid * maturity
-            ue_grid = model.sample_ue_events_grid(
-                configured, behavior, workload=workload, rngs=rngs, p_ret=p_ret
-            )
-            return configured, behavior, wer_grid, ue_grid
-
-    def run_grid(
-        self,
-        workload: str,
-        ops: Sequence[OperatingPoint],
-        repetitions: Union[int, Sequence[int]] = 1,
-        duration_s: float = units.CHARACTERIZATION_DURATION_S,
-        profile: Optional[WorkloadProfile] = None,
-        collect_time_series: bool = False,
-    ) -> List[List[ExperimentResult]]:
-        """Run one workload over a batch of operating points x repetitions.
-
-        Returns results indexed ``[point][repetition]``.  ``repetitions``
-        is either a count (runs repetition indices ``0..n-1``) or an
-        explicit sequence of repetition indices (how the scalar ``run``
-        wrapper requests a single arbitrary index).  Every cell draws
-        from the same ``crc32``-keyed RNG stream the scalar path would
-        use, so cell ``[p][k]`` is bit-identical to
-        ``run(workload, ops[p], repetition=indices[k])``.
-        """
-        configured, behavior, wer_grid, ue_grid = self._grid_arrays(
-            workload, ops, repetitions, duration_s, profile
-        )
-        model = self.server.error_model
-        if wer_grid.shape[1] == 0:
-            return [[] for _ in configured]
-
-        ranks = list(self.server.geometry.iter_ranks())
-        results: List[List[ExperimentResult]] = []
-        for p, op in enumerate(configured):
-            time_series: Dict[float, float] = {}
-            if collect_time_series:
-                time_series = model.wer_time_series(
-                    op, behavior, duration_s=duration_s, workload=workload
+                wer_grid = np.zeros((len(configured), 0, self.server.geometry.num_ranks))
+                ue_grid: List[List[Optional[RankLocation]]] = [[] for _ in configured]
+            else:
+                rngs = [
+                    [self._run_rng(workload, op, repetition) for repetition in repetition_indices]
+                    for op in configured
+                ]
+                # The CE and UE models share the per-point retention failure
+                # probabilities — one batched CDF evaluation serves both grids.
+                p_ret = model.retention_bit_failure_probability_grid(configured)
+                # One batched draw per cell: (points, repetitions, ranks), noise
+                # and maturity scaling applied array-wide.
+                wer_grid = model.sample_rank_wer_grid(
+                    configured, behavior, workload=workload, rngs=rngs, p_ret=p_ret
                 )
-            point_results = []
-            # .tolist() converts a whole repetition row to Python floats in
-            # one C pass — the per-element float() indexing used to cost as
-            # much as the draws themselves.
-            point_wers = wer_grid[p].tolist()
-            for k in range(wer_grid.shape[1]):
-                point_results.append(
-                    ExperimentResult(
-                        workload=workload,
-                        operating_point=op,
-                        duration_s=duration_s,
-                        rank_wer=dict(zip(ranks, point_wers[k])),
-                        wer_time_series=dict(time_series) if time_series else {},
-                        ue_rank=ue_grid[p][k],
-                    )
+                # WER keeps accumulating until the run ends; a shorter run only
+                # sees the fraction of error-prone locations discovered so far.
+                maturity = 1.0 - float(np.exp(-duration_s / model.calibration.convergence_tau_s))
+                wer_grid = wer_grid * maturity
+                ue_grid = model.sample_ue_events_grid(
+                    configured, behavior, workload=workload, rngs=rngs, p_ret=p_ret
                 )
-            results.append(point_results)
-        return results
-
-    def run_grid_columns(
-        self,
-        workload: str,
-        ops: Sequence[OperatingPoint],
-        repetitions: Union[int, Sequence[int]] = 1,
-        duration_s: float = units.CHARACTERIZATION_DURATION_S,
-        profile: Optional[WorkloadProfile] = None,
-    ) -> GridColumns:
-        """Run a grid and keep the results columnar (no per-run objects).
-
-        Samples exactly the same RNG streams as :meth:`run_grid` — cell
-        values are bit-identical — but returns the WER surface and UE
-        grid as arrays, ready to stream into a campaign's
-        ``WerColumnStore`` / the dataset builders.  The rank axis is
-        reordered to label order, the order the scalar sweep emitted its
-        per-rank measurements.
-        """
-        configured, _behavior, wer_grid, ue_grid = self._grid_arrays(
-            workload, ops, repetitions, duration_s, profile
-        )
         ranks = list(self.server.geometry.iter_ranks())
         order = sorted(range(len(ranks)), key=lambda i: ranks[i].label)
         return GridColumns(
             workload=workload,
-            ops=list(configured),
+            ops=configured,
             ranks=[ranks[i] for i in order],
             wer=np.ascontiguousarray(wer_grid[:, :, order]),
             ue_ranks=ue_grid,
+            duration_s=duration_s,
         )
 
     def run(
@@ -272,18 +229,28 @@ class CharacterizationExperiment:
         duration_s: float = units.CHARACTERIZATION_DURATION_S,
         profile: Optional[WorkloadProfile] = None,
         repetition: int = 0,
-        collect_time_series: bool = False,
     ) -> ExperimentResult:
         """Execute one 2-hour characterization run and collect its metrics.
 
-        One-point wrapper over :meth:`run_grid`; the grid engine is the
-        single implementation of the measurement core.
+        A one-point, one-repetition :meth:`run_grid_columns` call.
         """
-        return self.run_grid(
-            workload,
-            [op],
-            repetitions=(repetition,),
-            duration_s=duration_s,
-            profile=profile,
-            collect_time_series=collect_time_series,
-        )[0][0]
+        return self.run_grid_columns(
+            workload, [op], repetitions=(repetition,),
+            duration_s=duration_s, profile=profile,
+        ).result(0, 0)
+
+    def wer_time_series(
+        self,
+        workload: str,
+        op: OperatingPoint,
+        duration_s: float = units.CHARACTERIZATION_DURATION_S,
+        profile: Optional[WorkloadProfile] = None,
+    ) -> Dict[float, float]:
+        """Cumulative expected WER over one run at ``op`` (Fig. 2 / Fig. 4).
+
+        The model's curve at the configured point; nothing is sampled.
+        """
+        behavior = self._behavior(workload, profile)
+        return self.server.error_model.wer_time_series(
+            self.server.configure(op), behavior, duration_s=duration_s, workload=workload
+        )

@@ -1,15 +1,16 @@
 """DRAM error metrics: WER (Eq. 2) and PUE (Eq. 3).
 
-Besides the scalar metric definitions and the UE record types, this
-module hosts :class:`WerColumnStore` — the one representation of a
-campaign's per-rank WER measurements, on which the figure-level
-aggregations (per-workload, per-rank) run as masked vector reductions.
+Besides the scalar metric definitions and the per-point UE counts
+(:class:`PueSummary`), this module hosts :class:`WerColumnStore` — the
+one representation of a campaign's per-rank WER measurements, on which
+the figure-level aggregations (per-workload, per-rank) run as masked
+vector reductions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
@@ -27,44 +28,27 @@ def probability_of_uncorrectable(ue_runs: int, total_runs: int) -> float:
 
 
 @dataclass
-class UeObservation:
-    """Outcome of one run of the UE study: did the run crash, and where."""
-
-    workload: str
-    trefp_s: float
-    temperature_c: float
-    crashed: bool
-    rank: Optional[RankLocation] = None
-
-    def __post_init__(self) -> None:
-        if self.crashed and self.rank is None:
-            raise DataError("a crashed run must name the offending DIMM/rank")
-        if not self.crashed and self.rank is not None:
-            raise DataError("a clean run cannot name an offending DIMM/rank")
-
-
-@dataclass
 class PueSummary:
-    """Aggregated UE statistics for one (workload, operating point)."""
+    """UE counts of one (workload, operating point) of the UE study.
+
+    ``crashes_by_rank`` holds only ranks with at least one crash; its
+    counts sum to ``crashed_runs``.
+    """
 
     workload: str
     trefp_s: float
     temperature_c: float
-    total_runs: int = 0
-    crashed_runs: int = 0
+    total_runs: int
+    crashed_runs: int
     crashes_by_rank: Dict[RankLocation, int] = field(default_factory=dict)
 
-    def add(self, observation: UeObservation) -> None:
-        if (observation.workload, observation.trefp_s, observation.temperature_c) != (
-            self.workload, self.trefp_s, self.temperature_c
-        ):
-            raise DataError("observation does not belong to this summary")
-        self.total_runs += 1
-        if observation.crashed:
-            self.crashed_runs += 1
-            self.crashes_by_rank[observation.rank] = (
-                self.crashes_by_rank.get(observation.rank, 0) + 1
-            )
+    def __post_init__(self) -> None:
+        if not 0 <= self.crashed_runs <= self.total_runs:
+            raise DataError("crashed_runs must lie in [0, total_runs]")
+        if any(count < 1 for count in self.crashes_by_rank.values()):
+            raise DataError("crashes_by_rank may only hold ranks that crashed")
+        if sum(self.crashes_by_rank.values()) != self.crashed_runs:
+            raise DataError("crashes_by_rank must sum to crashed_runs")
 
     @property
     def pue(self) -> float:
@@ -122,7 +106,7 @@ class WerColumnStore:
         """Pack one workload's ``(points, repetitions, ranks)`` WER grid.
 
         Rows come out point-major, then repetition, then rank — the order
-        the scalar sweep appended its per-run measurements.  ``wer``'s
+        a campaign records its per-rank measurements in.  ``wer``'s
         rank axis must already follow ``ranks``.
         """
         if wer.ndim != 3 or wer.shape[2] != len(ranks) or wer.shape[0] != len(ops):

@@ -19,11 +19,12 @@ Grid engine
 -----------
 Campaign sweeps evaluate the model on a dense grid of operating points:
 ``sample_rank_wer_grid`` and ``sample_ue_events_grid`` take a sequence of
-operating points plus a (points x repetitions) matrix of RNG streams and
-sample every (point, repetition, rank) cell in batched numpy draws.  Each
-cell consumes its RNG stream in the order of one scalar run (one normal
-per rank, then one uniform, then — only on a crash — one categorical
-draw), so a grid cell is bit-identical to the scalar reference run in
+operating points plus a required (points x repetitions) matrix of seeded
+RNG streams and sample every (point, repetition, rank) cell in batched
+numpy draws; nothing is drawn from an unseeded generator.  Each cell
+consumes its stream in the order of one run (one normal per rank, then
+one uniform, then — only on a crash — one categorical draw), so a grid
+cell is bit-identical to the scalar reference run in
 ``tests/oracles/characterization.py`` with the same generator.  The
 expensive deterministic factors (retention CDF, per-rank variation,
 idiosyncratic draws) are computed once per operating point and once per
@@ -251,8 +252,8 @@ class StatisticalErrorModel:
         ops: Sequence[OperatingPoint],
         behavior: WorkloadBehavior,
         workload: str = "",
-        rngs: Optional[Sequence[Sequence[np.random.Generator]]] = None,
-        repetitions: int = 1,
+        *,
+        rngs: Sequence[Sequence[np.random.Generator]],
         p_ret: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Sampled per-rank WER grid, as (points, repetitions, ranks).
@@ -263,19 +264,12 @@ class StatisticalErrorModel:
         cell draws its per-rank normals in one batched call, which
         consumes the generator's stream exactly like ``ranks`` sequential
         scalar draws.  The noise kernel is ``np.exp`` over the whole
-        array.  Without ``rngs``, fresh unseeded generators are used
-        (``repetitions`` cells per point).
+        array.
         """
         telemetry = get_telemetry()
         with telemetry.span("statistical.wer_grid"):
             ops = list(ops)
             expected = self.expected_rank_wer_grid(ops, behavior, workload, p_ret=p_ret)
-            if rngs is None:
-                if repetitions <= 0:
-                    raise ConfigurationError("repetitions must be positive")
-                rngs = [
-                    [np.random.default_rng() for _ in range(repetitions)] for _ in ops
-                ]
             grid = self._validated_rng_grid(rngs, len(ops))
             num_reps = len(grid[0]) if grid else 0
             num_ranks = expected.shape[1]
@@ -314,8 +308,8 @@ class StatisticalErrorModel:
         ops: Sequence[OperatingPoint],
         behavior: WorkloadBehavior,
         workload: str = "",
-        rngs: Optional[Sequence[Sequence[np.random.Generator]]] = None,
-        repetitions: int = 1,
+        *,
+        rngs: Sequence[Sequence[np.random.Generator]],
         p_ret: Optional[np.ndarray] = None,
     ) -> List[List[Optional[RankLocation]]]:
         """Sample UE outcomes for every grid cell, as (points, repetitions).
@@ -324,20 +318,12 @@ class StatisticalErrorModel:
         cell; each cell then draws one uniform, plus one categorical
         draw only when the run crashes.  Pass the same ``rngs`` matrix
         used for :meth:`sample_rank_wer_grid`, so each generator draws
-        its UE outcome after its per-rank normals.  Without ``rngs``,
-        fresh unseeded generators are used (``repetitions`` cells per
-        point, mirroring :meth:`sample_rank_wer_grid`).
+        its UE outcome after its per-rank normals.
         """
         telemetry = get_telemetry()
         with telemetry.span("statistical.ue_grid"):
             ops = list(ops)
             pue = self.probability_of_ue_grid(ops, behavior, workload, p_ret=p_ret)
-            if rngs is None:
-                if repetitions <= 0:
-                    raise ConfigurationError("repetitions must be positive")
-                rngs = [
-                    [np.random.default_rng() for _ in range(repetitions)] for _ in ops
-                ]
             grid = self._validated_rng_grid(rngs, len(ops))
             weights = self.variation.normalized_ue_weights()
             ranks = list(weights.keys())

@@ -13,12 +13,14 @@ against them.
 :func:`reference_scalar_run` is the pre-grid-engine body of
 :meth:`CharacterizationExperiment.run`, built purely from these scalar
 functions.  It exists so the equivalence tests and the throughput
-benchmarks check the vectorized grid engine against an *independent*
-implementation rather than against itself — the grid engine must stay
-bit-identical to this function for the same seed and repetition index.
-Any change to the run contract must update this reference and the
-pinning suites (``tests/test_campaign_grid.py``,
-``benchmarks/test_campaign_throughput.py``) together.
+benchmark check :meth:`CharacterizationExperiment.run_grid_columns` —
+the one grid path, which every campaign and every scalar ``run`` goes
+through — against an *independent* implementation rather than against
+itself: each grid cell must stay bit-identical to this function for the
+same seed and repetition index.  Any change to the run contract must
+update this reference and the pinning suites
+(``tests/test_campaign_grid.py``, ``benchmarks/test_campaign_throughput.py``)
+together.
 """
 
 from __future__ import annotations

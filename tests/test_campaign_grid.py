@@ -1,13 +1,13 @@
 """Equivalence and determinism tests for the campaign grid engine.
 
-The vectorized grid path (``StatisticalErrorModel.sample_rank_wer_grid``
-/ ``sample_ue_events_grid`` / ``CharacterizationExperiment.run_grid``)
+The grid path (``StatisticalErrorModel.sample_rank_wer_grid`` /
+``sample_ue_events_grid`` / ``CharacterizationExperiment.run_grid_columns``)
 must be *bit-identical* to the scalar reference path: the scalar oracle
 functions (``sample_rank_wer`` / ``sample_ue_event`` in
 ``tests/oracles/characterization.py``) are independent implementations,
 and ``reference_scalar_run`` (the pre-grid scalar ``run`` body, shared
-with the throughput benchmark) reproduces a run on top of them.  Every comparison in this file is exact (``==`` on
-floats), not approximate — that is the scalar-vs-batch API contract.
+with the throughput benchmark) reproduces a run on top of them.  Every
+comparison in this file is exact (``==`` on floats), not approximate.
 """
 
 import numpy as np
@@ -110,12 +110,6 @@ class TestModelGridEquivalence:
                     self.model, op, self.behavior, "srad(par)", rng=rng
                 )
 
-    def test_default_rng_grids_honour_repetitions(self):
-        wer = self.model.sample_rank_wer_grid(self.ops, self.behavior, repetitions=3)
-        assert wer.shape == (len(self.ops), 3, self.model.geometry.num_ranks)
-        ue = self.model.sample_ue_events_grid(self.ops, self.behavior, repetitions=3)
-        assert [len(row) for row in ue] == [3] * len(self.ops)
-
     def test_mismatched_rng_grid_rejected(self):
         from repro.errors import ConfigurationError
         with pytest.raises(ConfigurationError):
@@ -123,11 +117,16 @@ class TestModelGridEquivalence:
                 self.ops, self.behavior, rngs=[[np.random.default_rng(0)]]
             )
         with pytest.raises(ConfigurationError):
-            self.model.sample_rank_wer_grid([], self.behavior)
+            self.model.sample_rank_wer_grid([], self.behavior, rngs=[])
+
+
+def _cell(grid, p, k):
+    """``(rank_wer, ue_rank)`` of one ``GridColumns`` cell."""
+    return dict(zip(grid.ranks, grid.wer[p, k].tolist())), grid.ue_ranks[p][k]
 
 
 class TestExperimentGridEquivalence:
-    """run_grid vs the independent scalar reference implementation."""
+    """run_grid_columns vs the independent scalar reference implementation."""
 
     def test_grid_reproduces_reference_scalar_runs(self):
         experiment = CharacterizationExperiment(seed=11)
@@ -137,24 +136,38 @@ class TestExperimentGridEquivalence:
             for temperature in (50.0, 60.0, 70.0)
             for trefp in (0.618, 1.727, 2.283)
         ]
-        grid = experiment.run_grid("kmeans", ops, repetitions=3, profile=profile)
+        grid = experiment.run_grid_columns("kmeans", ops, repetitions=3, profile=profile)
+        assert grid.wer.shape == (len(ops), 3, 8)
+        crashes = 0
         for p, op in enumerate(ops):
             for k in range(3):
-                rank_wer, ue_rank = reference_scalar_run(
+                expected = reference_scalar_run(
                     experiment, "kmeans", op, profile, repetition=k
                 )
-                assert grid[p][k].rank_wer == rank_wer
-                assert grid[p][k].ue_rank == ue_rank
+                assert _cell(grid, p, k) == expected
+                crashes += expected[1] is not None
+        assert crashes, "the 70 C points should crash at least once"
 
     def test_scalar_run_is_one_point_grid(self):
         experiment = CharacterizationExperiment(seed=5)
         profile = profile_workload("bfs")
         op = OperatingPoint.relaxed(2.283, 60.0)
         single = experiment.run("bfs", op, profile=profile, repetition=2)
-        grid = experiment.run_grid("bfs", [op], repetitions=(2,), profile=profile)
-        assert single.rank_wer == grid[0][0].rank_wer
-        assert single.ue_rank == grid[0][0].ue_rank
-        assert single.operating_point == grid[0][0].operating_point
+        grid = experiment.run_grid_columns("bfs", [op], repetitions=(2,), profile=profile)
+        cell = grid.result(0, 0)
+        # Same ranks in the same (platform) order, so memory_wer averages
+        # the same floats in the same order.
+        assert list(single.rank_wer.items()) == list(cell.rank_wer.items())
+        assert list(single.rank_wer) == list(experiment.server.geometry.iter_ranks())
+        assert single.memory_wer == cell.memory_wer
+        assert single.ue_rank == cell.ue_rank
+        assert single.operating_point == cell.operating_point
+        assert single.duration_s == cell.duration_s
+        rank_wer, ue_rank = reference_scalar_run(
+            experiment, "bfs", op, profile, repetition=2
+        )
+        assert list(single.rank_wer.items()) == list(rank_wer.items())
+        assert single.ue_rank == ue_rank
 
     @given(
         trefps=st.lists(st.sampled_from(TREFP_PALETTE), min_size=1, max_size=3,
@@ -175,31 +188,61 @@ class TestExperimentGridEquivalence:
             for temperature in temperatures
             for trefp in trefps
         ]
-        grid = experiment.run_grid(
+        grid = experiment.run_grid_columns(
             "memcached", ops, repetitions=repetitions, profile=profile
         )
         for p, op in enumerate(ops):
             for k in range(repetitions):
-                rank_wer, ue_rank = reference_scalar_run(
+                assert _cell(grid, p, k) == reference_scalar_run(
                     experiment, "memcached", op, profile, repetition=k
                 )
-                assert grid[p][k].rank_wer == rank_wer
-                assert grid[p][k].ue_rank == ue_rank
+
+    def test_explicit_repetition_indices_select_their_streams(self):
+        experiment = CharacterizationExperiment(seed=3)
+        profile = profile_workload("backprop")
+        op = OperatingPoint.relaxed(2.283, 70.0)
+        grid = experiment.run_grid_columns(
+            "backprop", [op], repetitions=[4, 1, 4], profile=profile
+        )
+        for k, repetition in enumerate((4, 1, 4)):
+            assert _cell(grid, 0, k) == reference_scalar_run(
+                experiment, "backprop", op, profile, repetition=repetition
+            )
 
     def test_zero_repetitions_yield_empty_batches(self):
         experiment = CharacterizationExperiment()
         ops = [OperatingPoint.relaxed(1.173, 50.0)]
-        assert experiment.run_grid("backprop", ops, repetitions=0) == [[]]
+        for repetitions in (0, ()):
+            grid = experiment.run_grid_columns("backprop", ops, repetitions=repetitions)
+            assert grid.wer.shape == (1, 0, 8)
+            assert grid.ue_ranks == [[]]
+            assert len(grid.wer_block()) == 0
 
     def test_invalid_grid_arguments_rejected(self):
         experiment = CharacterizationExperiment()
         op = OperatingPoint.relaxed(1.173, 50.0)
         with pytest.raises(CharacterizationError):
-            experiment.run_grid("backprop", [])
+            experiment.run_grid_columns("backprop", [])
         with pytest.raises(CharacterizationError):
-            experiment.run_grid("backprop", [op], duration_s=0.0)
-        with pytest.raises(CharacterizationError):
-            experiment.run_grid("backprop", [op], repetitions=-1)
+            experiment.run_grid_columns("backprop", [op], duration_s=0.0)
+
+    @pytest.mark.parametrize(
+        "repetitions",
+        [-1, True, False, 2.5, "ab", "", b"\x01", (-1,), (True,), [0, 1.0], None, {0: 1}],
+    )
+    def test_invalid_repetitions_rejected(self, repetitions):
+        experiment = CharacterizationExperiment()
+        op = OperatingPoint.relaxed(1.173, 50.0)
+        with pytest.raises(CharacterizationError, match="repetitions"):
+            experiment.run_grid_columns("backprop", [op], repetitions=repetitions)
+
+    @pytest.mark.parametrize("repetition", [-5, True, 1.0])
+    def test_invalid_scalar_repetition_rejected(self, repetition):
+        experiment = CharacterizationExperiment()
+        with pytest.raises(CharacterizationError, match="repetitions"):
+            experiment.run(
+                "backprop", OperatingPoint.relaxed(1.173, 50.0), repetition=repetition
+            )
 
 
 class TestCampaignDeterminism:
@@ -261,6 +304,41 @@ class TestCampaignDeterminism:
         assert [
             (s.workload, s.trefp_s, s.crashed_runs) for s in result.pue_summaries
         ] == expected_pue
+
+    def test_pue_summaries_count_the_grid_outcomes(self):
+        """Every PueSummary holds exactly its point's UE-grid counts."""
+        config = CampaignConfig(
+            workloads=("srad(par)", "kmeans", "memcached"),
+            trefp_values_s=(2.283,),
+            temperatures_c=(50.0,),
+            ue_trefp_values_s=(1.450, 2.283),
+            ue_repetitions=6,
+        )
+        campaign = CharacterizationCampaign(config=config, seed=13)
+        result = campaign.run()
+        summaries = iter(result.pue_summaries)
+        crashed_total = 0
+        for workload in config.resolved_workloads():
+            grid = campaign.experiment.run_grid_columns(
+                workload, config.ue_operating_points(),
+                repetitions=config.ue_repetitions,
+            )
+            for op, events in zip(grid.ops, grid.ue_ranks):
+                summary = next(summaries)
+                assert (summary.workload, summary.trefp_s, summary.temperature_c) == (
+                    workload, op.trefp_s, op.temperature_c
+                )
+                crashed = [rank for rank in events if rank is not None]
+                assert summary.total_runs == config.ue_repetitions
+                assert summary.crashed_runs == len(crashed)
+                assert all(count >= 1 for count in summary.crashes_by_rank.values())
+                assert sum(summary.crashes_by_rank.values()) == summary.crashed_runs
+                assert summary.crashes_by_rank == {
+                    rank: crashed.count(rank) for rank in set(crashed)
+                }
+                crashed_total += len(crashed)
+        assert next(summaries, None) is None
+        assert crashed_total, "expected at least one UE at 70 C"
 
     def test_different_seeds_differ(self):
         config = CampaignConfig(

@@ -15,7 +15,6 @@ from repro.characterization.experiment import (
 )
 from repro.characterization.metrics import (
     PueSummary,
-    UeObservation,
     WerColumnStore,
     probability_of_uncorrectable,
     rank_ue_distribution,
@@ -26,6 +25,7 @@ from repro.dram.calibration import DramCalibration, RetentionCalibration
 from repro.dram.ecc import ErrorClass
 from repro.dram.geometry import DramGeometry, RankLocation
 from repro.dram.operating import OperatingPoint
+from repro.profiling.profiler import profile_workload
 from repro.errors import (
     CharacterizationError,
     ConfigurationError,
@@ -67,31 +67,36 @@ class TestMetrics:
             WerColumnStore.from_grid("w", [OperatingPoint.relaxed(0.618, 50.0)],
                                      np.full((1, 1, 1), -1e-9), [RankLocation(0, 0)])
 
-    def test_ue_observation_consistency(self):
-        with pytest.raises(DataError):
-            UeObservation("w", 1.45, 70.0, crashed=True, rank=None)
-        with pytest.raises(DataError):
-            UeObservation("w", 1.45, 70.0, crashed=False, rank=RankLocation(0, 0))
-
-    def test_pue_summary_accumulates(self):
-        summary = PueSummary("w", 1.45, 70.0)
-        summary.add(UeObservation("w", 1.45, 70.0, True, RankLocation(2, 0)))
-        summary.add(UeObservation("w", 1.45, 70.0, False))
+    def test_pue_summary_counts(self):
+        summary = PueSummary("w", 1.45, 70.0, total_runs=2, crashed_runs=1,
+                             crashes_by_rank={RankLocation(2, 0): 1})
         assert summary.pue == pytest.approx(0.5)
-        assert summary.crashes_by_rank[RankLocation(2, 0)] == 1
+        assert PueSummary("w", 1.45, 70.0, total_runs=3, crashed_runs=0).pue == 0.0
 
-    def test_pue_summary_rejects_foreign_observation(self):
-        summary = PueSummary("w", 1.45, 70.0)
+    @pytest.mark.parametrize("total_runs, crashed_runs, crashes_by_rank", [
+        (2, 3, {RankLocation(0, 0): 3}),        # more crashes than runs
+        (2, -1, {}),                            # negative crash count
+        (3, 2, {RankLocation(0, 0): 1}),        # ranks do not sum to crashes
+        (3, 1, {RankLocation(0, 0): 2}),
+        (3, 0, {RankLocation(0, 0): 0}),        # a rank that never crashed
+        (3, 1, {RankLocation(0, 0): 2, RankLocation(1, 0): -1}),
+    ])
+    def test_pue_summary_rejects_inconsistent_counts(
+        self, total_runs, crashed_runs, crashes_by_rank
+    ):
         with pytest.raises(DataError):
-            summary.add(UeObservation("other", 1.45, 70.0, False))
+            PueSummary("w", 1.45, 70.0, total_runs=total_runs,
+                       crashed_runs=crashed_runs, crashes_by_rank=crashes_by_rank)
 
     def test_rank_ue_distribution_normalises(self):
-        s1 = PueSummary("a", 1.45, 70.0)
-        s1.add(UeObservation("a", 1.45, 70.0, True, RankLocation(2, 0)))
-        s2 = PueSummary("b", 1.45, 70.0)
-        s2.add(UeObservation("b", 1.45, 70.0, True, RankLocation(0, 1)))
-        dist = rank_ue_distribution([s1, s2])
-        assert sum(dist.values()) == pytest.approx(1.0)
+        s1 = PueSummary("a", 1.45, 70.0, total_runs=4, crashed_runs=3,
+                        crashes_by_rank={RankLocation(2, 0): 2, RankLocation(0, 1): 1})
+        s2 = PueSummary("b", 1.45, 70.0, total_runs=4, crashed_runs=1,
+                        crashes_by_rank={RankLocation(0, 1): 1})
+        clean = PueSummary("c", 1.45, 70.0, total_runs=4, crashed_runs=0)
+        dist = rank_ue_distribution([s1, s2, clean])
+        assert dist == {RankLocation(2, 0): 0.5, RankLocation(0, 1): 0.5}
+        assert rank_ue_distribution([clean]) == {}
 
 
 class TestSlimpro:
@@ -174,13 +179,20 @@ class TestExperiment:
         full = experiment.run("srad(par)", op, duration_s=2 * units.HOUR)
         assert short.memory_wer < full.memory_wer
 
-    def test_time_series_collection(self):
+    def test_time_series_is_the_model_curve(self):
         experiment = CharacterizationExperiment(seed=5)
-        result = experiment.run("memcached", OperatingPoint.relaxed(2.283, 50.0),
-                                collect_time_series=True)
-        assert len(result.wer_time_series) == 12
-        values = [v for _t, v in sorted(result.wer_time_series.items())]
+        op = OperatingPoint.relaxed(2.283, 50.0)
+        series = experiment.wer_time_series("memcached", op)
+        assert len(series) == 12
+        values = [v for _t, v in sorted(series.items())]
         assert values == sorted(values)
+        behavior = experiment._behavior("memcached", None)
+        assert series == experiment.server.error_model.wer_time_series(
+            op, behavior, workload="memcached"
+        )
+        with pytest.raises(CharacterizationError):
+            experiment.wer_time_series("memcached", op,
+                                       profile=profile_workload("bfs"))
 
     def test_crash_at_extreme_operating_point(self):
         experiment = CharacterizationExperiment(seed=5)
@@ -239,6 +251,32 @@ class TestCampaign:
         result = CharacterizationCampaign(config=config).run(include_ue_study=False)
         assert result.pue_summaries == []
         assert result.num_wer_measurements == 8
+
+
+class TestCampaignConfigValidation:
+    @pytest.mark.parametrize("kwargs", [
+        {"ue_repetitions": 0},
+        {"ue_repetitions": -1, "ue_trefp_values_s": ()},
+        {"repetitions": -2},
+        {"repetitions": True},
+        {"repetitions": 1.0},
+        {"ue_repetitions": "3"},
+        {"temperatures_c": ("50",)},
+        {"trefp_values_s": (1.173, None)},
+        {"ue_trefp_values_s": (True,)},
+        {"temperatures_c": 50.0},
+        {"vdd_v": "1.428"},
+        {"ue_temperature_c": None},
+    ])
+    def test_invalid_config_rejected_when_built(self, kwargs):
+        with pytest.raises(CharacterizationError):
+            CampaignConfig(**kwargs)
+
+    def test_valid_edge_configs_accepted(self):
+        # No UE study needs no UE repetitions; zero CE repetitions is an
+        # empty CE sweep; integer grid values are numbers.
+        CampaignConfig(ue_trefp_values_s=(), ue_repetitions=0)
+        CampaignConfig(repetitions=0, temperatures_c=(50, 60), trefp_values_s=[2])
 
 
 class TestWerAggregations:

@@ -367,8 +367,9 @@ class TestStatisticalErrorModel:
         with pytest.raises(ConfigurationError, match="at least one operating point"):
             model.probability_of_ue_grid([], behavior())
         for sample in (model.sample_rank_wer_grid, model.sample_ue_events_grid):
-            with pytest.raises(ConfigurationError, match="repetitions"):
-                sample(ops, behavior(), repetitions=0)
+            # Seeded streams are required: there is no unseeded fallback.
+            with pytest.raises(TypeError, match="rngs"):
+                sample(ops, behavior())
         rngs = [[np.random.default_rng(1), np.random.default_rng(2)],
                 [np.random.default_rng(3)]]
         with pytest.raises(ConfigurationError, match="same length"):
