@@ -5,6 +5,13 @@ samples of every *other* benchmark and tested on the held-out one; the
 mean percentage error (MPE) of the estimates is then reported per
 DIMM/rank (Fig. 11a-c), per application (Fig. 11d-f) and, for PUE,
 averaged over applications and DIMMs (Fig. 12).
+
+All folds of one study cell are fitted together by
+:meth:`DramErrorModel.fit_folds`.  A forest grows every fold's trees in
+one fold lockstep (see :mod:`repro.ml.forest`), in chunks of whole
+forests; SVR and KNN fit their folds one after another.  Each fold
+model is bit-identical to a separate fit on its training rows, so the
+reported errors do not depend on how the folds were grouped.
 """
 
 from __future__ import annotations
@@ -69,12 +76,16 @@ def leave_one_workload_out_predictions(
 def _lowo_predictions(
     model: DramErrorModel, X: np.ndarray, y: np.ndarray, groups: np.ndarray
 ) -> np.ndarray:
-    """Leave-one-workload-out predictions for ``y`` of shape (n,) or (n, R)."""
+    """Leave-one-workload-out predictions for ``y`` of shape (n,) or (n, R).
+
+    All folds are fitted by one :meth:`DramErrorModel.fit_folds` call, so
+    a forest grows every fold's trees in one lockstep; each fold model
+    equals a separate fit on its training rows.
+    """
+    splits = list(LeaveOneGroupOut().split(X, groups))
+    fold_models = model.fit_folds(X, y, [train_idx for train_idx, _ in splits])
     predictions = np.empty_like(y)
-    splitter = LeaveOneGroupOut()
-    for train_idx, test_idx in splitter.split(X, groups):
-        fold_model = model.clone()
-        fold_model.fit_matrices(X[train_idx], y[train_idx])
+    for fold_model, (_, test_idx) in zip(fold_models, splits):
         predictions[test_idx] = fold_model.predict_matrix(X[test_idx])
     return predictions
 

@@ -10,14 +10,14 @@ back-ends are supported, matching the paper: Support Vector Machines
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.dataset import ErrorDataset
 from repro.core.features import FeatureSet, get_feature_set
 from repro.dram.operating import OperatingPoint
-from repro.errors import ConfigurationError, NotFittedError
+from repro.errors import ConfigurationError, DataError, NotFittedError
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.knn import KNeighborsRegressor
 from repro.ml.pipeline import Pipeline
@@ -139,6 +139,50 @@ class DramErrorModel:
         self._pipeline.fit(X, self._encode_target(np.asarray(y, dtype=float)))
         self.fitted_ = True
         return self
+
+    def fit_folds(
+        self, X: np.ndarray, y: np.ndarray, train_indices: Sequence[np.ndarray]
+    ) -> List["DramErrorModel"]:
+        """One fitted clone per training fold; fold ``k`` trains on rows ``train_indices[k]``.
+
+        Each clone equals ``clone().fit_matrices(X[idx], y[idx])`` on its
+        fold.  When the regressor fits many training sets in one pass (the
+        forest: every fold's trees grow in one lockstep), each fold's
+        transformers are fitted on its own rows and the regressor then
+        fits all folds inside one ``ml.fit`` span; otherwise the folds are
+        fitted one after another.  Every fold is checked before any is
+        fitted: an empty fold list, an empty or non-integer fold, a row
+        index outside ``X`` or an ``X``/``y`` length mismatch raises
+        :class:`DataError`.
+        """
+        X_arr = np.asarray(X, dtype=float)
+        y_arr = np.asarray(y, dtype=float)
+        if X_arr.ndim == 0 or y_arr.ndim == 0 or X_arr.shape[0] != y_arr.shape[0]:
+            raise DataError(
+                f"X and y have inconsistent sample counts: {X_arr.shape} vs {y_arr.shape}"
+            )
+        folds = [np.asarray(index) for index in train_indices]
+        if not folds:
+            raise DataError("fit_folds needs at least one training fold")
+        for fold in folds:
+            if fold.ndim != 1 or fold.size == 0:
+                raise DataError(f"a training fold must be a non-empty index vector, got {fold!r}")
+            if not np.issubdtype(fold.dtype, np.integer):
+                raise DataError(f"training fold indices must be integers, got {fold.dtype}")
+            if fold.min() < 0 or fold.max() >= X_arr.shape[0]:
+                raise DataError(f"training fold indices must lie in [0, {X_arr.shape[0]})")
+        if not self._pipeline.steps[-1][1].stacks_fits:
+            # Nothing to share: fit each fold through fit_matrices, so each
+            # keeps its own ml.fit span and the per-fit timings that wrap it.
+            return [self.clone().fit_matrices(X_arr[fold], y_arr[fold]) for fold in folds]
+        target = self._encode_target(y_arr)
+        models = []
+        for pipeline in self._pipeline.fit_many([(X_arr[fold], target[fold]) for fold in folds]):
+            model = self.clone()
+            model._pipeline = pipeline
+            model.fitted_ = True
+            models.append(model)
+        return models
 
     def fit(self, dataset: ErrorDataset) -> "DramErrorModel":
         """Fit from a labelled dataset."""

@@ -10,7 +10,7 @@ scratch on top of numpy.
 from __future__ import annotations
 
 import copy
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -96,11 +96,46 @@ class Estimator:
         return f"{type(self).__name__}({params})"
 
 
+#: One training set: an input matrix and its targets.
+Dataset = Tuple[ArrayLike, ArrayLike]
+
+
+def validate_datasets(datasets: Sequence[Dataset]) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Check every ``(X, y)`` training set of a ``fit_many`` before any fit.
+
+    Each ``X`` is a non-empty finite 2-D matrix and each ``y`` a 1-D or
+    ``(n, R)`` target with one row per row of ``X``; a bad set anywhere
+    raises :class:`DataError` before the first one is fitted.
+    """
+    checked = []
+    for X, y in datasets:
+        X_arr, y_arr = as_2d_array(X), as_target_array(y)
+        check_consistent_length(X_arr, y_arr)
+        checked.append((X_arr, y_arr))
+    if not checked:
+        raise DataError("fit_many needs at least one training set")
+    return checked
+
+
 class Regressor(Estimator):
     """Base class for regressors: defines the fit/predict contract."""
 
+    #: Whether :meth:`fit_many` fits all its training sets in one stacked
+    #: pass (rather than one ``fit`` after another).
+    stacks_fits = False
+
     def fit(self, X: ArrayLike, y: ArrayLike) -> "Regressor":
         raise NotImplementedError
+
+    def fit_many(self, datasets: Sequence[Dataset]) -> List["Regressor"]:
+        """One fitted clone per ``(X, y)`` training set, in order.
+
+        Every set is validated first (see :func:`validate_datasets`); the
+        default then fits a clone on each in turn.  A regressor that can
+        share work across the sets overrides this, and each clone it
+        returns must equal ``clone().fit(X, y)`` on its set.
+        """
+        return [self.clone().fit(X, y) for X, y in validate_datasets(datasets)]
 
     def predict(self, X: ArrayLike) -> np.ndarray:
         """Validate ``X`` (an empty batch is allowed), then :meth:`_predict`."""

@@ -17,22 +17,27 @@ seeds and bootstrap draws a 1-D fit uses, stored one after another in
 the same flat arrays (column ``r`` owns trees ``r*T .. (r+1)*T - 1``),
 so every output column is bit-identical to its own single-output
 forest.
+
+``fit_many`` fits one forest per training set (the folds of a
+leave-one-workload-out study) in one **fold lockstep**: each forest
+draws its seeds and bootstraps from its own generator as ``fit`` does,
+the sets' rows are stacked into one matrix with each forest's sample
+indices offset into it, and one :func:`~repro.ml.tree.grow_trees` call
+per target column (and per set shape) grows every forest's trees.  The
+per-step numpy overhead a lone 30-tree forest pays alone is then shared
+by several forests.  ``fit`` is the one-set case of the same code.
+Chunks hold whole forests (:func:`~repro.ml.tree.lockstep_chunks`), so
+every tree is bit-identical to the one a lone fit grows.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.ml.base import (
-    ArrayLike,
-    Regressor,
-    as_2d_array,
-    as_target_array,
-    check_consistent_length,
-)
+from repro.ml.base import ArrayLike, Dataset, Regressor, validate_datasets
 from repro.ml.tree import (
     DecisionTreeRegressor,
     MaxFeatures,
@@ -50,6 +55,8 @@ class RandomForestRegressor(Regressor):
     forest cope with the paper's third input set (all 249 features, most of
     which are irrelevant) better than SVM or KNN.
     """
+
+    stacks_fits = True
 
     def __init__(
         self,
@@ -73,40 +80,20 @@ class RandomForestRegressor(Regressor):
         self.random_state = random_state
 
     def fit(self, X: ArrayLike, y: ArrayLike) -> "RandomForestRegressor":
-        X_arr, y_arr = as_2d_array(X), as_target_array(y)
-        check_consistent_length(X_arr, y_arr)
-        rng = np.random.default_rng(self.random_state)
-        n_samples, n_features = X_arr.shape
-        self.n_features_ = n_features
-        self.n_outputs_ = y_arr.shape[1] if y_arr.ndim == 2 else None
-        seeds = []
-        samples = []
-        for _ in range(self.n_estimators):
-            seeds.append(int(rng.integers(0, 2 ** 31 - 1)))
-            if self.bootstrap:
-                samples.append(rng.integers(0, n_samples, size=n_samples))
-            else:
-                samples.append(np.arange(n_samples))
-        bootstraps = np.stack(samples)
-        self.estimators_ = []
-        for column in np.ascontiguousarray(y_arr.reshape(n_samples, -1).T):
-            flat_trees = grow_trees(
-                X_arr, column, bootstraps,
-                [np.random.default_rng(seed) for seed in seeds],
-                self.max_depth, self.min_samples_split, self.min_samples_leaf,
-                self.max_features,
-            )
-            for seed, flat in zip(seeds, flat_trees):
-                tree = DecisionTreeRegressor(
-                    max_depth=self.max_depth,
-                    min_samples_split=self.min_samples_split,
-                    min_samples_leaf=self.min_samples_leaf,
-                    max_features=self.max_features,
-                    random_state=seed,
-                )
-                self.estimators_.append(tree._set_flat(flat, n_features))
-        self._flatten_ensemble()
+        _fit_forests([self], validate_datasets([(X, y)]))
         return self
+
+    def fit_many(self, datasets: Sequence[Dataset]) -> List["RandomForestRegressor"]:
+        """One fitted clone per ``(X, y)`` training set, grown in one lockstep.
+
+        Every clone draws its seeds and bootstraps from its own
+        ``random_state`` exactly as :meth:`fit` does, so each equals
+        ``clone().fit(X, y)`` on its set tree for tree.
+        """
+        checked = validate_datasets(datasets)
+        forests = [self.clone() for _ in checked]
+        _fit_forests(forests, checked)
+        return forests
 
     def _flatten_ensemble(self) -> None:
         """Concatenate per-tree flat arrays; child ids become absolute."""
@@ -144,3 +131,67 @@ class RandomForestRegressor(Regressor):
         # ``mean(axis=0)`` over a multi-row (trees, rows) block.
         mean = np.cumsum(per_tree, axis=1)[:, -1] / per_tree.shape[1]
         return mean[0] if self.n_outputs_ is None else mean.T
+
+
+def _fit_forests(
+    forests: Sequence[RandomForestRegressor],
+    datasets: Sequence[Tuple[np.ndarray, np.ndarray]],
+) -> None:
+    """Fit each unfitted forest on its validated ``(X, y)``, all together.
+
+    Each forest draws every tree's seed and bootstrap from its own
+    generator.  Forests whose sets share a shape are grown by one
+    :func:`grow_trees` call per target column: their rows are stacked into
+    one matrix and each forest's sample indices offset into it, so a tree
+    reads the same rows it would read alone.  Chunks hold whole forests
+    (see :func:`~repro.ml.tree.lockstep_chunks`).
+    """
+    template = forests[0]
+    drawn = []
+    for forest, (X, y) in zip(forests, datasets):
+        rng = np.random.default_rng(forest.random_state)
+        n_samples = X.shape[0]
+        seeds = []
+        samples = []
+        for _ in range(template.n_estimators):
+            seeds.append(int(rng.integers(0, 2 ** 31 - 1)))
+            if template.bootstrap:
+                samples.append(rng.integers(0, n_samples, size=n_samples))
+            else:
+                samples.append(np.arange(n_samples))
+        drawn.append((seeds, np.stack(samples)))
+        forest.n_features_ = X.shape[1]
+        forest.n_outputs_ = y.shape[1] if y.ndim == 2 else None
+        forest.estimators_ = []
+
+    groups: Dict[Tuple[int, ...], List[int]] = {}
+    for index, (X, y) in enumerate(datasets):
+        groups.setdefault((*X.shape, *y.shape[1:]), []).append(index)
+    for members in groups.values():
+        X_stack = np.concatenate([datasets[i][0] for i in members])
+        offsets = np.cumsum([0] + [datasets[i][0].shape[0] for i in members[:-1]])
+        bootstraps = np.concatenate([
+            drawn[i][1] + offset for i, offset in zip(members, offsets)
+        ])
+        seeds = [seed for i in members for seed in drawn[i][0]]
+        columns = np.concatenate([
+            datasets[i][1].reshape(datasets[i][0].shape[0], -1) for i in members
+        ])
+        for column in np.ascontiguousarray(columns.T):
+            flat_trees = grow_trees(
+                X_stack, column, bootstraps,
+                [np.random.default_rng(seed) for seed in seeds],
+                template.max_depth, template.min_samples_split, template.min_samples_leaf,
+                template.max_features, forest_size=template.n_estimators,
+            )
+            for seed, flat, i in zip(seeds, flat_trees, np.repeat(members, template.n_estimators)):
+                tree = DecisionTreeRegressor(
+                    max_depth=template.max_depth,
+                    min_samples_split=template.min_samples_split,
+                    min_samples_leaf=template.min_samples_leaf,
+                    max_features=template.max_features,
+                    random_state=seed,
+                )
+                forests[i].estimators_.append(tree._set_flat(flat, X_stack.shape[1]))
+    for forest in forests:
+        forest._flatten_ensemble()

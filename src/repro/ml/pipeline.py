@@ -8,12 +8,12 @@ statistics are re-fitted on every training fold.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.ml.base import ArrayLike, Regressor, as_2d_array
+from repro.ml.base import ArrayLike, Dataset, Regressor, as_2d_array, validate_datasets
 from repro.telemetry import get_telemetry
 
 
@@ -58,14 +58,43 @@ class Pipeline(Regressor):
         """
         telemetry = get_telemetry()
         with telemetry.span("ml.fit"):
-            data = as_2d_array(X)
-            for _name, step in self.steps[:-1]:
-                data = step.fit(data, y)._transform(data)
+            data = self._fit_transformers(as_2d_array(X), y)
             self.steps[-1][1].fit(data, y)
             if telemetry.enabled:
                 telemetry.incr("ml.fit_rows", int(np.shape(data)[0]))
             self.fitted_ = True
             return self
+
+    def fit_many(self, datasets: Sequence[Dataset]) -> List["Pipeline"]:
+        """One fitted clone per ``(X, y)`` training set, in order.
+
+        The transformers of each clone are fitted on its own set, as
+        :meth:`fit` fits them; the transformed sets then go to the final
+        step's ``fit_many`` together, so a stacking regressor grows all
+        of them in one pass.
+        """
+        checked = validate_datasets(datasets)
+        telemetry = get_telemetry()
+        with telemetry.span("ml.fit"):
+            pipelines = [self.clone() for _ in checked]
+            transformed = [
+                (pipeline._fit_transformers(X, y), y)
+                for pipeline, (X, y) in zip(pipelines, checked)
+            ]
+            name, final = self.steps[-1]
+            for pipeline, model in zip(pipelines, final.fit_many(transformed)):
+                pipeline.steps[-1] = (name, model)
+                pipeline.fitted_ = True
+            if telemetry.enabled:
+                telemetry.incr("ml.fit_rows", sum(X.shape[0] for X, _ in checked))
+            return pipelines
+
+    def _fit_transformers(self, X: np.ndarray, y: ArrayLike) -> np.ndarray:
+        """Fit every transformer in turn on checked ``X``; returns the final input."""
+        data = X
+        for _name, step in self.steps[:-1]:
+            data = step.fit(data, y)._transform(data)
+        return data
 
     def predict(self, X: ArrayLike) -> np.ndarray:
         """Validate ``X`` once, then run every step's checked-input path.

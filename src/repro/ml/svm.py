@@ -17,6 +17,9 @@ once per column, exactly as a 1-D fit on that column runs it, and
 ``predict`` makes one kernel-times-coefficients product per column, so
 every output column is bit-identical to its own single-output model.
 scipy's optimiser loads on the first fit, not with ``import repro``.
+Each fit adds its columns' L-BFGS iterations to the ``ml.svr_iterations``
+counter and the columns that stopped at ``max_iter`` to
+``ml.svr_capped_fits``.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from repro.ml.base import (
     check_consistent_length,
 )
 from repro.ml.kernels import gamma_scale, rbf_kernel
+from repro.telemetry import get_telemetry
 
 
 def _smoothed_epsilon_insensitive(residual: np.ndarray, epsilon: float, delta: float) -> tuple:
@@ -43,16 +47,21 @@ def _smoothed_epsilon_insensitive(residual: np.ndarray, epsilon: float, delta: f
     differentiable at the hinge, which makes L-BFGS stall; a small
     quadratic smoothing region of width ``delta`` around the hinge keeps
     the optimiser stable without materially changing the solution.
+    With ``pos = max(|r| - epsilon, 0)`` the loss is ``pos - delta / 2``
+    past ``delta`` and ``pos**2 / (2 delta)`` below it, and the
+    derivative is ``min(pos / delta, 1) * sign(r)``.
     """
-    excess = np.abs(residual) - epsilon
-    sign = np.sign(residual)
-    in_lin = excess > delta
-    outside = excess > 0
-    loss = np.where(
-        in_lin, excess - 0.5 * delta, np.where(outside, 0.5 * excess ** 2 / delta, 0.0)
-    )
-    grad = np.where(in_lin, sign, np.where(outside, (excess / delta) * sign, 0.0))
-
+    pos = np.abs(residual)
+    pos -= epsilon
+    np.maximum(pos, 0.0, out=pos)
+    loss = np.square(pos)
+    loss *= 0.5
+    loss /= delta
+    np.subtract(pos, 0.5 * delta, out=loss, where=pos > delta)
+    grad = pos / delta
+    np.minimum(grad, 1.0, out=grad)
+    # grad >= 0, so this is grad * sign(r).
+    np.copysign(grad, residual, out=grad)
     return loss, grad
 
 
@@ -77,6 +86,9 @@ class SVR(Regressor):
             raise ConfigurationError("C must be positive")
         if epsilon < 0:
             raise ConfigurationError("epsilon must be non-negative")
+        if not smoothing > 0:
+            # A zero-width hinge is the non-differentiable loss L-BFGS stalls on.
+            raise ConfigurationError("smoothing must be positive")
         self.C = C
         self.epsilon = epsilon
         self.gamma = gamma
@@ -107,6 +119,12 @@ class SVR(Regressor):
         beta = np.stack([result.x[:n] for result in results], axis=1)
         intercept = np.array([result.x[n] for result in results])
         n_iter = np.array([result.nit for result in results])
+        telemetry = get_telemetry()
+        if telemetry.enabled:
+            # L-BFGS stops at ``max_iter`` without a convergence check; say
+            # how often, rather than let an unconverged fit pass silently.
+            telemetry.incr("ml.svr_iterations", int(n_iter.sum()))
+            telemetry.incr("ml.svr_capped_fits", int((n_iter >= self.max_iter).sum()))
         one_column = y_arr.ndim == 1
         self.beta_ = beta[:, 0] if one_column else beta
         self.intercept_ = float(intercept[0]) if one_column else intercept
@@ -125,16 +143,19 @@ class SVR(Regressor):
 
         def objective(params: np.ndarray):
             beta = params[:n]
-            bias = params[n]
             # K_reg @ beta serves the fit, the regulariser and its gradient.
             k_beta = K_reg @ beta
-            residual = (k_beta + bias) - y_arr
+            residual = k_beta + params[n]
+            residual -= y_arr
             loss, dloss = _smoothed_epsilon_insensitive(residual, self.epsilon, delta)
-            reg = 0.5 * beta @ k_beta
-            value = self.C * loss.sum() + reg
-            grad_beta = self.C * (K_reg @ dloss) + k_beta
-            grad_bias = self.C * dloss.sum()
-            return value, np.concatenate([grad_beta, [grad_bias]])
+            value = self.C * loss.sum() + 0.5 * beta @ k_beta
+            # The gradient: C * (K_reg @ dloss) + k_beta, then C * sum(dloss).
+            grad = np.empty(n + 1)
+            grad_beta = np.matmul(K_reg, dloss, out=grad[:n])
+            grad_beta *= self.C
+            grad_beta += k_beta
+            grad[n] = self.C * dloss.sum()
+            return value, grad
 
         x0 = np.zeros(n + 1)
         x0[n] = float(np.mean(y_arr))

@@ -24,6 +24,21 @@ numpy's ``choice`` arithmetic in bulk, consumed in depth-first preorder,
 and :func:`_row_sums` repeats the pairwise order of ``ndarray.sum``
 (which ``np.add.reduceat`` does not).
 
+A tree reads only its own sample rows, so the trees of one call need
+not come from one forest: ``RandomForestRegressor.fit_many`` stacks
+several forests (one per leave-one-workload-out fold) into one call.
+The trees are grown in chunks, one lockstep pass each, to bound memory
+(:func:`lockstep_chunks`).  A forest wider than ``_LOCKSTEP_ELEMENTS``
+allows is split into passes of as many trees as fit; narrower forests
+are never split, and a pass takes as many whole forests as fit under
+the smaller ``_STACKED_ELEMENTS``.  Wider passes share each step's
+fixed numpy cost over more trees but hold more memory at once; the
+stacked bound keeps a leave-one-workload-out study's peak memory within
+a few MiB of growing one forest at a time.  A step's nodes sit at
+different depths of different trees, so their sizes vary widely: the
+scoring and the partition pad each node only to the largest node of
+its size group (:func:`_size_groups`), not of the whole step.
+
 A fitted tree is stored only as a **flattened columnar layout** —
 parallel ``feature_``/``threshold_``/``children_left_``/
 ``children_right_``/``value_`` arrays indexed by node id, root at 0,
@@ -58,6 +73,20 @@ _MIN_GAIN = 1e-12
 #: step, ~80 bytes of scoring temporaries; the node records add ~128
 #: bytes per tree row.
 _LOCKSTEP_ELEMENTS = 1 << 20
+
+#: Bound on the trees x (features + 1) x rows of the whole forests that
+#: one pass stacks together (see :func:`lockstep_chunks`): three 30-tree
+#: forests of the set1 WER folds (143 rows x 7 inputs), or all fourteen
+#: of the set2 PUE folds (39 rows x 5 inputs).  Sized by the accuracy
+#: study's peak RSS: 96.7 MiB one forest at a time, 99.4 MiB at this
+#: bound, 107 MiB at ``1 << 18`` (seven forests a pass).
+_STACKED_ELEMENTS = 1 << 17
+
+#: A step's nodes are scored and partitioned in groups of similar size,
+#: each padded only to its own largest node (see :func:`_size_groups`).
+#: Another group pays when it saves more padded entries than this, about
+#: the fixed numpy cost of one more pass.
+_GROUP_SAVING = 1 << 12
 
 #: Feature draws computed per tree at a time, capped at twice the rows
 #: (a bound on a tree's split attempts); a campaign-sized tree makes
@@ -226,7 +255,11 @@ class _FeatureDraws:
         raw = np.stack([
             self.rngs[tree].bit_generator.random_raw((need + 1) // 2) for tree in tree_list
         ])
-        words = np.stack((raw & _LOW32, raw >> _HIGH32), axis=2).reshape(len(tree_list), -1)
+        # Each 64-bit output deals its low, then its high 32-bit word.
+        words = np.empty((len(tree_list), 2 * raw.shape[1]), dtype=np.uint64)
+        np.bitwise_and(raw, _LOW32, out=words[:, 0::2])
+        np.right_shift(raw, _HIGH32, out=words[:, 1::2])
+        del raw
         if words.shape[1] > need or any(self._pending[tree].size for tree in tree_list):
             streams = [
                 np.concatenate((self._pending[tree], row)) for tree, row in zip(tree_list, words)
@@ -235,10 +268,13 @@ class _FeatureDraws:
             for tree, stream in zip(tree_list, streams):
                 self._pending[tree] = stream[need:]
         scaled = words.reshape(-1, size) * self._ranges
-        self._draws[trees] = _floyd_shuffle(
-            (scaled >> _HIGH32).astype(np.int64), self.n_features
-        ).reshape(len(tree_list), self.block, self.n_draw)
         rejected = ((scaled & _LOW32) < self._thresholds).reshape(len(tree_list), need)
+        # The bounded draws (below 2**32) are the high halves, in place.
+        picks = np.right_shift(scaled, _HIGH32, out=scaled).view(np.int64)
+        self._draws[trees] = _floyd_shuffle(picks, self.n_features).reshape(
+            len(tree_list), self.block, self.n_draw
+        )
+        del scaled, picks
         if not rejected.any():
             return
         for row in np.nonzero(rejected.any(axis=1))[0].tolist():
@@ -402,22 +438,25 @@ def grow_trees(
     min_samples_split: int,
     min_samples_leaf: int,
     max_features: MaxFeatures,
+    forest_size: Optional[int] = None,
 ) -> List[FlatTree]:
     """Grow one CART tree per row of ``samples`` (row indices into ``X``).
 
     Tree ``t`` fits ``(X[samples[t]], y[samples[t]])`` and draws its
     split features as ``rngs[t].choice`` would (see
     :class:`_FeatureDraws`).  Trees advance together, one depth-first node
-    each per step (see the module docstring), in chunks small enough to
-    bound the presorted state's memory.
+    each per step (see the module docstring), in the chunks of
+    :func:`lockstep_chunks`; consecutive runs of ``forest_size`` trees
+    are forests (by default all the trees are one).
     """
     n_trees, n_rows = samples.shape
-    chunk = max(1, _LOCKSTEP_ELEMENTS // ((X.shape[1] + 1) * n_rows))
     trees: List[FlatTree] = []
     steps = 0
-    for first in range(0, n_trees, chunk):
+    for first, stop in lockstep_chunks(
+        n_trees, forest_size or n_trees, X.shape[1], n_rows
+    ):
         grown, chunk_steps = _grow_lockstep(
-            X, y, samples[first:first + chunk], rngs[first:first + chunk],
+            X, y, samples[first:stop], rngs[first:stop],
             max_depth, min_samples_split, min_samples_leaf, max_features,
         )
         trees += grown
@@ -427,6 +466,56 @@ def grow_trees(
         telemetry.incr("ml.forest_nodes", sum(tree.feature.shape[0] for tree in trees))
         telemetry.incr("ml.forest_steps", steps)
     return trees
+
+
+def lockstep_chunks(
+    n_trees: int, forest_size: int, n_features: int, n_rows: int
+) -> List[Tuple[int, int]]:
+    """``(first, stop)`` tree ranges grown in one lockstep pass each.
+
+    A forest too wide for one pass under ``_LOCKSTEP_ELEMENTS`` splits
+    into chunks of as many trees as fit, exactly as it would grown alone.
+    Narrower forests are never split: a chunk then holds as many whole
+    forests as fit under ``_STACKED_ELEMENTS``, and at least one.
+    """
+    per_tree = (n_features + 1) * n_rows
+    widest = max(1, _LOCKSTEP_ELEMENTS // per_tree)
+    if forest_size >= widest:
+        starts = [
+            forest + offset
+            for forest in range(0, n_trees, forest_size)
+            for offset in range(0, min(forest_size, n_trees - forest), widest)
+        ]
+    else:
+        forests = max(1, _STACKED_ELEMENTS // (per_tree * forest_size))
+        starts = list(range(0, n_trees, forests * forest_size))
+    return list(zip(starts, starts[1:] + [n_trees]))
+
+
+def _size_groups(counts: np.ndarray, entries: int) -> List[np.ndarray]:
+    """Positions of the nodes of ``counts``, in groups of similar size.
+
+    A kernel pads every node of a call to the call's largest node, at
+    ``entries`` entries per padded position.  Sorted by count, the nodes
+    are cut in two where that saves the most padded entries, and each
+    part again, while a cut saves more than ``_GROUP_SAVING``.  Which
+    group a node falls in changes none of its results.
+    """
+    order = np.argsort(counts, kind="stable")
+    padded = counts[order] * entries
+    groups = []
+    pending = [(0, order.shape[0])]
+    while pending:
+        low, high = pending.pop()
+        # Padded entries of [low, cut) and [cut, high), for every cut.
+        cuts = np.arange(low + 1, high)
+        after = (cuts - low) * padded[cuts - 1] + (high - cuts) * padded[high - 1]
+        if cuts.size and (high - low) * padded[high - 1] - after.min() > _GROUP_SAVING:
+            cut = int(cuts[after.argmin()])
+            pending += [(low, cut), (cut, high)]
+        else:
+            groups.append(order[low:high])
+    return groups
 
 
 class _Presorted:
@@ -491,8 +580,37 @@ class _Presorted:
 
         Node ``i`` tries the features in row ``i`` of ``features`` and
         takes the first one reaching its best gain, if that gain clears
-        the minimum; returns the positions of those nodes among ``trees``.
+        the minimum; returns the positions of those nodes among ``trees``,
+        ascending.  Nodes are scored in groups of similar size.
         """
+        groups = _size_groups(counts, features.shape[1])
+        parts = [
+            self._best_splits(
+                trees[group], starts[group], counts[group], features[group],
+                node_sum[group], node_sq[group], impurity[group], min_samples_leaf,
+            )
+            for group in groups
+        ]
+        split = np.concatenate([group[found] for group, (found, _, _) in zip(groups, parts)])
+        order = np.argsort(split)
+        return (
+            split[order],
+            np.concatenate([feature for _, feature, _ in parts])[order],
+            np.concatenate([threshold for _, _, threshold in parts])[order],
+        )
+
+    def _best_splits(
+        self,
+        trees: np.ndarray,
+        starts: np.ndarray,
+        counts: np.ndarray,
+        features: np.ndarray,
+        node_sum: np.ndarray,
+        node_sq: np.ndarray,
+        impurity: np.ndarray,
+        min_samples_leaf: int,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`best_splits` of nodes padded to the largest of them."""
         n_nodes, n_draw = features.shape
         width = np.arange(int(counts.max()))
         window = ((trees * self.n_lists)[:, None] + features) * self.span + starts[:, None]
@@ -525,6 +643,26 @@ class _Presorted:
         threshold: np.ndarray,
     ) -> np.ndarray:
         """Stably partition every list of each node; returns the left counts.
+
+        Nodes are partitioned in groups of similar size; they belong to
+        distinct trees, so the groups touch disjoint lists.
+        """
+        n_left = np.empty(trees.shape[0], dtype=np.int64)
+        for group in _size_groups(counts, self.n_lists):
+            n_left[group] = self._partition(
+                trees[group], starts[group], counts[group], feature[group], threshold[group]
+            )
+        return n_left
+
+    def _partition(
+        self,
+        trees: np.ndarray,
+        starts: np.ndarray,
+        counts: np.ndarray,
+        feature: np.ndarray,
+        threshold: np.ndarray,
+    ) -> np.ndarray:
+        """:meth:`partition` of nodes padded to the largest of them.
 
         A left sample moves to the number of left samples before it and a
         right one to ``n_left`` plus the number of right samples before

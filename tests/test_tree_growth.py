@@ -13,6 +13,7 @@ validation and the ``ml.forest_*`` telemetry counters.
 """
 
 import copy
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -246,6 +247,61 @@ class TestGrowerMatchesRecursiveBuilder:
         oracle = fit_forest_oracle(forest, X, y)
         for tree, oracle_tree in zip(forest.estimators_, oracle.trees):
             _assert_same_arrays(_tree_arrays(tree), oracle_tree)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=_training_sets(),
+        n_estimators=st.integers(2, 6),
+        max_depth=_MAX_DEPTH,
+        min_samples_leaf=st.integers(1, 3),
+        max_features=_MAX_FEATURES,
+        seed=st.integers(0, 2 ** 31 - 1),
+    )
+    def test_size_grouped_steps_bit_identical(
+        self, data, n_estimators, max_depth, min_samples_leaf, max_features, seed,
+    ):
+        # With no minimum saving, a step cuts its nodes into a group per
+        # distinct size where that saves any padding; each tree still
+        # comes out as the recursive builder grows it.
+        X, y = data
+        with mock.patch.object(tree_module, "_GROUP_SAVING", 0):
+            forest = RandomForestRegressor(
+                n_estimators=n_estimators, max_depth=max_depth,
+                min_samples_leaf=min_samples_leaf, max_features=max_features,
+                random_state=seed,
+            ).fit(X, y)
+        oracle = fit_forest_oracle(forest, X, y)
+        for tree, oracle_tree in zip(forest.estimators_, oracle.trees):
+            _assert_same_arrays(_tree_arrays(tree), oracle_tree)
+
+
+class TestSizeGroups:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        counts=st.lists(st.integers(1, 300), min_size=1, max_size=40),
+        entries=st.integers(1, 12),
+        saving=st.sampled_from([0, 64, 1 << 12, 1 << 40]),
+    )
+    def test_groups_tile_the_nodes_and_save_padding(self, counts, entries, saving):
+        counts = np.array(counts)
+        with mock.patch.object(tree_module, "_GROUP_SAVING", saving):
+            groups = tree_module._size_groups(counts, entries)
+        assert np.array_equal(np.sort(np.concatenate(groups)), np.arange(counts.size))
+        padded = sum(group.size * counts[group].max() for group in groups) * entries
+        alone = counts.size * counts.max() * entries
+        # Every cut saves more than the threshold.
+        assert alone - padded > saving * (len(groups) - 1) or len(groups) == 1
+        if saving >= alone:
+            assert len(groups) == 1
+
+    def test_small_nodes_split_from_a_large_one(self):
+        counts = np.array([3, 140, 2, 4, 3])
+        with mock.patch.object(tree_module, "_GROUP_SAVING", 0):
+            groups = tree_module._size_groups(counts, 1)
+        assert [sorted(group.tolist()) for group in groups if 1 in group] == [[1]]
+        assert np.array_equal(
+            tree_module._size_groups(counts, 1)[0], np.argsort(counts, kind="stable")
+        )
 
 
 class _ReplayedPCG64(np.random.PCG64):
