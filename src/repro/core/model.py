@@ -10,7 +10,7 @@ back-ends are supported, matching the paper: Support Vector Machines
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union, overload
 
 import numpy as np
 
@@ -127,7 +127,20 @@ class DramErrorModel:
         return np.power(10.0, y)
 
     # ------------------------------------------------------------------
-    def fit_matrices(self, X: np.ndarray, y: np.ndarray) -> "DramErrorModel":
+    @overload
+    def fit_matrices(self, X: np.ndarray, y: np.ndarray) -> "DramErrorModel": ...
+
+    @overload
+    def fit_matrices(
+        self, X: np.ndarray, y: np.ndarray, train_indices: Sequence[np.ndarray]
+    ) -> List["DramErrorModel"]: ...
+
+    def fit_matrices(
+        self,
+        X: np.ndarray,
+        y: np.ndarray,
+        train_indices: Optional[Sequence[np.ndarray]] = None,
+    ) -> Union["DramErrorModel", List["DramErrorModel"]]:
         """Fit from a pre-built input matrix (used by the evaluation loop).
 
         ``y`` is one target vector ``(n,)`` or one column per target
@@ -135,7 +148,15 @@ class DramErrorModel:
         :meth:`ErrorDataset.rank_matrices`; :meth:`predict_matrix` then
         returns the matching shape, column ``r`` bit-identical to a model
         fitted on ``y[:, r]`` alone.
+
+        Given ``train_indices``, ``self`` stays unfitted and one fitted
+        clone per fold is returned instead (see :meth:`fit_folds`).  Every
+        fit of a model, of one training set or of many, thus runs inside
+        one call of this method, so whatever times or counts it (as
+        perfbench's traced run does) also sees a stacked fold fit.
         """
+        if train_indices is not None:
+            return self._fit_folds(X, y, train_indices)
         self._pipeline.fit(X, self._encode_target(np.asarray(y, dtype=float)))
         self.fitted_ = True
         return self
@@ -146,15 +167,20 @@ class DramErrorModel:
         """One fitted clone per training fold; fold ``k`` trains on rows ``train_indices[k]``.
 
         Each clone equals ``clone().fit_matrices(X[idx], y[idx])`` on its
-        fold.  When the regressor fits many training sets in one pass (the
-        forest: every fold's trees grow in one lockstep), each fold's
-        transformers are fitted on its own rows and the regressor then
-        fits all folds inside one ``ml.fit`` span; otherwise the folds are
-        fitted one after another.  Every fold is checked before any is
-        fitted: an empty fold list, an empty or non-integer fold, a row
-        index outside ``X`` or an ``X``/``y`` length mismatch raises
-        :class:`DataError`.
+        fold.  Each fold's transformers are fitted on its own rows, then
+        the regressor fits every fold in one ``fit_many`` call inside one
+        ``ml.fit`` span: a forest grows all folds' trees in one lockstep,
+        SVR and KNN fit the folds one after another.  Every fold is
+        checked before any is fitted: an empty fold list, an empty or
+        non-integer fold, a row index outside ``X`` or an ``X``/``y``
+        length mismatch raises :class:`DataError`.  Runs as
+        ``fit_matrices(X, y, train_indices)``.
         """
+        return self.fit_matrices(X, y, train_indices)
+
+    def _fit_folds(
+        self, X: np.ndarray, y: np.ndarray, train_indices: Sequence[np.ndarray]
+    ) -> List["DramErrorModel"]:
         X_arr = np.asarray(X, dtype=float)
         y_arr = np.asarray(y, dtype=float)
         if X_arr.ndim == 0 or y_arr.ndim == 0 or X_arr.shape[0] != y_arr.shape[0]:
@@ -171,10 +197,6 @@ class DramErrorModel:
                 raise DataError(f"training fold indices must be integers, got {fold.dtype}")
             if fold.min() < 0 or fold.max() >= X_arr.shape[0]:
                 raise DataError(f"training fold indices must lie in [0, {X_arr.shape[0]})")
-        if not self._pipeline.steps[-1][1].stacks_fits:
-            # Nothing to share: fit each fold through fit_matrices, so each
-            # keeps its own ml.fit span and the per-fit timings that wrap it.
-            return [self.clone().fit_matrices(X_arr[fold], y_arr[fold]) for fold in folds]
         target = self._encode_target(y_arr)
         models = []
         for pipeline in self._pipeline.fit_many([(X_arr[fold], target[fold]) for fold in folds]):

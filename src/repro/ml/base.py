@@ -120,10 +120,6 @@ def validate_datasets(datasets: Sequence[Dataset]) -> List[Tuple[np.ndarray, np.
 class Regressor(Estimator):
     """Base class for regressors: defines the fit/predict contract."""
 
-    #: Whether :meth:`fit_many` fits all its training sets in one stacked
-    #: pass (rather than one ``fit`` after another).
-    stacks_fits = False
-
     def fit(self, X: ArrayLike, y: ArrayLike) -> "Regressor":
         raise NotImplementedError
 

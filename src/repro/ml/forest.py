@@ -56,8 +56,6 @@ class RandomForestRegressor(Regressor):
     which are irrelevant) better than SVM or KNN.
     """
 
-    stacks_fits = True
-
     def __init__(
         self,
         n_estimators: int = 100,

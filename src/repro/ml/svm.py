@@ -18,8 +18,8 @@ once per column, exactly as a 1-D fit on that column runs it, and
 every output column is bit-identical to its own single-output model.
 scipy's optimiser loads on the first fit, not with ``import repro``.
 Each fit adds its columns' L-BFGS iterations to the ``ml.svr_iterations``
-counter and the columns that stopped at ``max_iter`` to
-``ml.svr_capped_fits``.
+counter and the columns whose optimiser stopped at its iteration limit
+(``max_iter``), not at convergence, to ``ml.svr_capped_fits``.
 """
 
 from __future__ import annotations
@@ -121,10 +121,13 @@ class SVR(Regressor):
         n_iter = np.array([result.nit for result in results])
         telemetry = get_telemetry()
         if telemetry.enabled:
-            # L-BFGS stops at ``max_iter`` without a convergence check; say
-            # how often, rather than let an unconverged fit pass silently.
+            # L-BFGS-B's status 1 says it stopped at its iteration (or
+            # evaluation) limit instead of converging; count those, rather
+            # than let an unconverged fit pass silently.
             telemetry.incr("ml.svr_iterations", int(n_iter.sum()))
-            telemetry.incr("ml.svr_capped_fits", int((n_iter >= self.max_iter).sum()))
+            telemetry.incr(
+                "ml.svr_capped_fits", sum(int(result.status == 1) for result in results)
+            )
         one_column = y_arr.ndim == 1
         self.beta_ = beta[:, 0] if one_column else beta
         self.intercept_ = float(intercept[0]) if one_column else intercept

@@ -262,21 +262,34 @@ class TestFitFolds:
             alone = model.clone().fit_matrices(X[train], y[train])
             assert np.array_equal(fold_model.predict_matrix(X), alone.predict_matrix(X))
 
-    def test_stacked_fit_is_one_ml_fit_span(self):
+    @pytest.mark.parametrize("family", ["svm", "knn", "rdf"])
+    def test_every_family_fits_its_folds_in_one_ml_fit_span(self, family):
         X, y, folds = _lowo_data()
         with telemetry_session() as telemetry:
-            DramErrorModel(ModelConfig(family="rdf", feature_set="set1")).fit_folds(X, y, folds)
+            DramErrorModel(ModelConfig(family=family, feature_set="set1")).fit_folds(X, y, folds)
         snapshot = telemetry.snapshot()
         assert find_span(snapshot, "ml.fit").count == 1
         assert snapshot.counters["ml.fit_rows"] == sum(len(fold) for fold in folds)
 
-    def test_fold_by_fold_families_fit_each_fold(self):
+    def test_fold_fit_runs_inside_one_fit_matrices_call(self, monkeypatch):
+        # Whatever wraps fit_matrices (a timer, a counter) sees the whole
+        # stacked fold fit, and fit_matrices returns the fold models.
+        calls = []
+        original = DramErrorModel.fit_matrices
+
+        def recording(model, X, y, train_indices=None):
+            calls.append(train_indices is not None)
+            return original(model, X, y, train_indices)
+
+        monkeypatch.setattr(DramErrorModel, "fit_matrices", recording)
         X, y, folds = _lowo_data()
-        with telemetry_session() as telemetry:
-            DramErrorModel(ModelConfig(family="knn", feature_set="set1")).fit_folds(X, y, folds)
-        snapshot = telemetry.snapshot()
-        assert find_span(snapshot, "ml.fit").count == len(folds)
-        assert snapshot.counters["ml.fit_rows"] == sum(len(fold) for fold in folds)
+        model = DramErrorModel(ModelConfig(family="rdf", feature_set="set1"))
+        fitted = model.fit_folds(X, y, folds)
+        assert calls == [True]
+        assert not hasattr(model, "fitted_")
+        direct = model.fit_matrices(X, y, folds)
+        for via_folds, via_matrices in zip(fitted, direct):
+            assert np.array_equal(via_folds.predict_matrix(X), via_matrices.predict_matrix(X))
 
 
 class TestBoundaryValidation:
@@ -395,6 +408,16 @@ class TestSvrIterationCounters:
         assert list(model.n_iter_) == [5, 5]
         assert counters["ml.svr_capped_fits"] == 2
         assert counters["ml.svr_iterations"] == 10
+
+    def test_convergence_at_the_iteration_limit_is_not_capped(self):
+        # The start point is already optimal: L-BFGS converges after zero
+        # iterations, which is also max_iter.
+        X = np.linspace(0.0, 1.0, 8)[:, None]
+        with telemetry_session() as telemetry:
+            model = SVR(epsilon=0.5, max_iter=0).fit(X, np.zeros(8))
+        counters = telemetry.snapshot().counters
+        assert model.n_iter_ == model.max_iter == 0
+        assert counters["ml.svr_capped_fits"] == 0
 
     def test_a_converged_fit_is_not_capped(self):
         X = np.linspace(0.0, 1.0, 8)[:, None]
